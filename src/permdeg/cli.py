@@ -5,6 +5,12 @@ error, 3 a resource cap was exceeded.  JSON reports are canonical: for a
 fixed group, suite, seed and version they are byte-identical across runs and
 across --jobs settings (the elapsed_ms field is pinned to 0 for that reason;
 wall-clock timing goes to stderr).
+
+The minimal degree is always computed by the stabilizer-prefix backtrack;
+``mindeg --method exhaustive`` runs the exhaustive scan, the reference
+oracle, instead (``auto`` and the default mean backtrack).  ``--cap`` bounds
+exhaustive scans and conjugation-orbit closures; it never selects an
+algorithm.  ``--jobs`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from pathlib import Path
 
 from . import catalog
 from .groups import CapExceeded, PermutationGroup
-from .mindeg import minimal_degree
+from .mindeg import minimal_degree, minimal_degree_exhaustive
 from .perm import format_cycles
 from .verify import (
     CountCheck,
@@ -71,19 +77,20 @@ def _suite_json(name: str, checks, applicable: bool, details: dict | None = None
     return suite
 
 
+def _envelope(header: dict, m: int | None, suites: list[dict], seed: int) -> dict:
+    """The canonical report: schema, the group header, m, suites, seed."""
+    return {"schema": 1, **header, "m": m, "suites": suites, "seed": seed,
+            "elapsed_ms": 0}
+
+
 def _report_json(group: PermutationGroup, m: int | None, suites: list[dict],
                  seed: int) -> dict:
-    return {
-        "schema": 1,
+    return _envelope({
         "group": group.label,
         "n": group.degree,
         "order": str(group.order),
         "t": group.transitivity_degree(),
-        "m": m,
-        "suites": suites,
-        "seed": seed,
-        "elapsed_ms": 0,
-    }
+    }, m, suites, seed)
 
 
 def _write_json(report: dict, path: str | None) -> None:
@@ -120,19 +127,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="PATH", default=None)
     parser.add_argument("--samples", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--cap", type=int, default=10_000_000)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
+    parser.add_argument("--cap", type=int, default=10_000_000,
+                        help="bound on exhaustive scans and orbit closures")
 
 
-def _maybe_minimal_degree(group: PermutationGroup, cap: int):
+def _maybe_minimal_degree(group: PermutationGroup):
     if group.order <= 1:
         return None
-    return minimal_degree(group, order_cap=cap)
+    return minimal_degree(group)
 
 
 def _cmd_info(args) -> int:
     group = resolve_group(args.group)
-    result = _maybe_minimal_degree(group, args.cap)
+    result = _maybe_minimal_degree(group)
     shown = f"{result.m} ({result.method})" if result else "undefined (trivial group)"
     print(f"group {group.label}: n={group.degree} order={group.order} "
           f"t={group.transitivity_degree()} m={shown}")
@@ -171,7 +179,7 @@ def _cmd_verify(args) -> int:
         else:
             suites.append(_suite_json("pair-relation", [], False))
             print("suite pair-relation: inapplicable (needs a doubly transitive group)")
-    result = _maybe_minimal_degree(group, args.cap)
+    result = _maybe_minimal_degree(group)
     report = _report_json(group, result.m if result else None, suites, args.seed)
     _write_json(report, args.json)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -211,7 +219,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_mindeg(args) -> int:
     group = resolve_group(args.group)
-    result = minimal_degree(group, method=args.method, order_cap=args.cap)
+    if args.method == "exhaustive":
+        result = minimal_degree_exhaustive(group, args.cap)
+    else:
+        result = minimal_degree(group)
     print(f"group {group.label}: m={result.m} witness={format_cycles(result.witness)} "
           f"method={result.method} visited={result.elements_visited} "
           f"pruned={result.nodes_pruned}")
@@ -230,35 +241,14 @@ def _cmd_mindeg(args) -> int:
 def _cmd_table(args) -> int:
     rows = mathieu_bound_table()
     suites = []
-    ok = True
     for row in rows:
         print(f"{row.label}: n={row.n} t={row.t} m={row.m} bound={row.bound}")
-        ok = ok and row.ok
-        suites.append({
-            "name": f"table:{row.label}",
-            "checks": [{
-                "label": "minimal-degree-meets-bound",
-                "relation": ">=",
-                "observed": str(row.m),
-                "formula": str(row.bound),
-                "pass": row.ok,
-            }],
-            "applicable": True,
-        })
-    if args.json:
-        report = {
-            "schema": 1,
-            "group": "mathieu-table",
-            "n": 0,
-            "order": "0",
-            "t": 0,
-            "m": None,
-            "suites": suites,
-            "seed": args.seed,
-            "elapsed_ms": 0,
-        }
-        _write_json(report, args.json)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        check = CountCheck("minimal-degree-meets-bound", ">=", row.m,
+                           Fraction(row.bound), row.ok)
+        suites.append(_suite_json(f"table:{row.label}", [check], True))
+    header = {"group": "mathieu-table", "n": 0, "order": "0", "t": 0}
+    _write_json(_envelope(header, None, suites, args.seed), args.json)
+    return EXIT_OK if all(row.ok for row in rows) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mindeg = sub.add_parser("mindeg", help="compute the minimal degree")
     p_mindeg.add_argument("group")
     p_mindeg.add_argument("--method", choices=("auto", "exhaustive", "backtrack"),
-                          default="auto")
+                          default="auto",
+                          help="backtrack (auto, the default) or the exhaustive oracle")
     _add_common(p_mindeg)
 
     p_table = sub.add_parser("table", help="Mathieu degree/bound table")

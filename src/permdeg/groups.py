@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .perm import DegreeMismatchError, Permutation
+
+if TYPE_CHECKING:
+    from .mindeg import MinDegResult
 
 
 class CapExceeded(RuntimeError):
@@ -210,7 +213,7 @@ class PermutationGroup:
         self.label = label
         self._chains: dict[tuple[int, ...], StabilizerChain] = {}
         self._tdeg: int | None = None
-        self.mindeg_cache: dict[str, object] = {}
+        self.mindeg: MinDegResult | None = None  # set by mindeg.minimal_degree
 
     def __repr__(self) -> str:
         return f"PermutationGroup({self.label!r}, degree={self.degree}, gens={len(self.generators)})"

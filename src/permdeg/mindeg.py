@@ -1,8 +1,10 @@
-"""Minimal degree search: exhaustive scan and a stabilizer-prefix backtrack.
+"""Minimal degree search: a stabilizer-prefix backtrack, with an exhaustive
+scan kept as its reference oracle.
 
 The minimal degree of a nontrivial group is the least number of points moved
 by a nonidentity element, equivalently n minus the largest number of points
-such an element fixes.
+such an element fixes.  ``minimal_degree`` always runs the backtrack; the
+exhaustive scan is called directly (tests, ``mindeg --method exhaustive``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def minimal_degree_exhaustive(group: PermutationGroup,
         key = (moved, g.images)
         if best is None or key < best:
             best = key
-    assert best is not None
+    if best is None:
+        raise RuntimeError(f"{group.label}: no nonidentity element in a group of order {order}")
     return MinDegResult(best[0], Permutation(best[1]), "exhaustive", visited, 0)
 
 
@@ -63,11 +66,11 @@ def minimal_degree_backtrack(group: PermutationGroup) -> MinDegResult:
     nontrivial, since a nonidentity element fixing k points exists exactly
     when some k-point pointwise stabilizer is nontrivial.  Extension
     candidates are one representative per stabilizer orbit (conjugating by a
-    stabilizer element carries completions of one choice onto the other),
-    revisited fixed-point closures are skipped, and subtrees whose best
-    possible fixed-point count cannot beat the incumbent are cut.  The
-    deepest surviving node gives m = n - max fix exactly; any nonidentity
-    element of its stabilizer is a witness of support exactly m.
+    stabilizer element carries completions of one choice onto the other).
+    ``nodes_pruned`` counts children skipped because their stabilizer is
+    trivial or their fixed-point closure was already seen.  The node with the
+    largest fixed-point closure gives m = n - max fix exactly; any
+    nonidentity element of its stabilizer is a witness of support exactly m.
     """
     if group.order <= 1:
         raise ValueError("minimal degree is undefined for the trivial group")
@@ -104,24 +107,14 @@ def minimal_degree_backtrack(group: PermutationGroup) -> MinDegResult:
         witnesses = list(best_stab.chain().strong_gens)
     witness = min(witnesses, key=lambda g: g.images)
     m = n - len(best_fix)
-    assert witness.moved_count() == m
+    if witness.moved_count() != m:
+        raise RuntimeError(f"{group.label}: witness moves {witness.moved_count()} "
+                           f"points, expected {m}")
     return MinDegResult(m, witness, "backtrack", visited, pruned)
 
 
-def minimal_degree(group: PermutationGroup, method: str = "auto",
-                   order_cap: int = 10_000_000) -> MinDegResult:
-    """Dispatch to exhaustive search when the order fits under the cap,
-    otherwise backtrack; results are cached on the group handle."""
-    if method not in ("auto", "exhaustive", "backtrack"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "exhaustive" if group.order <= order_cap else "backtrack"
-    cached = group.mindeg_cache.get(method)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    if method == "exhaustive":
-        result = minimal_degree_exhaustive(group, order_cap)
-    else:
-        result = minimal_degree_backtrack(group)
-    group.mindeg_cache[method] = result
-    return result
+def minimal_degree(group: PermutationGroup) -> MinDegResult:
+    """The backtrack result, cached on the group handle."""
+    if group.mindeg is None:
+        group.mindeg = minimal_degree_backtrack(group)
+    return group.mindeg

@@ -14,7 +14,6 @@ close with n <= 4m + 6/(m-3), n <= 3m + 4/(m-3) and n - 3 <= 2m.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -57,13 +56,6 @@ def _subset(label: str, lhs: Iterable[int], rhs: set[int],
             informational: bool = False) -> CountCheck:
     missing = sum(1 for a in lhs if a not in rhs)
     return CountCheck(label, "subset", missing, Fraction(0), missing == 0, informational)
-
-
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +340,9 @@ def _trace_witness(group: PermutationGroup, rng=None) -> Permutation:
     rng, additionally conjugated by a random group element (same support size)."""
     result = minimal_degree(group)
     u = prime_order_witness(result.witness)
-    assert u.moved_count() == result.m
+    if u.moved_count() != result.m:
+        raise RuntimeError(f"{group.label}: prime-order witness moves "
+                           f"{u.moved_count()} points, expected {result.m}")
     if rng is not None:
         u = u.conjugate(group.random_element(rng))
     return u
@@ -805,7 +799,8 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
     """Aggregate the commutator support laws over seeded random pairs.
 
     Returns one check per law counting failing samples; the forward-image
-    containment is tallied but stays informational.
+    containment is tallied but stays informational.  ``jobs`` is accepted
+    for compatibility and has no effect: samples run in order.
     """
     rng = random.Random(seed)
     inputs = []
@@ -826,7 +821,7 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
         cancel = commutator_cancellation_bound(u, v, fixed_pick, shifted_pick)
         return [c.passed for c in laws] + [cancel.passed]
 
-    outcomes = _map_jobs(run, inputs, jobs)
+    outcomes = [run(item) for item in inputs]
     labels = [
         "commutator-support-containment",
         "commutator-support-size-bound",
@@ -850,7 +845,8 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
 
     Samples are grouped into (u, delta) configurations so each orbit closure
     is built once and reused for many (gamma, second) draws.  Returns the
-    aggregated checks plus the clauses that were never applicable.
+    aggregated checks plus the clauses that were never applicable.  ``jobs``
+    is accepted for compatibility and has no effect: batches run in order.
     """
     rng = random.Random(seed)
     n = group.degree
@@ -894,7 +890,7 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
         return tallies
 
     totals = {clause: [0, 0] for clause in CLAUSES}
-    for tallies in _map_jobs(run, batches, jobs):
+    for tallies in map(run, batches):
         for clause, (applied, failed) in tallies.items():
             totals[clause][0] += applied
             totals[clause][1] += failed

@@ -96,6 +96,11 @@ def test_mindeg_cap_exit(capsys):
     assert code == 3
 
 
+def test_mindeg_unknown_method_rejected(capsys):
+    code, _ = run(capsys, "mindeg", "catalog:C4", "--method", "guess")
+    assert code == 2
+
+
 def test_json_report_schema(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _ = run(capsys, "verify", "catalog:S5", "all", "--samples", "100",

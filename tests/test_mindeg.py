@@ -1,7 +1,8 @@
 import pytest
 
 from permdeg import catalog
-from permdeg.groups import CapExceeded, PermutationGroup
+from permdeg.cli import main
+from permdeg.groups import CapExceeded, PermutationGroup, StabilizerChain
 from permdeg.mindeg import minimal_degree, minimal_degree_backtrack, minimal_degree_exhaustive
 from permdeg.perm import Permutation, parse_cycles, prime_order_witness
 
@@ -92,16 +93,31 @@ def test_backtrack_counters_present():
 
 
 def test_auto_dispatch_and_cache():
+    # minimal_degree always backtracks, whatever the order, and caches the result
     g = catalog.builtin("symmetric", 6)
-    first = minimal_degree(g, "auto")
-    assert first.method == "exhaustive"
-    assert minimal_degree(g, "auto") is first
+    first = minimal_degree(g)
+    assert first.method == "backtrack"
+    assert first.m == 2
+    assert minimal_degree(g) is first
 
     m23 = catalog.builtin("mathieu", 23)
-    result = minimal_degree(m23, "auto")
+    result = minimal_degree(m23)
     assert result.method == "backtrack"
     assert result.m == 16
-    assert minimal_degree(m23, "auto") is result
+    assert minimal_degree(m23) is result
+
+
+def test_production_paths_never_enumerate_elements(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("element enumeration on a production path")
+
+    monkeypatch.setattr(StabilizerChain, "elements", refuse)
+    monkeypatch.setattr(catalog, "_cache", {})
+    assert minimal_degree(catalog.builtin("symmetric", 8)).m == 2
+    assert minimal_degree(catalog.builtin("mathieu", 12)).m == 8
+    assert main(["info", "catalog:S9"]) == 0
+    assert main(["table"]) == 0
+    assert "m=2 (backtrack)" in capsys.readouterr().out
 
 
 def test_trivial_group_rejected():
@@ -116,11 +132,6 @@ def test_exhaustive_cap():
     g = catalog.builtin("symmetric", 8)
     with pytest.raises(CapExceeded):
         minimal_degree_exhaustive(g, order_cap=1000)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        minimal_degree(catalog.builtin("cyclic", 4), "guess")
 
 
 def test_global_fixed_points_counted():
