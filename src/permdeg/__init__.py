@@ -11,11 +11,9 @@ from .perm import (
 )
 from .groups import (
     CapExceeded,
-    ConjugateOrbit,
     PermutationGroup,
     StabilizerChain,
     build_chain,
-    conjugate_orbit,
     conjugation_closure,
 )
 from .mindeg import MinDegResult, minimal_degree, minimal_degree_backtrack, minimal_degree_exhaustive
@@ -25,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
-    "ConjugateOrbit",
     "CycleParseError",
     "DegreeMismatchError",
     "MinDegResult",
@@ -34,7 +31,6 @@ __all__ = [
     "StabilizerChain",
     "build_chain",
     "catalog",
-    "conjugate_orbit",
     "conjugation_closure",
     "format_cycles",
     "minimal_degree",

@@ -123,9 +123,16 @@ def _trace_details(report) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="PATH", default=None)
-    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--samples", type=_positive_int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     parser.add_argument("--cap", type=int, default=10_000_000,

@@ -28,12 +28,14 @@ class CapExceeded(RuntimeError):
 
 @dataclass
 class ChainLevel:
-    point: int
-    gens: list[Permutation]
-    transversal: dict[int, Permutation]
+    """One level: its base point, the strong generators fixing the earlier
+    base points, the transversal (orbit point b -> an element carrying the
+    base point to b) and the orbit in ascending order."""
 
-    def orbit(self) -> list[int]:
-        return sorted(self.transversal)
+    point: int
+    gens: tuple[Permutation, ...]
+    transversal: dict[int, Permutation]
+    orbit: tuple[int, ...]
 
 
 class StabilizerChain:
@@ -41,6 +43,10 @@ class StabilizerChain:
         self.degree = degree
         self.levels = levels
         self.strong_gens = strong_gens
+        # inverses of the representatives that sift and transporter have
+        # used, by (level, point); keeping every inverse on every cached
+        # chain would double the memory of the chain caches
+        self._inverses: dict[tuple[int, int], Permutation] = {}
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -49,17 +55,28 @@ class StabilizerChain:
     def order(self) -> int:
         return prod(len(level.transversal) for level in self.levels)
 
+    def rep_inverse(self, i: int, point: int) -> Permutation | None:
+        """The inverse of ``levels[i].transversal[point]``, computed once;
+        None when the point is off the level's orbit."""
+        key = (i, point)
+        inv = self._inverses.get(key)
+        if inv is None:
+            rep = self.levels[i].transversal.get(point)
+            if rep is None:
+                return None
+            inv = self._inverses[key] = rep.inverse()
+        return inv
+
     def sift(self, p: Permutation) -> Permutation:
         """Factor ``p`` through the transversals; the residue is the identity
         exactly when ``p`` belongs to the group."""
         if p.degree != self.degree:
             raise DegreeMismatchError(f"degree mismatch: {p.degree} vs {self.degree}")
-        for level in self.levels:
-            image = p.images[level.point]
-            rep = level.transversal.get(image)
-            if rep is None:
+        for i, level in enumerate(self.levels):
+            rep_inv = self.rep_inverse(i, p.images[level.point])
+            if rep_inv is None:
                 return p
-            p = p * rep.inverse()
+            p = p * rep_inv
         return p
 
     def contains(self, p: Permutation) -> bool:
@@ -75,7 +92,7 @@ class StabilizerChain:
                 yield right
                 return
             transversal = levels[i].transversal
-            for point in sorted(transversal):
+            for point in levels[i].orbit:
                 yield from walk(i + 1, transversal[point] * right)
 
         return walk(0, ident)
@@ -92,6 +109,12 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     they fix, so each level's generator list is exactly the strong generators
     fixing its prefix; an installation strictly enlarges the fundamental
     orbit at the first base point it moves, which bounds the work.
+
+    The construction runs on image tuples.  While it runs, each level keeps
+    the inverse of every transversal representative, built in the same
+    breadth-first pass, so stripping never inverts a permutation; the
+    finished chain keeps only the representatives and inverts those that
+    sift and transporter use, once each.
     """
     gens = []
     for g in generators:
@@ -100,60 +123,82 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         if not g.is_identity():
             gens.append(g)
 
-    ident = Permutation.identity(degree)
+    ident = tuple(range(degree))
     base: list[int] = []
-    gen_lists: list[list[Permutation]] = []
-    transversals: list[dict[int, Permutation]] = []
+    # per level: (generator, its images, its inverse images)
+    gen_lists: list[list[tuple[Permutation, tuple[int, ...], tuple[int, ...]]]] = []
+    transversals: list[dict[int, tuple[int, ...]]] = []
+    inverses: list[dict[int, tuple[int, ...]]] = []
     strong: list[Permutation] = []
+
+    def add_level(pt: int) -> None:
+        base.append(pt)
+        gen_lists.append([])
+        transversals.append({pt: ident})
+        inverses.append({pt: ident})
 
     for pt in base_prefix:
         if not 0 <= pt < degree:
             raise ValueError(f"base point {pt} outside 0..{degree - 1}")
-        if pt in base:
-            continue
-        base.append(pt)
-        gen_lists.append([])
-        transversals.append({pt: ident})
+        if pt not in base:
+            add_level(pt)
 
     def rebuild_orbit(i: int) -> None:
+        # rep(b) = rep(a) * s and rep(b)^-1 = s^-1 * rep(a)^-1 when b = a^s
         table = {base[i]: ident}
+        inv = {base[i]: ident}
         queue = [base[i]]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
+        for a in queue:
             rep = table[a]
-            for s in gen_lists[i]:
-                b = s.images[a]
+            rep_inv = inv[a]
+            for _, s, s_inv in gen_lists[i]:
+                b = s[a]
                 if b not in table:
-                    table[b] = rep * s
+                    table[b] = tuple([s[x] for x in rep])
+                    inv[b] = tuple([rep_inv[x] for x in s_inv])
                     queue.append(b)
         transversals[i] = table
+        inverses[i] = inv
 
-    def strip(g: Permutation, start: int) -> tuple[Permutation, int]:
+    def strip(g: tuple[int, ...], start: int) -> tuple[int, ...]:
         for j in range(start, len(base)):
-            image = g.images[base[j]]
-            rep = transversals[j].get(image)
-            if rep is None:
-                return g, j
-            g = g * rep.inverse()
-        return g, len(base)
+            rep_inv = inverses[j].get(g[base[j]])
+            if rep_inv is None:
+                break
+            g = tuple([rep_inv[x] for x in g])
+        return g
 
     def install(g: Permutation) -> int:
         # register g at every level whose base prefix it fixes: levels 0..k,
         # where k is the first base level g moves (new base point if none)
+        images = g.images
         k = 0
-        while k < len(base) and g.images[base[k]] == base[k]:
+        while k < len(base) and images[base[k]] == base[k]:
             k += 1
         if k == len(base):
-            new_point = min(a for a in range(degree) if g.images[a] != a)
-            base.append(new_point)
-            gen_lists.append([])
-            transversals.append({new_point: ident})
+            add_level(min(a for a in range(degree) if images[a] != a))
+        entry = (g, images, g.inverse().images)
         for j in range(k + 1):
-            gen_lists[j].append(g)
+            gen_lists[j].append(entry)
         strong.append(g)
         return k
+
+    def first_residue(i: int) -> tuple[int, ...] | None:
+        # the first Schreier generator rep(a) * s * rep(a^s)^-1 at level i
+        # that does not strip to the identity through the deeper levels
+        table = transversals[i]
+        inv = inverses[i]
+        for a in sorted(table):
+            rep = table[a]
+            for _, s, _ in gen_lists[i]:
+                back = inv[s[a]]
+                schreier = tuple([back[s[r]] for r in rep])
+                if schreier == ident:
+                    continue
+                residue = strip(schreier, i + 1)
+                if residue != ident:
+                    return residue
+        return None
 
     for g in gens:
         install(g)
@@ -162,29 +207,19 @@ def build_chain(generators: Iterable[Permutation], degree: int,
 
     i = len(base) - 1
     while i >= 0:
-        restart = False
-        for a in sorted(transversals[i]):
-            rep = transversals[i][a]
-            for s in gen_lists[i]:
-                schreier = rep * s * transversals[i][s.images[a]].inverse()
-                if schreier.is_identity():
-                    continue
-                residue, _ = strip(schreier, i + 1)
-                if residue.is_identity():
-                    continue
-                k = install(residue)
-                for j in range(k + 1):
-                    rebuild_orbit(j)
-                i = k
-                restart = True
-                break
-            if restart:
-                break
-        if restart:
+        residue = first_residue(i)
+        if residue is None:
+            i -= 1
             continue
-        i -= 1
+        i = install(Permutation._trusted(residue))
+        for j in range(i + 1):
+            rebuild_orbit(j)
 
-    levels = [ChainLevel(base[i], gen_lists[i], transversals[i]) for i in range(len(base))]
+    wrap = Permutation._trusted
+    levels = [ChainLevel(base[i], tuple(g for g, _, _ in gen_lists[i]),
+                         {b: wrap(t) for b, t in transversals[i].items()},
+                         tuple(sorted(transversals[i])))
+              for i in range(len(base))]
     return StabilizerChain(degree, levels, tuple(strong))
 
 
@@ -240,8 +275,7 @@ class PermutationGroup:
         """A uniform random element, from one transversal choice per level."""
         g = Permutation.identity(self.degree)
         for level in self.chain().levels:
-            point = rng.choice(sorted(level.transversal))
-            g = level.transversal[point] * g
+            g = level.transversal[rng.choice(level.orbit)] * g
         return g
 
     def orbit(self, point: int) -> frozenset[int]:
@@ -309,7 +343,7 @@ class PermutationGroup:
             if rep is None:
                 return None
             acc = rep * acc
-            acc_inv = acc_inv * rep.inverse()
+            acc_inv = acc_inv * chain.rep_inverse(i, needed)
         return acc
 
     def transitivity_degree(self) -> int:
@@ -351,44 +385,16 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
     for g in gens:
         if g.degree != seed.degree:
             raise DegreeMismatchError(f"degree mismatch: {g.degree} vs {seed.degree}")
-    seen = {seed}
-    out = [seed]
-    qi = 0
-    while qi < len(out):
-        x = out[qi]
-        qi += 1
-        for g in gens:
-            y = x.conjugate(g)
+    # g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]]
+    pairs = [(g.images, g.inverse().images) for g in gens]
+    seen = {seed.images}
+    out = [seed.images]
+    for x in out:
+        for g, g_inv in pairs:
+            y = tuple([g[x[b]] for b in g_inv])
             if y not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
                 seen.add(y)
                 out.append(y)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ConjugateOrbit:
-    """The set {g^-1 u g : g in H} for a point stabilizer H, with the fixed
-    set used to form H and the seed element u."""
-
-    base: Permutation
-    delta: frozenset[int]
-    elements: tuple[Permutation, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
-    def member_set(self) -> frozenset[Permutation]:
-        return frozenset(self.elements)
-
-
-def conjugate_orbit(stab: PermutationGroup, u: Permutation,
-                    delta: Iterable[int] = (), cap: int = 10_000_000) -> ConjugateOrbit:
-    if u.degree != stab.degree:
-        raise DegreeMismatchError(f"degree mismatch: {u.degree} vs {stab.degree}")
-    return ConjugateOrbit(u, frozenset(delta),
-                          conjugation_closure(stab.generators, u, cap))
+    return (seed, *map(Permutation._trusted, out[1:]))

@@ -4,10 +4,17 @@
 compose left to right: ``(p * q).apply(a) == q.apply(p.apply(a))``.  All
 text I/O uses 1-based disjoint-cycle notation such as ``(1,2,3)(4,5)``;
 internally a permutation is an immutable 0-based image tuple.
+
+A permutation is validated once, when it is constructed from outside data:
+the public constructor checks that the entries are integers forming a
+bijection of 0..n-1.  Products, inverses, conjugates and powers of
+validated permutations are bijections by construction, so they wrap their
+image tuples without repeating that check.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from math import lcm
 
@@ -20,9 +27,8 @@ class DegreeMismatchError(ValueError):
     """Operands act on different numbers of points."""
 
 
-def _same_degree(p: "Permutation", q: "Permutation") -> None:
-    if p.degree != q.degree:
-        raise DegreeMismatchError(f"degree mismatch: {p.degree} vs {q.degree}")
+def _mismatch(p: tuple, q: tuple) -> DegreeMismatchError:
+    return DegreeMismatchError(f"degree mismatch: {len(p)} vs {len(q)}")
 
 
 class Permutation:
@@ -32,9 +38,21 @@ class Permutation:
 
     def __init__(self, images):
         imgs = tuple(images)
+        try:
+            imgs = tuple(map(operator.index, imgs))
+        except TypeError:
+            raise ValueError("image entries must be integers") from None
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError("image sequence is not a bijection of 0..n-1")
         self.images = imgs
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection of plain ints,
+        such as a product of validated permutations; nothing is checked."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -52,29 +70,31 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right product: apply ``self`` first, then ``other``."""
-        _same_degree(self, other)
+        s = self.images
         o = other.images
-        return Permutation(o[b] for b in self.images)
+        if len(s) != len(o):
+            raise _mismatch(s, o)
+        return Permutation._trusted(tuple([o[b] for b in s]))
 
     def inverse(self) -> "Permutation":
         imgs = [0] * len(self.images)
         for a, b in enumerate(self.images):
             imgs[b] = a
-        return Permutation(imgs)
+        return Permutation._trusted(tuple(imgs))
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """Return g^-1 * self * g; the support is carried along g."""
-        _same_degree(self, g)
         gi = g.images
         si = self.images
+        if len(si) != len(gi):
+            raise _mismatch(si, gi)
         imgs = [0] * len(si)
         for a in range(len(si)):
             imgs[gi[a]] = gi[si[a]]
-        return Permutation(imgs)
+        return Permutation._trusted(tuple(imgs))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         """Return self * other * self^-1 * other^-1 (left-to-right)."""
-        _same_degree(self, other)
         return (self * other) * (other * self).inverse()
 
     def __pow__(self, k: int) -> "Permutation":
@@ -84,7 +104,7 @@ class Permutation:
             shift = k % length
             for i, a in enumerate(cyc):
                 imgs[a] = cyc[(i + shift) % length]
-        return Permutation(imgs)
+        return Permutation._trusted(tuple(imgs))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by it."""
@@ -119,7 +139,7 @@ class Permutation:
         return sum(1 for a, b in enumerate(self.images) if a != b)
 
     def is_identity(self) -> bool:
-        return all(a == b for a, b in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):

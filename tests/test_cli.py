@@ -49,6 +49,20 @@ def test_verify_counts_inapplicable(capsys):
     assert "inapplicable" in out
 
 
+def test_verify_laws_rejects_nonpositive_samples(capsys):
+    for samples in ("-5", "0"):
+        code, out = run(capsys, "verify", "catalog:M11", "laws", "--samples", samples)
+        assert code == 2
+        assert "PASS" not in out
+
+
+def test_verify_counts_rejects_nonpositive_samples(capsys):
+    for samples in ("0", "-1"):
+        code, out = run(capsys, "verify", "catalog:M11", "counts", "--samples", samples)
+        assert code == 2
+        assert "inapplicable" not in out
+
+
 def test_trace_gated(capsys):
     code, out = run(capsys, "trace", "catalog:S6", "double")
     assert code == 0

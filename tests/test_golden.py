@@ -1,0 +1,68 @@
+"""Pinned report bytes for a fixed set of CLI commands.
+
+Each entry is a command, its exit code and the sha256 of the ``--json``
+report it writes.  The reports are canonical, so the digests move only when
+a base, a transversal representative, a sampled element, a witness or the
+report layout changes; such a change must be deliberate and recorded.
+"""
+
+import hashlib
+
+from permdeg.cli import main
+
+GOLDEN = [
+    (("trace", "catalog:M12", "jordan", "--seed", "0"), 0,
+     "0de69e3af80f408bc6797a9d3bb9068ac81a40d3eac76c35da6841d09864cf2c"),
+    (("trace", "catalog:M12", "double", "--seed", "0"), 0,
+     "2f46e6a1f1b02981c95c84a65d63abbab84dbccc0d995c7fe1994b4516453cdc"),
+    (("trace", "catalog:M12", "triple", "--seed", "0"), 0,
+     "03bff30aa818ed864fac04808a873407abdd7a53e9ce51af5a29907430fa7b77"),
+    (("trace", "catalog:M12", "quadruple", "--seed", "0"), 0,
+     "d3ed4c8ef1cabff3140e5a2178f38d01935d1c9ab56eefcfe2821f8ae0521607"),
+    (("trace", "catalog:M12", "jordan", "--seed", "1"), 0,
+     "922089807b475c0a0bac471a67c6f0adb96a879a23a54df40467b7f426e4b303"),
+    (("trace", "catalog:M12", "double", "--seed", "1"), 0,
+     "6c0136a0db3d75b9f55ed85ffc55305c98c8fe94897a6bdb6c60dceb12d8b6cb"),
+    (("trace", "catalog:M12", "triple", "--seed", "1"), 0,
+     "f47c4f4734e44291798c436c3d166f278f5d2edf73f9eb616e29fa73214ede4b"),
+    (("trace", "catalog:M12", "quadruple", "--seed", "1"), 0,
+     "f6928a2b41964ce1d659ee947d04ba1261c06be0b1f490948790c19a38c7b0da"),
+    (("trace", "catalog:PGL2_13", "jordan", "--seed", "0"), 0,
+     "bbdf81638932e8a25d9ac9608ebbf5f183c0d7a93dd065b9a936b648c4f5a6f0"),
+    (("trace", "catalog:PGL2_13", "double", "--seed", "0"), 0,
+     "b86e3cb40844815457d021109f1cf341dfd9ef0485a2909fbf1d1ccba8102650"),
+    (("trace", "catalog:PGL2_13", "triple", "--seed", "0"), 0,
+     "d9b9e9c72f5965a19c66fe46d0e57043531e16556de417c81c2c0cfe4b9c660d"),
+    (("trace", "catalog:PGL2_13", "quadruple", "--seed", "0"), 0,
+     "c92c7af2533cb1bda05452517eb79b41191513efd8d2f0f2545ae5107f225c4d"),
+    (("trace", "catalog:PGL2_13", "jordan", "--seed", "1"), 0,
+     "cefbe8c8f0b6ff75ee0191499ef1256f151d92727d6abd2fb4db81629e94668a"),
+    (("trace", "catalog:PGL2_13", "double", "--seed", "1"), 0,
+     "f681f0ba16d3111f7ee49f4dc1df78101068dd54aee70449f5a6a70cfdeaa9ad"),
+    (("trace", "catalog:PGL2_13", "triple", "--seed", "1"), 0,
+     "bb3686912fab4e479068a99c8c8d15d88087afb0109030d00eb7117dac9d63e2"),
+    (("trace", "catalog:PGL2_13", "quadruple", "--seed", "1"), 0,
+     "0cc8144e8c2946e6b03673f05563eb4d8dda2e1883b774ad775424ef04664e2f"),
+    (("verify", "catalog:M11", "all", "--samples", "100"), 0,
+     "f33a60716728705e148ef13b4c5f8ee85afba3606f6da7c2ed8437c205e6b69f"),
+    (("info", "catalog:M11"), 0,
+     "0e9085ce67a784b3789c0e7a33fbe4ad20f3950ed21a2e51f9495a15825a8e49"),
+    (("info", "catalog:M12"), 0,
+     "04e492d1f3ab49abaf720a78fe32e6accaf8642c58ebd052bd0ef95080f6b773"),
+    (("info", "catalog:PGL2_13"), 0,
+     "45ec7eceec4d5ed49cca5d61205abdcb3485de98bf0b8e56eed1732a9ab2809f"),
+    (("table",), 0,
+     "a451857dc0b60b8f5e71136dcdc05ce75746f1318620f22e86c5d1e4c96f67b3"),
+]
+
+
+def test_report_digests_pinned(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    moved = []
+    for argv, code, digest in GOLDEN:
+        observed = (main([*argv, "--json", str(path)]),
+                    hashlib.sha256(path.read_bytes()).hexdigest())
+        if observed != (code, digest):
+            moved.append((" ".join(argv), observed))
+    capsys.readouterr()
+    assert moved == []

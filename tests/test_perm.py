@@ -74,6 +74,21 @@ def test_bad_image_sequence():
         Permutation([0, 0, 1])
 
 
+def test_non_integer_entries_rejected():
+    # 1.0 and 0.0 sort like a bijection but cannot index an image tuple
+    with pytest.raises(ValueError):
+        Permutation([1.0, 0.0])
+    with pytest.raises(ValueError):
+        Permutation(["1", "0"])
+
+
+def test_bool_entries_stored_as_int():
+    p = Permutation([True, False])
+    assert p.images == (1, 0)
+    assert all(type(a) is int for a in p.images)
+    assert p * p == Permutation.identity(2)
+
+
 def test_compose_convention():
     p = parse_cycles("(1,2,3)", 5)
     q = parse_cycles("(3,4,5)", 5)
@@ -92,6 +107,10 @@ def test_compose_identity_and_inverse():
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         parse_cycles("(1,2)", 3) * parse_cycles("(1,2)", 4)
+    with pytest.raises(DegreeMismatchError):
+        parse_cycles("(1,2)", 3).conjugate(parse_cycles("(1,2)", 4))
+    with pytest.raises(DegreeMismatchError):
+        parse_cycles("(1,2)", 4).commutator(parse_cycles("(1,2)", 3))
 
 
 def test_inverse_examples():
@@ -178,6 +197,17 @@ def test_prime_order_witness_support_seeded():
 @given(perms8, perms8)
 def test_product_is_bijection(p, q):
     assert sorted((p * q).images) == list(range(8))
+
+
+@given(perms8, perms8, st.integers(-20, 20))
+def test_derived_permutations_pass_the_public_check(p, q, k):
+    # products, inverses, conjugates, commutators and powers skip the
+    # constructor's bijection check; rebuilding each one through it must
+    # succeed and give the same permutation
+    for r in (p * q, p.inverse(), p.conjugate(q), p.commutator(q), p ** k):
+        assert sorted(r.images) == list(range(8))
+        assert all(type(a) is int for a in r.images)
+        assert Permutation(r.images) == r
 
 
 @given(perms8, perms8)
