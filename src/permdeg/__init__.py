@@ -7,7 +7,6 @@ from .perm import (
     format_cycles,
     parse_cycles,
     prime_order_witness,
-    support_fix,
 )
 from .groups import (
     CapExceeded,
@@ -38,6 +37,5 @@ __all__ = [
     "minimal_degree_exhaustive",
     "parse_cycles",
     "prime_order_witness",
-    "support_fix",
     "verify",
 ]

@@ -272,11 +272,13 @@ class PermutationGroup:
         return self.chain().elements()
 
     def random_element(self, rng) -> Permutation:
-        """A uniform random element, from one transversal choice per level."""
-        g = Permutation.identity(self.degree)
+        """A uniform random element, from one transversal choice per level;
+        the product is composed on image tuples and wrapped once."""
+        g = tuple(range(self.degree))
         for level in self.chain().levels:
-            g = level.transversal[rng.choice(level.orbit)] * g
-        return g
+            rep = level.transversal[rng.choice(level.orbit)].images
+            g = tuple([g[x] for x in rep])
+        return Permutation._trusted(g)
 
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:

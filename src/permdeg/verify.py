@@ -9,6 +9,12 @@ The trace builders replay the counting arguments that bound the minimal
 degree m of a t-transitive group of degree n: the classical 2t-2 bound, and
 the three bounds for doubly, triply and quadruply transitive groups that
 close with n <= 4m + 6/(m-3), n <= 3m + 4/(m-3) and n - 3 <= 2m.
+
+The sampled suites run on image tuples.  A laws sample computes u v, v u,
+supp([u,v]) and the cancellation pools once, and every law reads them.  A
+counts configuration (u, delta) is checked and its orbit E transposed into
+columns once; each clause count for a (gamma, second) draw is then a count
+over one column, or one paired scan of two columns.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import PermutationGroup, conjugation_closure
 from .mindeg import minimal_degree
@@ -52,14 +58,84 @@ def _ge(label: str, observed: int, bound) -> CountCheck:
     return CountCheck(label, ">=", observed, value, Fraction(observed) >= value)
 
 
-def _subset(label: str, lhs: Iterable[int], rhs: set[int],
-            informational: bool = False) -> CountCheck:
-    missing = sum(1 for a in lhs if a not in rhs)
-    return CountCheck(label, "subset", missing, Fraction(0), missing == 0, informational)
-
-
 # ---------------------------------------------------------------------------
 # commutator support laws
+
+
+def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
+    """supp([u,x]) in ascending order, from image tuples.
+
+    [u,x] = (u x)(x u)^-1 fixes a exactly when u x and x u agree at a, so
+    two products and no inverse decide the support.
+    """
+    ux = [x[b] for b in u]
+    xu = [u[b] for b in x]
+    return [a for a in range(len(u)) if ux[a] != xu[a]]
+
+
+# (label, relation, informational) of each law, in the order _LawFacts.laws
+# lists them; the last is the cancellation bound
+_LAWS = (
+    ("commutator-support-containment", "subset", False),
+    ("commutator-support-size-bound", "<=", False),
+    ("commutator-support-fixed-crossings", "subset", False),
+    ("commutator-support-containment-forward-images (informational)", "subset", True),
+    ("commutator-support-cancellation-bound", "<=", False),
+)
+
+
+class _LawFacts(NamedTuple):
+    """What the commutator laws read off one pair (u, v)."""
+
+    support_size: int                # |supp(u)|
+    commutator_size: int             # |supp([u,v])|
+    # points of supp([u,v]) outside the containment sets of the
+    # containment, fixed-crossings and forward-images laws
+    missing: tuple[int, int, int]
+    size_bound: int                  # 3|D| - |D & D^u| - |D & D^v|
+    fixed_pool: list[int]            # supp(u) fixed by [u,v], ascending
+    shifted_pool: list[int]          # supp(u) moved by v u v^-1, ascending
+
+    def laws(self, fixed_count: int, shifted_count: int) -> list[tuple[int, int]]:
+        """(observed, limit) per entry of _LAWS, for cancellation sets F and S
+        of the given sizes; a law holds exactly when observed <= limit."""
+        containment, crossings, forward = self.missing
+        k = self.commutator_size
+        return [(containment, 0), (k, self.size_bound), (crossings, 0), (forward, 0),
+                (k, 2 * self.support_size - fixed_count - shifted_count)]
+
+
+def _law_facts(u: tuple[int, ...], v: tuple[int, ...]) -> _LawFacts:
+    """The commutator laws' inputs for one pair of image tuples, each
+    computed once.  With D = supp(u) & supp(v), supp([u,v]) is checked
+    against D with the points u or v carries into D, against D with the
+    fixed points of one factor carried into D by the other, and against D
+    with its forward images D^u and D^v."""
+    support = [a for a in range(len(u)) if u[a] != a]
+    comm = _commutator_support(u, v)
+    comm_set = set(comm)
+    delta = {a for a in support if v[a] != a}
+    outside = [a for a in comm if a not in delta]
+    forward = delta.union([u[d] for d in delta], [v[d] for d in delta])
+    return _LawFacts(
+        len(support),
+        len(comm),
+        (sum(1 for a in outside if u[a] not in delta and v[a] not in delta),
+         sum(1 for a in outside
+             if not (u[a] == a and v[a] in delta) and not (v[a] == a and u[a] in delta)),
+         sum(1 for a in outside if a not in forward)),
+        3 * len(delta) - sum(1 for d in delta if u[d] in delta)
+        - sum(1 for d in delta if v[d] in delta),
+        [a for a in support if a not in comm_set],
+        # v u v^-1 moves a exactly when u moves a^v
+        [a for a in support if u[v[a]] != v[a]],
+    )
+
+
+def _law_check(index: int, observed: int, limit: int) -> CountCheck:
+    label, relation, informational = _LAWS[index]
+    return CountCheck(label, relation, observed, Fraction(limit), observed <= limit,
+                      informational)
 
 
 def commutator_law_checks(u: Permutation, v: Permutation) -> list[CountCheck]:
@@ -74,25 +150,8 @@ def commutator_law_checks(u: Permutation, v: Permutation) -> list[CountCheck]:
     """
     if u.degree != v.degree:
         raise DegreeMismatchError(f"degree mismatch: {u.degree} vs {v.degree}")
-    n = u.degree
-    c = u.commutator(v)
-    supp_c = sorted(c.support())
-    delta = u.support() & v.support()
-    into_u = {a for a in range(n) if u.images[a] in delta}
-    into_v = {a for a in range(n) if v.images[a] in delta}
-    img_u = {u.images[d] for d in delta}
-    img_v = {v.images[d] for d in delta}
-    crossings = (delta
-                 | {a for a in u.fixed() if v.images[a] in delta}
-                 | {a for a in v.fixed() if u.images[a] in delta})
-    return [
-        _subset("commutator-support-containment", supp_c, delta | into_u | into_v),
-        _le("commutator-support-size-bound", len(supp_c),
-            3 * len(delta) - len(delta & img_u) - len(delta & img_v)),
-        _subset("commutator-support-fixed-crossings", supp_c, crossings),
-        _subset("commutator-support-containment-forward-images (informational)",
-                supp_c, delta | img_u | img_v, informational=True),
-    ]
+    laws = _law_facts(u.images, v.images).laws(0, 0)
+    return [_law_check(i, *laws[i]) for i in range(4)]
 
 
 def commutator_cancellation_bound(u: Permutation, v: Permutation,
@@ -108,18 +167,14 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
         raise DegreeMismatchError(f"degree mismatch: {u.degree} vs {v.degree}")
     fixed_overlap = frozenset(fixed_overlap)
     shifted_overlap = frozenset(shifted_overlap)
-    c = u.commutator(v)
-    allowed_fixed = c.fixed() & u.support()
-    if not fixed_overlap <= allowed_fixed:
-        bad = sorted(fixed_overlap - allowed_fixed)
+    facts = _law_facts(u.images, v.images)
+    bad = sorted(fixed_overlap.difference(facts.fixed_pool))
+    if bad:
         raise PreconditionError(f"points {bad} are not commutator-fixed points of supp(u)")
-    w = (v * u) * v.inverse()
-    allowed_shifted = w.support() & u.support()
-    if not shifted_overlap <= allowed_shifted:
-        bad = sorted(shifted_overlap - allowed_shifted)
+    bad = sorted(shifted_overlap.difference(facts.shifted_pool))
+    if bad:
         raise PreconditionError(f"points {bad} are not shared support of u and its v-conjugate")
-    bound = 2 * len(u.support()) - len(fixed_overlap) - len(shifted_overlap)
-    return _le("commutator-support-cancellation-bound", len(c.support()), bound)
+    return _law_check(4, *facts.laws(len(fixed_overlap), len(shifted_overlap))[4])
 
 
 # ---------------------------------------------------------------------------
@@ -228,48 +283,76 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
 
     Inapplicable clauses are reported as such, never as failures.
     """
-    n = group.degree
     dset = frozenset(delta)
-    if not dset <= u.support():
-        raise PreconditionError("delta must consist of moved points of u")
-    if gamma in dset or not 0 <= gamma < n:
-        raise ValueError("gamma must lie outside delta and inside the point range")
-    if second is not None and (second in dset or second == gamma or not 0 <= second < n):
-        raise ValueError("second must be distinct from gamma and lie outside delta")
-    if not group.contains(u):
-        raise PreconditionError("u is not a member of the group")
+    _check_configuration(group, u, dset, [(gamma, second)])
     t = group.transitivity_degree() if transitivity is None else transitivity
     if orbit is None:
         stab = group.pointwise_stabilizer(dset)
         orbit = conjugation_closure(stab.generators, u, cap)
-    m = u.moved_count()
-    d = len(dset)
-    size = len(orbit)
-    results: list[ClauseResult] = []
+    plan = _clause_plan(group.degree, u.moved_count(), len(dset), t, len(orbit))
+    counts = _clause_counts(plan, _orbit_columns(orbit, group.degree), dset, gamma, second)
+    return [ClauseResult(name, False, None) if observed is None
+            else ClauseResult(name, True, _eq(name, observed, formula))
+            for (name, _, _, formula), observed in zip(plan, counts)]
 
-    def clause(name: str, cond: bool, count, formula) -> None:
-        if not cond:
-            results.append(ClauseResult(name, False, None))
-        else:
-            results.append(ClauseResult(name, True, _eq(name, count(), formula)))
 
-    clause("fixes-gamma", d <= t - 1,
-           lambda: sum(1 for x in orbit if x.images[gamma] == gamma),
-           Fraction(size * (n - m), n - d))
-    clause("moves-gamma", d <= t - 1,
-           lambda: sum(1 for x in orbit if x.images[gamma] != gamma),
-           Fraction(size * (m - d), n - d))
-    clause("fixes-gamma-moves-second", d <= t - 2 and second is not None,
-           lambda: sum(1 for x in orbit
-                       if x.images[gamma] == gamma and x.images[second] != second),
-           Fraction(size * (n - m) * (m - d), (n - d) * (n - d - 1)))
-    clause("gamma-into-delta", d == 1,
-           lambda: sum(1 for x in orbit if x.images[gamma] in dset),
-           Fraction(size, n - 1))
-    clause("gamma-to-second", d == 1 and t >= 3 and second is not None,
-           lambda: sum(1 for x in orbit if x.images[gamma] == second),
-           Fraction(size * (m - 2), (n - 1) * (n - 2)))
-    return results
+def _check_configuration(group: PermutationGroup, u: Permutation, dset: frozenset[int],
+                         draws: Iterable[tuple[int, int | None]]) -> None:
+    """Raise unless delta consists of moved points of u, every (gamma,
+    second) draw lies outside delta and inside the point range, and u is a
+    member of the group; u and delta are checked once for all the draws."""
+    n = group.degree
+    if not dset <= u.support():
+        raise PreconditionError("delta must consist of moved points of u")
+    for gamma, second in draws:
+        if gamma in dset or not 0 <= gamma < n:
+            raise ValueError("gamma must lie outside delta and inside the point range")
+        if second is not None and (second in dset or second == gamma or not 0 <= second < n):
+            raise ValueError("second must be distinct from gamma and lie outside delta")
+    if not group.contains(u):
+        raise PreconditionError("u is not a member of the group")
+
+
+_ClausePlan = tuple[tuple[str, bool, bool, Fraction | None], ...]
+
+
+def _clause_plan(n: int, m: int, d: int, t: int, size: int) -> _ClausePlan:
+    """Per clause of one (u, delta) configuration: its name, whether it
+    applies, whether it also needs a second point, and its exact value
+    (None where it does not apply)."""
+
+    def clause(name, applies, needs_second, numerator, denominator):
+        return name, applies, needs_second, Fraction(numerator, denominator) if applies else None
+
+    return (
+        clause("fixes-gamma", d <= t - 1, False, size * (n - m), n - d),
+        clause("moves-gamma", d <= t - 1, False, size * (m - d), n - d),
+        clause("fixes-gamma-moves-second", d <= t - 2, True,
+               size * (n - m) * (m - d), (n - d) * (n - d - 1)),
+        clause("gamma-into-delta", d == 1, False, size, n - 1),
+        clause("gamma-to-second", d == 1 and t >= 3, True, size * (m - 2), (n - 1) * (n - 2)),
+    )
+
+
+def _orbit_columns(orbit: Sequence[Permutation], n: int) -> list[tuple[int, ...]]:
+    """E transposed: entry a lists a^x for every x in E, in orbit order."""
+    return list(zip(*(x.images for x in orbit))) if orbit else [()] * n
+
+
+def _clause_counts(plan: _ClausePlan, cols: list[tuple[int, ...]], dset: frozenset[int],
+                   gamma: int, second: int | None) -> list[int | None]:
+    """The observed count of each clause over E for one (gamma, second)
+    draw, read off the columns of E; None where the clause does not apply."""
+    col = cols[gamma]
+    counters = (
+        lambda: col.count(gamma),
+        lambda: len(col) - col.count(gamma),
+        lambda: sum(1 for a, b in zip(col, cols[second]) if a == gamma and b != second),
+        lambda: sum(map(col.count, dset)),
+        lambda: col.count(second),
+    )
+    return [count() if applies and (second is not None or not needs_second) else None
+            for (_, applies, needs_second, _), count in zip(plan, counters)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +575,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     checks = [
         _eq("fixing-count-identity", len(fixers), Fraction(size * (n - m), n - 1)),
         _eq("fixer-noncommuting",
-            sum(1 for x in fixers if (x * u).images == (u * x).images), 0),
+            sum(1 for x in fixers if not _commutator_support(u.images, x.images)), 0),
     ]
     overlaps = [_overlap_size(x, support) for x in fixers]
     checks.append(_eq("overlap-lower-third",
@@ -567,25 +650,27 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     size = len(orbit)
     u_inv = u.inverse()
 
-    checks = [
-        _eq("orbit-relocation-structure",
-            sum(1 for x in orbit if x.images[alpha] != beta), 0),
-        _eq("orbit-noncommuting",
-            sum(1 for x in orbit if (x * u).images == (u * x).images), 0),
-    ]
-    commutator_total = sum(u.commutator(x).moved_count() for x in orbit)
-    checks.append(_ge("commutator-pairs-lower", commutator_total, size * m))
-
+    commuting = 0
+    commutator_total = 0
     overlap_total = 0
     doubled_total = 0
     for x in orbit:
         xi = x.images
+        commutator_size = len(_commutator_support(u.images, xi))
+        commuting += commutator_size == 0
+        commutator_total += commutator_size
         for a in support:
             if xi[a] != a:
                 overlap_total += 1
                 b = u_inv.images[a]
                 if xi[b] != b:
                     doubled_total += 1
+    checks = [
+        _eq("orbit-relocation-structure",
+            sum(1 for x in orbit if x.images[alpha] != beta), 0),
+        _eq("orbit-noncommuting", commuting, 0),
+        _ge("commutator-pairs-lower", commutator_total, size * m),
+    ]
     checks.append(_le("commutator-pairs-upper", commutator_total,
                       3 * overlap_total - doubled_total))
     checks.append(_eq("overlap-pairs-identity", overlap_total,
@@ -675,12 +760,7 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
 
     structure_violations = sum(1 for x in orbit
                                if x.images[alpha] != alpha or x.images[beta] == beta)
-    checks = [
-        _eq("orbit-stabilizer-structure", structure_violations, 0),
-        _eq("orbit-noncommuting",
-            sum(1 for x in orbit if (x * u).images == (u * x).images), 0),
-    ]
-
+    commuting = 0
     commutator_total = 0
     overlap_total = 0
     carried_total = 0
@@ -688,7 +768,8 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
     containment_violations = 0
     for x in orbit:
         xi = x.images
-        commutator_support = u.commutator(x).support()
+        commutator_support = _commutator_support(u.images, xi)
+        commuting += not commutator_support
         commutator_total += len(commutator_support)
         overlap = {a for a in support if xi[a] != a}
         overlap_total += len(overlap)
@@ -700,7 +781,11 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
         allowed = overlap | carried | arrows
         containment_violations += sum(1 for a in commutator_support if a not in allowed)
 
-    checks.append(_eq("support-split-containment", containment_violations, 0))
+    checks = [
+        _eq("orbit-stabilizer-structure", structure_violations, 0),
+        _eq("orbit-noncommuting", commuting, 0),
+        _eq("support-split-containment", containment_violations, 0),
+    ]
     checks.append(_ge("commutator-pairs-lower", commutator_total, size * m))
     checks.append(_le("pair-count-split", commutator_total,
                       overlap_total + carried_total + arrows_total))
@@ -802,39 +887,25 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
     containment is tallied but stays informational.  ``jobs`` is accepted
     for compatibility and has no effect: samples run in order.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
-    inputs = []
+    failures = [0] * len(_LAWS)
     for _ in range(samples):
-        u = group.random_element(rng)
-        v = group.random_element(rng)
-        c = u.commutator(v)
-        w = (v * u) * v.inverse()
-        fixed_pool = sorted(c.fixed() & u.support())
-        shifted_pool = sorted(w.support() & u.support())
-        fixed_pick = rng.sample(fixed_pool, rng.randint(0, len(fixed_pool)))
-        shifted_pick = rng.sample(shifted_pool, rng.randint(0, len(shifted_pool)))
-        inputs.append((u, v, fixed_pick, shifted_pick))
-
-    def run(item):
-        u, v, fixed_pick, shifted_pick = item
-        laws = commutator_law_checks(u, v)
-        cancel = commutator_cancellation_bound(u, v, fixed_pick, shifted_pick)
-        return [c.passed for c in laws] + [cancel.passed]
-
-    outcomes = [run(item) for item in inputs]
-    labels = [
-        "commutator-support-containment",
-        "commutator-support-size-bound",
-        "commutator-support-fixed-crossings",
-        "commutator-support-containment-forward-images (informational)",
-        "commutator-support-cancellation-bound",
-    ]
-    checks = []
-    for i, label in enumerate(labels):
-        failures = sum(1 for outcome in outcomes if not outcome[i])
-        checks.append(CountCheck(f"{label} [{samples} samples]", "=", failures,
-                                 Fraction(0), failures == 0,
-                                 informational="informational" in label))
+        u = group.random_element(rng).images
+        v = group.random_element(rng).images
+        facts = _law_facts(u, v)
+        # the cancellation bound reads only |F| and |S|, but F and S are
+        # still drawn so that the seeded stream stays the same
+        fixed = len(rng.sample(facts.fixed_pool, rng.randint(0, len(facts.fixed_pool))))
+        shifted = len(rng.sample(facts.shifted_pool,
+                                 rng.randint(0, len(facts.shifted_pool))))
+        for i, (observed, limit) in enumerate(facts.laws(fixed, shifted)):
+            if observed > limit:
+                failures[i] += 1
+    checks = [CountCheck(f"{label} [{samples} samples]", "=", failed, Fraction(0),
+                         failed == 0, informational)
+              for (label, _, informational), failed in zip(_LAWS, failures)]
     return _sorted_checks(checks)
 
 
@@ -844,10 +915,13 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
     """Aggregate the conjugation-orbit counting identities over seeded samples.
 
     Samples are grouped into (u, delta) configurations so each orbit closure
-    is built once and reused for many (gamma, second) draws.  Returns the
+    is built, checked and transposed once and reused for many (gamma,
+    second) draws.  Returns the
     aggregated checks plus the clauses that were never applicable.  ``jobs``
     is accepted for compatibility and has no effect: batches run in order.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     n = group.degree
     t = group.transitivity_degree()
@@ -875,31 +949,26 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
             draws.append((gamma, second))
         batches.append((u, delta, draws))
 
-    def run(batch):
-        u, delta, draws = batch
+    totals = [[0, 0] for _ in CLAUSES]  # applied, failed
+    for u, delta, draws in batches:
+        dset = frozenset(delta)
+        _check_configuration(group, u, dset, draws)
         stab = group.pointwise_stabilizer(delta)
         orbit = conjugation_closure(stab.generators, u, cap)
-        tallies = {clause: [0, 0] for clause in CLAUSES}  # applied, failed
+        plan = _clause_plan(n, u.moved_count(), len(dset), t, len(orbit))
+        cols = _orbit_columns(orbit, n)
         for gamma, second in draws:
-            for res in conjugate_orbit_count_checks(group, u, delta, gamma, second,
-                                                    orbit=orbit, transitivity=t):
-                if res.applicable:
-                    tallies[res.clause][0] += 1
-                    if not res.check.passed:
-                        tallies[res.clause][1] += 1
-        return tallies
-
-    totals = {clause: [0, 0] for clause in CLAUSES}
-    for tallies in map(run, batches):
-        for clause, (applied, failed) in tallies.items():
-            totals[clause][0] += applied
-            totals[clause][1] += failed
+            counts = _clause_counts(plan, cols, dset, gamma, second)
+            for (_, _, _, formula), observed, tally in zip(plan, counts, totals):
+                if observed is not None:
+                    tally[0] += 1
+                    if observed != formula:
+                        tally[1] += 1
 
     checks = []
     inapplicable = []
     total_draws = sum(len(draws) for _, _, draws in batches)
-    for clause in CLAUSES:
-        applied, failed = totals[clause]
+    for clause, (applied, failed) in zip(CLAUSES, totals):
         if applied == 0:
             inapplicable.append(clause)
             continue

@@ -53,6 +53,30 @@ GOLDEN = [
      "45ec7eceec4d5ed49cca5d61205abdcb3485de98bf0b8e56eed1732a9ab2809f"),
     (("table",), 0,
      "a451857dc0b60b8f5e71136dcdc05ce75746f1318620f22e86c5d1e4c96f67b3"),
+    # the sampled suites on their own: every seeded draw and every failure
+    # tally of the laws and counts kernels lands in these bytes
+    (("verify", "catalog:S8", "laws", "--samples", "200"), 0,
+     "3e1aeafc2c7238dd9ea84c559cd5212e3fc4a6b6e6f74096d3d7a0df2ed983a0"),
+    (("verify", "catalog:M12", "laws", "--samples", "200"), 0,
+     "6cef009841c98c6693308eddf10950b1cc8e7c60d3d89f5463b5ceead65d8415"),
+    (("verify", "catalog:M24", "laws", "--samples", "200"), 0,
+     "6c7f3bae0805100d865b20ce7c2ac91afbb98f1116d15c6f675ae81d0c612c09"),
+    (("verify", "catalog:S8", "counts", "--samples", "40", "--seed", "0"), 0,
+     "15e61ffb78caa6f040810beceb4bf5424dedc53db21a4ad6af39b749251b67c2"),
+    (("verify", "catalog:S8", "counts", "--samples", "40", "--seed", "1"), 0,
+     "2f61422f933dacb856639f58d2710833e80b885f13675badaa2313944902f989"),
+    (("verify", "catalog:M12", "counts", "--samples", "40", "--seed", "0"), 0,
+     "53162172b902609d1e7d1263e58a7ad19ba5636a35da22c5d91bf46d4b997e8f"),
+    (("verify", "catalog:M12", "counts", "--samples", "40", "--seed", "1"), 0,
+     "474730527525effb83ffd96b0caf76e09f0a732d6202a14669e70dc747c9daa1"),
+    (("verify", "catalog:PSL2_31", "counts", "--samples", "40", "--seed", "0"), 0,
+     "de024d24955efee92ea9168dfc5b8643f08266b8ac5fe21b381dc1e36b4d8d6b"),
+    (("verify", "catalog:PSL2_31", "counts", "--samples", "40", "--seed", "1"), 0,
+     "c32d0c5ef71a6d07697be8e6c37da81077300698f96ebf98128a6d209ed88500"),
+    (("verify", "catalog:PGL2_31", "counts", "--samples", "40", "--seed", "0"), 0,
+     "c7b29f2dcc076cc2c9e7ae2107b96288798de0a2a20246ce4fe396c8e0714a70"),
+    (("verify", "catalog:PGL2_31", "counts", "--samples", "40", "--seed", "1"), 0,
+     "1c867d55ea7cc6f3c8edbc452264baf5ba5bf8c56dbc802a4a40482c8d0ec762"),
 ]
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permdeg import catalog
 from permdeg.groups import conjugation_closure
@@ -10,6 +11,10 @@ from permdeg.verify import (
     CLAUSES,
     PreconditionError,
     ProductAction,
+    _clause_counts,
+    _clause_plan,
+    _law_facts,
+    _orbit_columns,
     commutator_cancellation_bound,
     commutator_law_checks,
     commutator_law_suite,
@@ -19,6 +24,10 @@ from permdeg.verify import (
     invariant_relation_counts,
     relation_balance_checks,
 )
+
+from brute import image_chase_commutator, mulclose
+
+perms8 = st.permutations(range(8)).map(Permutation)
 
 
 def by_label(checks):
@@ -154,6 +163,17 @@ def test_conjugate_orbit_counts_applicability():
             assert r.check.passed
 
 
+def test_conjugate_orbit_counts_degree_two():
+    # only the three clauses that apply build a formula; the pair clause's
+    # (n-d)(n-d-1) denominator is zero here
+    g = catalog.builtin("symmetric", 2)
+    results = conjugate_orbit_count_checks(g, parse_cycles("(1,2)", 2), {0}, 1)
+    assert [r.clause for r in results if r.applicable] == [
+        "fixes-gamma", "moves-gamma", "gamma-into-delta"]
+    assert [r.check.observed for r in results if r.applicable] == [0, 1, 1]
+    assert all(r.check.passed for r in results if r.applicable)
+
+
 def test_conjugate_orbit_counts_validation():
     g = catalog.builtin("symmetric", 4)
     u = parse_cycles("(1,2,3)", 4)
@@ -276,3 +296,88 @@ def test_seeded_random_subsets_hit_cancellation_preconditions():
         shifted_pool = sorted(w.support() & u.support())
         check = commutator_cancellation_bound(u, v, fixed_pool, shifted_pool)
         assert check.passed
+
+
+def test_commutator_law_suite_rejects_nonpositive_samples():
+    g = catalog.builtin("mathieu", 11)
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            commutator_law_suite(g, samples=samples)
+
+
+def test_count_identity_suite_rejects_nonpositive_samples():
+    g = catalog.builtin("mathieu", 11)
+    for samples in (0, -5):
+        with pytest.raises(ValueError):
+            count_identity_suite(g, samples=samples)
+
+
+@given(perms8, perms8, st.integers(0, 8), st.integers(0, 8))
+def test_law_kernel_matches_set_arithmetic(u, v, fixed_draw, shifted_draw):
+    # the five laws recomputed from an image-chased commutator and plain sets
+    n = u.degree
+    c = image_chase_commutator(u, v)
+    supp_c = c.support()
+    supp_u = u.support()
+    delta = supp_u & v.support()
+    img_u = {u.images[d] for d in delta}
+    img_v = {v.images[d] for d in delta}
+    into = delta | {a for a in range(n) if u.images[a] in delta or v.images[a] in delta}
+    crossings = (delta | {a for a in u.fixed() if v.images[a] in delta}
+                 | {a for a in v.fixed() if u.images[a] in delta})
+    v_inv = {b: a for a, b in enumerate(v.images)}
+    w_support = {a for a in range(n) if v_inv[u.images[v.images[a]]] != a}
+    fixed_pool = sorted(c.fixed() & supp_u)
+    shifted_pool = sorted(w_support & supp_u)
+    f = min(fixed_draw, len(fixed_pool))
+    s = min(shifted_draw, len(shifted_pool))
+    expected = [
+        supp_c <= into,
+        len(supp_c) <= 3 * len(delta) - len(delta & img_u) - len(delta & img_v),
+        supp_c <= crossings,
+        supp_c <= delta | img_u | img_v,
+        len(supp_c) <= 2 * len(supp_u) - f - s,
+    ]
+    facts = _law_facts(u.images, v.images)
+    assert (facts.fixed_pool, facts.shifted_pool) == (fixed_pool, shifted_pool)
+    assert [observed <= limit for observed, limit in facts.laws(f, s)] == expected
+
+
+@pytest.mark.parametrize("name,param", [("symmetric", 6), ("mathieu", 11), ("pgl2", 7)])
+def test_clause_columns_match_direct_scans(name, param):
+    # E built by brute force: every element fixing delta, by closure of the
+    # whole group, conjugating u; the column counts must match direct scans
+    g = catalog.builtin(name, param)
+    n = g.degree
+    t = g.transitivity_degree()
+    elements = sorted(mulclose(g.generators, n))
+    rng = random.Random(name)
+    for _ in range(6):
+        u = rng.choice(elements[1:])
+        delta = frozenset(rng.sample(sorted(u.support()), rng.choice((1, 2))))
+        fixing = [h for h in elements if all(h.images[a] == a for a in delta)]
+        orbit_set = {u.conjugate(h) for h in fixing}
+        orbit = conjugation_closure(g.pointwise_stabilizer(delta).generators, u)
+        assert set(orbit) == orbit_set and len(orbit) == len(orbit_set)
+        cols = _orbit_columns(orbit, n)
+        # transitivity n makes every clause apply at |delta| = 1
+        plan = _clause_plan(n, u.moved_count(), len(delta), n, len(orbit))
+        rest = [a for a in range(n) if a not in delta]
+        for _ in range(5):
+            gamma, second = rng.sample(rest, 2)
+            direct = [
+                sum(1 for x in orbit_set if x.images[gamma] == gamma),
+                sum(1 for x in orbit_set if x.images[gamma] != gamma),
+                sum(1 for x in orbit_set
+                    if x.images[gamma] == gamma and x.images[second] != second),
+                sum(1 for x in orbit_set if x.images[gamma] in delta),
+                sum(1 for x in orbit_set if x.images[gamma] == second),
+            ]
+            counts = _clause_counts(plan, cols, delta, gamma, second)
+            assert sum(c is not None for c in counts) == (5 if len(delta) == 1 else 3)
+            assert [c for c in counts if c is not None] == [
+                d for c, d in zip(counts, direct) if c is not None]
+            for res in conjugate_orbit_count_checks(g, u, delta, gamma, second,
+                                                    transitivity=t):
+                if res.applicable:
+                    assert res.check.observed == direct[CLAUSES.index(res.clause)]
