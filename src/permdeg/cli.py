@@ -9,8 +9,12 @@ wall-clock timing goes to stderr).
 The minimal degree is always computed by the stabilizer-prefix backtrack;
 ``mindeg --method exhaustive`` runs the exhaustive scan, the reference
 oracle, instead (``auto`` and the default mean backtrack).  ``--cap`` bounds
-exhaustive scans and conjugation-orbit closures; it never selects an
-algorithm.  ``--jobs`` is accepted for compatibility and has no effect.
+the number of elements in the two places that still enumerate them: the
+conjugation-orbit closures of the ``double``, ``triple`` and ``quadruple``
+traces, and ``mindeg --method exhaustive``.  It bounds element counts, not
+memory or time, never selects an algorithm, and is accepted but unused by
+``info``, ``verify`` and ``table``.  ``--jobs`` is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -136,7 +140,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     parser.add_argument("--cap", type=int, default=10_000_000,
-                        help="bound on exhaustive scans and orbit closures")
+                        help="element bound for trace orbit closures and "
+                             "mindeg --method exhaustive; unused elsewhere")
 
 
 def _maybe_minimal_degree(group: PermutationGroup):
@@ -168,7 +173,7 @@ def _cmd_verify(args) -> int:
         failed = failed or _suite_failed(checks)
     if args.suite in ("counts", "all"):
         checks, inapplicable = count_identity_suite(group, args.samples, args.seed,
-                                                    args.jobs, args.cap)
+                                                    args.jobs)
         details = {"inapplicable_clauses": inapplicable}
         applicable = bool(checks)
         suites.append(_suite_json("counts", checks, applicable, details))

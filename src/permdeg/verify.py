@@ -1,9 +1,11 @@
 """Exact verification of commutator-support laws and conjugation-orbit counts.
 
-Every comparison is exact: observed integers against closed-form rational
-values, set containments by membership.  A check with relation "=" passes
-only when the brute-force count equals the formula value exactly, which in
-particular forces the formula value to be an integer.
+Every comparison is exact: integers or rationals against closed-form
+rational values, set containments by membership.  In
+``conjugate_orbit_count_checks`` and the traces, a check with relation "="
+passes only when the count taken over the enumerated orbit equals the
+formula value exactly, which in particular forces that value to be an
+integer.
 
 The trace builders replay the counting arguments that bound the minimal
 degree m of a t-transitive group of degree n: the classical 2t-2 bound, and
@@ -12,9 +14,10 @@ close with n <= 4m + 6/(m-3), n <= 3m + 4/(m-3) and n - 3 <= 2m.
 
 The sampled suites run on image tuples.  A laws sample computes u v, v u,
 supp([u,v]) and the cancellation pools once, and every law reads them.  A
-counts configuration (u, delta) is checked and its orbit E transposed into
-columns once; each clause count for a (gamma, second) draw is then a count
-over one column, or one paired scan of two columns.
+counts configuration (u, delta) is checked once and never enumerates its
+orbit E: one breadth-first pass labels the ordered pairs of points with
+their orbits under the pointwise stabilizer of delta, and each clause of a
+(gamma, second) draw is an exact ratio read off one or two pair orbits.
 """
 
 from __future__ import annotations
@@ -281,7 +284,10 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
       gamma-into-delta         (d == 1)            |E| / (n-1)
       gamma-to-second          (d == 1, t >= 3)    |E| (m-2) / ((n-1)(n-2))
 
-    Inapplicable clauses are reported as such, never as failures.
+    Inapplicable clauses are reported as such, never as failures.  This is
+    the enumeration route: it builds E, bounded by ``cap``, and reports the
+    observed counts.  ``count_identity_suite`` tests the same clauses
+    without building E.
     """
     dset = frozenset(delta)
     _check_configuration(group, u, dset, [(gamma, second)])
@@ -353,6 +359,80 @@ def _clause_counts(plan: _ClausePlan, cols: list[tuple[int, ...]], dset: frozens
     )
     return [count() if applies and (second is not None or not needs_second) else None
             for (_, applies, needs_second, _), count in zip(plan, counters)]
+
+
+class _PairOrbits(NamedTuple):
+    """The orbits of a group H on ordered pairs of points, with what one
+    element u puts into each orbit."""
+
+    degree: int           # n
+    label: list[int]      # orbit index of the pair (a, c), at a * n + c
+    size: list[int]       # |O|
+    arrows: list[int]     # #{a : (a, a^u) in O}
+    fixed: list[int]      # #{(a, c) in O : u fixes a and c}
+
+
+def _pair_orbits(gens: Sequence[tuple[int, ...]], u: tuple[int, ...]) -> _PairOrbits:
+    """Label all n^2 ordered pairs with their orbit under the group the image
+    tuples ``gens`` generate, breadth first, and tally u's arrows and pairs
+    of fixed points per orbit."""
+    n = len(u)
+    label = [-1] * (n * n)
+    size = []
+    for start in range(n * n):
+        if label[start] >= 0:
+            continue
+        k = len(size)
+        label[start] = k
+        queue = [start]
+        for pair in queue:
+            a, c = divmod(pair, n)
+            for g in gens:
+                image = g[a] * n + g[c]
+                if label[image] < 0:
+                    label[image] = k
+                    queue.append(image)
+        size.append(len(queue))
+    arrows = [0] * len(size)
+    for a in range(n):
+        arrows[label[a * n + u[a]]] += 1
+    fixed = [0] * len(size)
+    points = [a for a in range(n) if u[a] == a]
+    for a in points:
+        for c in points:
+            fixed[label[a * n + c]] += 1
+    return _PairOrbits(n, label, size, arrows, fixed)
+
+
+def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: frozenset[int],
+                   gamma: int, second: int | None) -> list[Fraction | None]:
+    """Each clause's count over E divided by |E|, for one (gamma, second)
+    draw, read off the pair orbits of H; None where the clause does not
+    apply.
+
+    x = u^h maps gamma to b exactly when (gamma, b)^(h^-1) is an arrow
+    (a, a^u) of u, and each pair of the orbit O of (gamma, b) is reached by
+    |H|/|O| elements h, while each x in E comes from |H|/|E| of them; so
+    #{x in E : gamma^x = b} / |E| is arrows(O) / |O|, and likewise the
+    share of E fixing gamma and second is fixed(O) / |O| for the orbit O of
+    (gamma, second).
+    """
+    degree, label, size, arrows, fixed = orbits
+    row = gamma * degree
+
+    def share(tally: list[int], b: int) -> Fraction:
+        k = label[row + b]
+        return Fraction(tally[k], size[k])
+
+    counters = (
+        lambda: share(arrows, gamma),
+        lambda: 1 - share(arrows, gamma),
+        lambda: share(arrows, gamma) - share(fixed, second),
+        lambda: sum(share(arrows, b) for b in dset),
+        lambda: share(arrows, second),
+    )
+    return [share_of() if applies and (second is not None or not needs_second) else None
+            for (_, applies, needs_second, _), share_of in zip(plan, counters)]
 
 
 # ---------------------------------------------------------------------------
@@ -910,15 +990,25 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
 
 
 def count_identity_suite(group: PermutationGroup, samples: int = 1000,
-                         seed: int = 0, jobs: int = 1,
-                         cap: int = 10_000_000) -> tuple[list[CountCheck], list[str]]:
+                         seed: int = 0, jobs: int = 1) -> tuple[list[CountCheck], list[str]]:
     """Aggregate the conjugation-orbit counting identities over seeded samples.
 
-    Samples are grouped into (u, delta) configurations so each orbit closure
-    is built, checked and transposed once and reused for many (gamma,
-    second) draws.  Returns the
-    aggregated checks plus the clauses that were never applicable.  ``jobs``
-    is accepted for compatibility and has no effect: batches run in order.
+    Samples are grouped into (u, delta) configurations, each checked once
+    and reused for many (gamma, second) draws.  A clause states that its
+    count over E = {u^h : h in H}, H the pointwise stabilizer of delta,
+    equals |E| times a rational formula f.  The suite never builds E: it
+    tests the equivalent identity count / |E| = f by double counting over
+    the orbits of H on ordered pairs of points,
+
+      #{x in E : gamma^x = b} / |E| = #{a : (a, a^u) in O} / |O|,
+        O the H-orbit of (gamma, b),
+      #{x in E : x fixes gamma and second} / |E|
+        = #{(a, c) in O : u fixes a and c} / |O|,  O the H-orbit of (gamma, second),
+
+    in exact rationals, so a configuration costs one pass over the n^2
+    pairs however large E is.  Returns the aggregated checks plus the
+    clauses that were never applicable.  ``jobs`` is accepted for
+    compatibility and has no effect: batches run in order.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -954,15 +1044,14 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
         dset = frozenset(delta)
         _check_configuration(group, u, dset, draws)
         stab = group.pointwise_stabilizer(delta)
-        orbit = conjugation_closure(stab.generators, u, cap)
-        plan = _clause_plan(n, u.moved_count(), len(dset), t, len(orbit))
-        cols = _orbit_columns(orbit, n)
+        orbits = _pair_orbits([g.images for g in stab.generators], u.images)
+        plan = _clause_plan(n, u.moved_count(), len(dset), t, 1)
         for gamma, second in draws:
-            counts = _clause_counts(plan, cols, dset, gamma, second)
-            for (_, _, _, formula), observed, tally in zip(plan, counts, totals):
-                if observed is not None:
+            shares = _clause_shares(plan, orbits, dset, gamma, second)
+            for (_, _, _, formula), share, tally in zip(plan, shares, totals):
+                if share is not None:
                     tally[0] += 1
-                    if observed != formula:
+                    if share != formula:
                         tally[1] += 1
 
     checks = []

@@ -49,6 +49,18 @@ def test_verify_counts_inapplicable(capsys):
     assert "inapplicable" in out
 
 
+def test_verify_counts_m24_ignores_cap(tmp_path, capsys):
+    # the counts suite enumerates no orbit, so a small --cap cannot stop it
+    path = tmp_path / "m24.json"
+    code, out = run(capsys, "verify", "catalog:M24", "counts", "--samples", "20",
+                    "--seed", "3", "--cap", "3000", "--json", str(path))
+    assert code == 0
+    assert "FAIL" not in out
+    suites = json.loads(path.read_text())["suites"]
+    checks = [c for suite in suites for c in suite["checks"]]
+    assert len(checks) == 8 and all(c["pass"] for c in checks)
+
+
 def test_verify_laws_rejects_nonpositive_samples(capsys):
     for samples in ("-5", "0"):
         code, out = run(capsys, "verify", "catalog:M11", "laws", "--samples", samples)

@@ -77,6 +77,15 @@ GOLDEN = [
      "c7b29f2dcc076cc2c9e7ae2107b96288798de0a2a20246ce4fe396c8e0714a70"),
     (("verify", "catalog:PGL2_31", "counts", "--samples", "40", "--seed", "1"), 0,
      "1c867d55ea7cc6f3c8edbc452264baf5ba5bf8c56dbc802a4a40482c8d0ec762"),
+    # the large Mathieu groups, whose conjugation orbits are too big to list
+    (("verify", "catalog:M23", "counts", "--samples", "20", "--seed", "0"), 0,
+     "ac1f3d236f8dbf20f3f9d41c11bbe3996624f8a1fcf7655768c4301acd3e4712"),
+    (("verify", "catalog:M23", "counts", "--samples", "20", "--seed", "1"), 0,
+     "d1ca158c58406e6ac778f9acc262d7b12b9f9b5e21104a86392c5cf94176b0df"),
+    (("verify", "catalog:M24", "counts", "--samples", "20", "--seed", "0"), 0,
+     "729034afe1ce83212ebdd832ed455fceb5f2c3adb3fe40199ee253e3a4626043"),
+    (("verify", "catalog:M24", "counts", "--samples", "20", "--seed", "1"), 0,
+     "da4652fcef592771832f17ec8d94c65c781ef3f78f8ce069d3975b18f6eef2fb"),
 ]
 
 

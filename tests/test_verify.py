@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permdeg import catalog
-from permdeg.groups import conjugation_closure
+from permdeg.groups import PermutationGroup, conjugation_closure
 from permdeg.perm import Permutation, parse_cycles
 from permdeg.verify import (
     CLAUSES,
@@ -13,8 +13,10 @@ from permdeg.verify import (
     ProductAction,
     _clause_counts,
     _clause_plan,
+    _clause_shares,
     _law_facts,
     _orbit_columns,
+    _pair_orbits,
     commutator_cancellation_bound,
     commutator_law_checks,
     commutator_law_suite,
@@ -381,3 +383,53 @@ def test_clause_columns_match_direct_scans(name, param):
                                                     transitivity=t):
                 if res.applicable:
                     assert res.check.observed == direct[CLAUSES.index(res.clause)]
+
+
+def _proper_subgroup_gens(gens, n):
+    """The longest prefix of gens that generates a proper subgroup of <gens>."""
+    order = PermutationGroup(gens, n).order
+    for k in range(len(gens) - 1, -1, -1):
+        if PermutationGroup(gens[:k], n).order < order:
+            return gens[:k]
+    raise ValueError("the trivial group has no proper subgroup")
+
+
+@pytest.mark.parametrize("name,param", [("symmetric", 6), ("alternating", 7), ("mathieu", 11),
+                                        ("mathieu", 12), ("psl2", 13), ("pgl2", 7)])
+def test_pair_orbit_shares_match_closure_counts(name, param):
+    # share x |E| must equal the count over the enumerated orbit E, both for
+    # the true stabilizer of delta and for a proper subgroup of it, where
+    # the clause formulas fail; a kernel that echoed the formulas would not
+    # pass, and the final assertion makes sure some formula did fail
+    g = catalog.builtin(name, param)
+    n = g.degree
+    rng = random.Random(f"{name}-{param}")
+    formula_failures = 0
+    for _ in range(6):
+        u = g.random_element(rng)
+        while u.is_identity():
+            u = g.random_element(rng)
+        delta = frozenset(rng.sample(sorted(u.support()), rng.choice((1, 2))))
+        stab_gens = g.pointwise_stabilizer(delta).generators
+        rest = [a for a in range(n) if a not in delta]
+        # transitivity n makes every clause apply, whatever the group
+        plan = _clause_plan(n, u.moved_count(), len(delta), n, 1)
+        for gens in (stab_gens, _proper_subgroup_gens(stab_gens, n)):
+            orbit = conjugation_closure(gens, u)
+            orbits = _pair_orbits([h.images for h in gens], u.images)
+            assert sum(orbits.size) == n * n
+            assert sum(orbits.arrows) == n
+            assert sum(orbits.fixed) == (n - u.moved_count()) ** 2
+            for _ in range(5):
+                gamma, second = rng.sample(rest, 2)
+                shares = _clause_shares(plan, orbits, delta, gamma, second)
+                results = conjugate_orbit_count_checks(g, u, delta, gamma, second,
+                                                       orbit=orbit, transitivity=n)
+                for res, share, (_, _, _, formula) in zip(results, shares, plan):
+                    assert res.applicable == (share is not None)
+                    if share is None:
+                        continue
+                    assert share * len(orbit) == res.check.observed, (u, delta, res.clause)
+                    assert (share == formula) == res.check.passed
+                    formula_failures += not res.check.passed
+    assert formula_failures > 0
