@@ -13,8 +13,8 @@ the number of elements in the two places that still enumerate them: the
 conjugation-orbit closures of the ``double``, ``triple`` and ``quadruple``
 traces, and ``mindeg --method exhaustive``.  It bounds element counts, not
 memory or time, never selects an algorithm, and is accepted but unused by
-``info``, ``verify`` and ``table``.  ``--jobs`` is accepted for
-compatibility and has no effect.
+``info``, ``verify`` and ``table``; a value below 1 is a usage error.
+``--jobs`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=_positive_int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-    parser.add_argument("--cap", type=int, default=10_000_000,
-                        help="element bound for trace orbit closures and "
-                             "mindeg --method exhaustive; unused elsewhere")
+    parser.add_argument("--cap", type=_positive_int, default=10_000_000,
+                        help="element bound (at least 1) for trace orbit closures "
+                             "and mindeg --method exhaustive; unused elsewhere")
 
 
 def _maybe_minimal_degree(group: PermutationGroup):
@@ -166,14 +166,13 @@ def _cmd_verify(args) -> int:
     suites = []
     failed = False
     if args.suite in ("laws", "all"):
-        checks = commutator_law_suite(group, args.samples, args.seed, args.jobs)
+        checks = commutator_law_suite(group, args.samples, args.seed)
         suites.append(_suite_json("laws", checks, True))
         print(f"suite laws on {group.label}:")
         _print_checks(checks)
         failed = failed or _suite_failed(checks)
     if args.suite in ("counts", "all"):
-        checks, inapplicable = count_identity_suite(group, args.samples, args.seed,
-                                                    args.jobs)
+        checks, inapplicable = count_identity_suite(group, args.samples, args.seed)
         details = {"inapplicable_clauses": inapplicable}
         applicable = bool(checks)
         suites.append(_suite_json("counts", checks, applicable, details))
@@ -204,26 +203,22 @@ def _cmd_trace(args) -> int:
     # construction with random valid witness choices
     rng = random.Random(args.seed) if args.seed else None
     if args.theorem == "jordan":
-        result = builder(group, rng=rng)
+        report = builder(group, rng=rng)
     else:
-        result = builder(group, rng=rng, cap=args.cap)
-    report = result.to_report() if hasattr(result, "to_report") else result
+        report = builder(group, rng=rng, cap=args.cap)
     print(f"trace {report.name} on {report.group_label}: n={report.n} "
           f"t={report.t} m={report.m}")
+    # an inapplicable trace has no checks, no conclusion and no degeneracy
     if not report.applicable:
         print("  inapplicable: hypotheses not met")
-        json_report = _report_json(group, report.m, [
-            _suite_json(f"trace:{report.name}", [], False, _trace_details(report)),
-        ], args.seed)
-        _write_json(json_report, args.json)
-        return EXIT_OK
     if report.degenerate:
         print(f"  warning: construction degenerate: {report.degenerate}")
     _print_checks(report.checks)
     if report.conclusion_holds is not None:
         print(f"  conclusion holds: {report.conclusion_holds}")
     json_report = _report_json(group, report.m, [
-        _suite_json(f"trace:{report.name}", report.checks, True, _trace_details(report)),
+        _suite_json(f"trace:{report.name}", report.checks, report.applicable,
+                    _trace_details(report)),
     ], args.seed)
     _write_json(json_report, args.json)
     return EXIT_CHECK_FAILED if _suite_failed(report.checks) else EXIT_OK

@@ -28,12 +28,10 @@ class CapExceeded(RuntimeError):
 
 @dataclass
 class ChainLevel:
-    """One level: its base point, the strong generators fixing the earlier
-    base points, the transversal (orbit point b -> an element carrying the
-    base point to b) and the orbit in ascending order."""
+    """One level: its base point, the transversal (orbit point b -> an
+    element carrying the base point to b) and the orbit in ascending order."""
 
     point: int
-    gens: tuple[Permutation, ...]
     transversal: dict[int, Permutation]
     orbit: tuple[int, ...]
 
@@ -125,8 +123,8 @@ def build_chain(generators: Iterable[Permutation], degree: int,
 
     ident = tuple(range(degree))
     base: list[int] = []
-    # per level: (generator, its images, its inverse images)
-    gen_lists: list[list[tuple[Permutation, tuple[int, ...], tuple[int, ...]]]] = []
+    # per level: (generator images, inverse images) of its strong generators
+    gen_lists: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     transversals: list[dict[int, tuple[int, ...]]] = []
     inverses: list[dict[int, tuple[int, ...]]] = []
     strong: list[Permutation] = []
@@ -151,7 +149,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         for a in queue:
             rep = table[a]
             rep_inv = inv[a]
-            for _, s, s_inv in gen_lists[i]:
+            for s, s_inv in gen_lists[i]:
                 b = s[a]
                 if b not in table:
                     table[b] = tuple([s[x] for x in rep])
@@ -177,7 +175,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             k += 1
         if k == len(base):
             add_level(min(a for a in range(degree) if images[a] != a))
-        entry = (g, images, g.inverse().images)
+        entry = (images, g.inverse().images)
         for j in range(k + 1):
             gen_lists[j].append(entry)
         strong.append(g)
@@ -190,7 +188,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         inv = inverses[i]
         for a in sorted(table):
             rep = table[a]
-            for _, s, _ in gen_lists[i]:
+            for s, _ in gen_lists[i]:
                 back = inv[s[a]]
                 schreier = tuple([back[s[r]] for r in rep])
                 if schreier == ident:
@@ -216,8 +214,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             rebuild_orbit(j)
 
     wrap = Permutation._trusted
-    levels = [ChainLevel(base[i], tuple(g for g, _, _ in gen_lists[i]),
-                         {b: wrap(t) for b, t in transversals[i].items()},
+    levels = [ChainLevel(base[i], {b: wrap(t) for b, t in transversals[i].items()},
                          tuple(sorted(transversals[i])))
               for i in range(len(base))]
     return StabilizerChain(degree, levels, tuple(strong))

@@ -159,11 +159,6 @@ class Permutation:
         return format_cycles(self)
 
 
-def support_fix(p: Permutation) -> tuple[frozenset[int], frozenset[int]]:
-    """The pair (moved points, fixed points); the two sets partition 0..n-1."""
-    return p.support(), p.fixed()
-
-
 _CYCLE_TOKEN = re.compile(r"\(([0-9,\s]*)\)")
 _CYCLE_SHAPE = re.compile(r"(?:\s*\([0-9,\s]*\))+\s*")
 

@@ -202,21 +202,6 @@ def distinct_pair_action(gens: Sequence[Permutation], degree: int):
     return pairs, images
 
 
-def _transitive(degree: int, perms: Sequence[Permutation]) -> bool:
-    seen = {0}
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for g in perms:
-            b = g.images[a]
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return len(seen) == degree
-
-
 def invariant_relation_counts(action: ProductAction,
                               relation: Iterable[tuple[int, int]]) -> list[CountCheck]:
     """Row and column counts of an invariant relation are constant and balance.
@@ -230,10 +215,11 @@ def invariant_relation_counts(action: ProductAction,
     for gl, gr in action.generator_pairs:
         if gl.degree != n1 or gr.degree != n2:
             raise DegreeMismatchError("generator pair degrees do not match the action")
-    if not _transitive(n1, [gl for gl, _ in action.generator_pairs]):
-        raise PreconditionError("action is not transitive on the left set")
-    if not _transitive(n2, [gr for _, gr in action.generator_pairs]):
-        raise PreconditionError("action is not transitive on the right set")
+    lefts = [gl for gl, _ in action.generator_pairs]
+    rights = [gr for _, gr in action.generator_pairs]
+    for side, degree, perms in (("left", n1, lefts), ("right", n2, rights)):
+        if len(PermutationGroup(perms, degree).orbit(0)) != degree:
+            raise PreconditionError(f"action is not transitive on the {side} set")
     for (a, b) in rel:
         if not (0 <= a < n1 and 0 <= b < n2):
             raise ValueError(f"relation pair ({a}, {b}) out of range")
@@ -441,10 +427,12 @@ def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: frozenset[int],
 
 @dataclass
 class TraceReport:
+    """The result of every trace builder.  An inapplicable trace has no
+    checks; a degenerate one names the construction step that failed."""
+
     name: str
     group_label: str
     n: int
-    order: int
     t: int
     m: int | None
     applicable: bool
@@ -454,45 +442,6 @@ class TraceReport:
     derived: dict[str, object] = field(default_factory=dict)
     checks: list[CountCheck] = field(default_factory=list)
     conclusion_holds: bool | None = None
-
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
-
-
-@dataclass
-class JordanTrace:
-    group_label: str
-    n: int
-    order: int
-    t: int
-    m: int | None
-    applicable: bool
-    degenerate: str | None = None
-    prime: int | None = None
-    pinned_cycles: int | None = None
-    remainder: int | None = None
-    case: int | None = None
-    witness: Permutation | None = None
-    mover: Permutation | None = None
-    pinned: frozenset[int] = frozenset()
-    pinned_extended: frozenset[int] = frozenset()
-    checks: list[CountCheck] = field(default_factory=list)
-    conclusion_holds: bool | None = None
-
-    def to_report(self) -> TraceReport:
-        report = TraceReport("jordan", self.group_label, self.n, self.order,
-                             self.t, self.m, self.applicable, self.degenerate)
-        if self.witness is not None:
-            report.witnesses["u"] = format_cycles(self.witness)
-        if self.mover is not None:
-            report.witnesses["v"] = format_cycles(self.mover)
-        report.sizes = {"pinned": len(self.pinned),
-                        "pinned_extended": len(self.pinned_extended)}
-        report.derived = {"prime": self.prime, "pinned_cycles": self.pinned_cycles,
-                          "remainder": self.remainder, "case": self.case}
-        report.checks = list(self.checks)
-        report.conclusion_holds = self.conclusion_holds
-        return report
 
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks if not c.informational)
@@ -520,7 +469,46 @@ def _sorted_checks(checks: list[CountCheck]) -> list[CountCheck]:
     return sorted(checks, key=lambda c: c.label)
 
 
-def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> JordanTrace:
+def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, int],
+                     targets: tuple[int, int], rng, cap: int):
+    """Carry u back along an element h that maps ``pair`` to ``targets`` and
+    close the result under the pointwise stabilizer H of the pair.
+
+    v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
+    (h, v, E), E the conjugates of v under H, or None when no element maps
+    the pair to the targets.  With an rng, h is first multiplied on the left
+    by a random element of H, which moves v within E.
+    """
+    h = group.transporter(pair, targets)
+    if h is None:
+        return None
+    stab = group.pointwise_stabilizer(pair)
+    if rng is not None:
+        h = stab.random_element(rng) * h
+    v = u.conjugate(h.inverse())
+    return h, v, conjugation_closure(stab.generators, v, cap)
+
+
+def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[CountCheck],
+                   k: int, slack: int, threshold: int, label: str) -> None:
+    """The conclusion n <= k m + slack/(m - 3) of a trace, and k m >= n once
+    n reaches ``threshold``; only for groups avoiding the alternating group."""
+    alt = group.contains_alternating()
+    report.derived["contains_alternating"] = alt
+    if alt:
+        return
+    n, m = report.n, report.m
+    if m > 3:
+        conclusion = [_le("degree-bound", n, k * m + Fraction(slack, m - 3))]
+        if n >= threshold:
+            conclusion.append(_ge(label, k * m, n))
+    else:
+        conclusion = [CountCheck("degree-bound", "<=", n, Fraction(0), False)]
+    checks.extend(conclusion)
+    report.conclusion_holds = all(c.passed for c in conclusion)
+
+
+def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     """Replay the commutator construction behind the bound m >= 2t - 2.
 
     The witness u is reduced to prime order p and t - 1 = Np + r.  A set of
@@ -532,51 +520,48 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> JordanTrace:
     the prescription is unsatisfiable in the concrete group (for instance
     the shifted image is itself pinned, which happens whenever t is a
     multiple of p), the trace is flagged degenerate and only the numeric
-    bound is checked.
+    bound is checked.  ``derived`` holds p, N, r and the case (None until
+    reached), ``sizes`` the pinned sets and ``witnesses`` u and v.
     """
     n = group.degree
-    order = group.order
     t = group.transitivity_degree()
-    trace = JordanTrace(group.label, n, order, t, None, False)
-    if order <= 1 or t < 2:
-        return trace
-    result = minimal_degree(group)
-    trace.m = result.m
-    if result.m <= 3:
-        return trace
-    trace.applicable = True
+    report = TraceReport("jordan", group.label, n, t, None, False,
+                         sizes={"pinned": 0, "pinned_extended": 0},
+                         derived=dict.fromkeys(("prime", "pinned_cycles",
+                                                "remainder", "case")))
+    if group.order <= 1 or t < 2:
+        return report
+    report.m = minimal_degree(group).m
+    if report.m <= 3:
+        return report
+    report.applicable = True
     u = _trace_witness(group, rng)
     m = u.moved_count()
     p = u.order()
-    trace.witness = u
-    trace.prime = p
     blocks, r = divmod(t - 1, p)
-    trace.pinned_cycles = blocks
-    trace.remainder = r
-    checks = trace.checks
-    checks.append(_ge("witness-support-exceeds-transitivity", m, t + 1))
+    report.witnesses["u"] = format_cycles(u)
+    report.derived.update(prime=p, pinned_cycles=blocks, remainder=r)
+    checks = [_ge("witness-support-exceeds-transitivity", m, t + 1)]
 
-    def finish(reason: str | None = None) -> JordanTrace:
-        if reason is not None:
-            trace.degenerate = reason
+    def finish(reason: str | None = None) -> TraceReport:
+        report.degenerate = reason
         bound_check = _ge("jordan-bound", m, 2 * t - 2)
-        checks.append(bound_check)
-        trace.checks = _sorted_checks(checks)
-        trace.conclusion_holds = bound_check.passed
-        return trace
+        report.checks = _sorted_checks([*checks, bound_check])
+        report.conclusion_holds = bound_check.passed
+        return report
 
     cycles = u.cycles()
     if any(len(c) != p for c in cycles) or len(cycles) <= blocks:
         return finish("witness cycle structure cannot supply the pinned cycles")
     phi = frozenset(a for cyc in cycles[:blocks] for a in cyc)
-    trace.pinned = phi
+    report.sizes["pinned"] = len(phi)
     checks.append(_eq("pinned-size", len(phi), t - 1 - r))
     support = sorted(u.support())
     outside = [a for a in support if a not in phi]
     alpha = outside[0] if rng is None else rng.choice(outside)
 
     if r == 0:
-        trace.case = 1
+        report.derived["case"] = 1
         fixed = sorted(u.fixed())
         if not fixed:
             return finish("witness moves every point; no relocation target exists")
@@ -585,11 +570,10 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> JordanTrace:
         v = group.transporter((*pinned_tuple, alpha), (*pinned_tuple, beta))
         if v is None:
             return finish("no group element realizes the pinned relocation")
-        trace.mover = v
         fixed_overlap: frozenset[int] = phi
         shifted_overlap: frozenset[int] = phi
     else:
-        trace.case = 2
+        report.derived["case"] = 2
         u_inv = u.inverse()
         back = []
         pt = alpha
@@ -597,7 +581,7 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> JordanTrace:
             pt = u_inv.images[pt]
             back.append(pt)
         psi = phi | set(back)
-        trace.pinned_extended = psi
+        report.sizes["pinned_extended"] = len(psi)
         if len(psi) != len(phi) + r or alpha in psi:
             return finish("pinned cycle points collide with the walked-back points")
         checks.append(_eq("pinned-extended-size", len(psi), t - 1))
@@ -609,9 +593,9 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> JordanTrace:
         v = group.transporter((*pinned_tuple, alpha), (*pinned_tuple, target))
         if v is None:
             return finish("no group element realizes the pinned shift")
-        trace.mover = v
         fixed_overlap = psi - {back[0]}
         shifted_overlap = psi | {alpha}
+    report.witnesses["v"] = format_cycles(v)
 
     c = u.commutator(v)
     checks.append(_ge("commutator-nontrivial", c.moved_count(), 1))
@@ -636,7 +620,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     """
     n = group.degree
     t = group.transitivity_degree()
-    report = TraceReport("double", group.label, n, group.order, t, None, False)
+    report = TraceReport("double", group.label, n, t, None, False)
     if group.order <= 1 or t < 2:
         return report
     report.applicable = True
@@ -668,18 +652,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     checks.append(_le("overlap-pairs-upper", pair_total,
                       len(fixers) + Fraction((m - 2) * (m - 1) * size, n - 1)))
 
-    alt = group.contains_alternating()
-    report.derived["contains_alternating"] = alt
-    if not alt:
-        conclusion = []
-        if m > 3:
-            conclusion.append(_le("degree-bound", n, 4 * m + Fraction(6, m - 3)))
-            if n >= 38:
-                conclusion.append(_ge("quarter-bound", 4 * m, n))
-        else:
-            conclusion.append(CountCheck("degree-bound", "<=", n, Fraction(0), False))
-        checks.extend(conclusion)
-        report.conclusion_holds = all(c.passed for c in conclusion)
+    _closing_bound(group, report, checks, 4, 6, 38, "quarter-bound")
 
     report.witnesses = {"u": format_cycles(u), "alpha": str(alpha + 1),
                         "beta": str(beta + 1)}
@@ -703,7 +676,7 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     """
     n = group.degree
     t = group.transitivity_degree()
-    report = TraceReport("triple", group.label, n, group.order, t, None, False)
+    report = TraceReport("triple", group.label, n, t, None, False)
     if group.order <= 1 or t < 3:
         return report
     report.applicable = True
@@ -718,15 +691,11 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
         report.witnesses = {"u": format_cycles(u)}
         return report
     beta = fixed[0] if rng is None else rng.choice(fixed)
-    h = group.transporter((alpha, beta), (alpha, u.images[alpha]))
-    if h is None:
+    relocated = _relocated_orbit(group, u, (alpha, beta), (alpha, u.images[alpha]), rng, cap)
+    if relocated is None:
         report.degenerate = "no stabilizer element relocates the fixed point"
         return report
-    if rng is not None:
-        h = group.pointwise_stabilizer([alpha, beta]).random_element(rng) * h
-    v = u.conjugate(h.inverse())
-    stab = group.pointwise_stabilizer([alpha, beta])
-    orbit = conjugation_closure(stab.generators, v, cap)
+    h, v, orbit = relocated
     size = len(orbit)
     u_inv = u.inverse()
 
@@ -768,18 +737,7 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     checks.append(_eq("edge-mover-count-forward", count_forward, edge_formula))
     checks.append(_ge("doubled-overlap-lower", doubled_total, 2 * edge_formula))
 
-    alt = group.contains_alternating()
-    report.derived["contains_alternating"] = alt
-    if not alt:
-        conclusion = []
-        if m > 3:
-            conclusion.append(_le("degree-bound", n, 3 * m + Fraction(4, m - 3)))
-            if n >= 23:
-                conclusion.append(_ge("third-bound", 3 * m, n))
-        else:
-            conclusion.append(CountCheck("degree-bound", "<=", n, Fraction(0), False))
-        checks.extend(conclusion)
-        report.conclusion_holds = all(c.passed for c in conclusion)
+    _closing_bound(group, report, checks, 3, 4, 23, "third-bound")
 
     report.witnesses = {"u": format_cycles(u), "v": format_cycles(v),
                         "h": format_cycles(h), "alpha": str(alpha + 1),
@@ -807,7 +765,7 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
     """
     n = group.degree
     t = group.transitivity_degree()
-    report = TraceReport("quadruple", group.label, n, group.order, t, None, False)
+    report = TraceReport("quadruple", group.label, n, t, None, False)
     if group.order <= 1 or t < 4 or group.contains_alternating():
         return report
     report.applicable = True
@@ -825,18 +783,13 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
         return report
     fix_target = fixed[0] if rng is None else rng.choice(fixed)
     mid_target = middle[0] if rng is None else rng.choice(middle)
-    h = group.transporter((alpha, beta), (fix_target, mid_target))
-    if h is None:
+    relocated = _relocated_orbit(group, u, (alpha, beta), (fix_target, mid_target), rng, cap)
+    if relocated is None:
         report.degenerate = "no group element realizes the two relocation targets"
         return report
-    if rng is not None:
-        h = group.pointwise_stabilizer([alpha, beta]).random_element(rng) * h
-    v = u.conjugate(h.inverse())
-    stab = group.pointwise_stabilizer([alpha, beta])
-    orbit = conjugation_closure(stab.generators, v, cap)
+    h, v, orbit = relocated
     size = len(orbit)
     support_set = u.support()
-    fixed_list = sorted(u.fixed())
 
     structure_violations = sum(1 for x in orbit
                                if x.images[alpha] != alpha or x.images[beta] == beta)
@@ -853,7 +806,7 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
         commutator_total += len(commutator_support)
         overlap = {a for a in support if xi[a] != a}
         overlap_total += len(overlap)
-        carried = {g for g in fixed_list if xi[g] != g and xi[g] in support_set}
+        carried = {g for g in fixed if xi[g] != g and xi[g] in support_set}
         carried_total += len(carried)
         arrows = {g for g in support
                   if xi[g] == g and xi[u.images[g]] != u.images[g]}
@@ -960,12 +913,11 @@ def mathieu_bound_table(groups: Sequence[PermutationGroup] | None = None) -> lis
 
 
 def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
-                         seed: int = 0, jobs: int = 1) -> list[CountCheck]:
+                         seed: int = 0) -> list[CountCheck]:
     """Aggregate the commutator support laws over seeded random pairs.
 
     Returns one check per law counting failing samples; the forward-image
-    containment is tallied but stays informational.  ``jobs`` is accepted
-    for compatibility and has no effect: samples run in order.
+    containment is tallied but stays informational.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -990,7 +942,7 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
 
 
 def count_identity_suite(group: PermutationGroup, samples: int = 1000,
-                         seed: int = 0, jobs: int = 1) -> tuple[list[CountCheck], list[str]]:
+                         seed: int = 0) -> tuple[list[CountCheck], list[str]]:
     """Aggregate the conjugation-orbit counting identities over seeded samples.
 
     Samples are grouped into (u, delta) configurations, each checked once
@@ -1007,8 +959,7 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
 
     in exact rationals, so a configuration costs one pass over the n^2
     pairs however large E is.  Returns the aggregated checks plus the
-    clauses that were never applicable.  ``jobs`` is accepted for
-    compatibility and has no effect: batches run in order.
+    clauses that were never applicable.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")

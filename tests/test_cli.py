@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from permdeg.cli import main
 
 
@@ -120,6 +122,18 @@ def test_mindeg_cap_exit(capsys):
     code, _ = run(capsys, "mindeg", "catalog:S8", "--method", "exhaustive",
                   "--cap", "1000")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "catalog:M11", "double", "--cap", "-3"),
+    ("trace", "catalog:M11", "quadruple", "--cap", "0"),
+    ("mindeg", "catalog:S5", "--method", "exhaustive", "--cap", "-1"),
+    ("info", "catalog:S5", "--cap", "0"),
+])
+def test_cap_below_one_is_a_usage_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_mindeg_unknown_method_rejected(capsys):

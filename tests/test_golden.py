@@ -77,6 +77,18 @@ GOLDEN = [
      "c7b29f2dcc076cc2c9e7ae2107b96288798de0a2a20246ce4fe396c8e0714a70"),
     (("verify", "catalog:PGL2_31", "counts", "--samples", "40", "--seed", "1"), 0,
      "1c867d55ea7cc6f3c8edbc452264baf5ba5bf8c56dbc802a4a40482c8d0ec762"),
+    # one trace report type: the jordan cases, an inapplicable trace's
+    # null-valued details, and a seeded relocation in the quadruple trace
+    (("trace", "catalog:S7", "jordan"), 0,
+     "6b02ed19b0c31b0e6f30b0b7a33e022a7066459b760aa04fb50d9215a8b1b44c"),
+    (("trace", "catalog:M11", "jordan"), 0,
+     "55fc81c27364c41c3107a2756d490d3aa655cc4ff03c77548cf6820f1e889f08"),
+    (("trace", "catalog:PSL2_7", "jordan"), 0,
+     "da92212958f54d3e05992f264793c494148a3276692859e407116a0fa3572655"),
+    (("trace", "catalog:C6", "double"), 0,
+     "f2f5923b4092430b88f2411fbf8ff048aba0bbb395364194dbc719091ea16b03"),
+    (("trace", "catalog:M11", "quadruple", "--seed", "2"), 0,
+     "2d7fd241a5aa0adb1290e100a93bb746609fc79210356d357967fe9762d7e8b3"),
     # the large Mathieu groups, whose conjugation orbits are too big to list
     (("verify", "catalog:M23", "counts", "--samples", "20", "--seed", "0"), 0,
      "ac1f3d236f8dbf20f3f9d41c11bbe3996624f8a1fcf7655768c4301acd3e4712"),

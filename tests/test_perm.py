@@ -10,7 +10,6 @@ from permdeg.perm import (
     format_cycles,
     parse_cycles,
     prime_order_witness,
-    support_fix,
 )
 
 from brute import image_chase_commutator
@@ -156,9 +155,9 @@ def test_commutator_disjoint_supports():
 
 def test_support_fix_examples():
     e = Permutation.identity(4)
-    assert support_fix(e) == (frozenset(), frozenset({0, 1, 2, 3}))
+    assert (e.support(), e.fixed()) == (frozenset(), frozenset({0, 1, 2, 3}))
     p = parse_cycles("(1,2,3)", 5)
-    assert support_fix(p) == (frozenset({0, 1, 2}), frozenset({3, 4}))
+    assert (p.support(), p.fixed()) == (frozenset({0, 1, 2}), frozenset({3, 4}))
 
 
 def test_order_and_power():

@@ -16,37 +16,39 @@ def by_label(report):
 
 
 def test_jordan_m12_tight():
-    trace = jordan_bound_trace(catalog.builtin("mathieu", 12))
-    assert trace.applicable and trace.degenerate is None
-    assert trace.case == 1 and trace.prime == 2
-    assert (trace.m, trace.t) == (8, 5)
-    bound = {c.label: c for c in trace.checks}["jordan-bound"]
+    report = jordan_bound_trace(catalog.builtin("mathieu", 12))
+    assert report.applicable and report.degenerate is None
+    assert report.derived["case"] == 1 and report.derived["prime"] == 2
+    assert (report.m, report.t) == (8, 5)
+    bound = {c.label: c for c in report.checks}["jordan-bound"]
     assert bound.observed == 8 and bound.formula == 8   # tight: m = 2t - 2
-    assert trace.all_pass()
-    assert trace.conclusion_holds
+    assert report.all_pass()
+    assert report.conclusion_holds
 
 
 def test_jordan_m24_case1():
-    trace = jordan_bound_trace(catalog.builtin("mathieu", 24))
-    assert trace.applicable and trace.degenerate is None and trace.case == 1
-    assert trace.all_pass()
+    report = jordan_bound_trace(catalog.builtin("mathieu", 24))
+    assert report.applicable and report.degenerate is None
+    assert report.derived["case"] == 1
+    assert report.all_pass()
 
 
 def test_jordan_m11_degenerate_but_bound_holds():
-    trace = jordan_bound_trace(catalog.builtin("mathieu", 11))
-    assert trace.applicable
-    assert trace.degenerate is not None          # t multiple of p: image pinned
-    assert trace.remainder == trace.prime - 1
-    assert trace.conclusion_holds                # 8 >= 2*4 - 2 = 6
-    assert trace.all_pass()
+    report = jordan_bound_trace(catalog.builtin("mathieu", 11))
+    assert report.applicable
+    assert report.degenerate is not None         # t multiple of p: image pinned
+    assert report.derived["remainder"] == report.derived["prime"] - 1
+    assert report.conclusion_holds               # 8 >= 2*4 - 2 = 6
+    assert report.all_pass()
 
 
 def test_jordan_psl27_case2_constructive():
-    trace = jordan_bound_trace(catalog.builtin("psl2", 7))
-    assert trace.applicable and trace.degenerate is None
-    assert trace.case == 2 and trace.prime == 3 and trace.remainder == 1
-    assert trace.mover is not None
-    assert trace.all_pass()
+    report = jordan_bound_trace(catalog.builtin("psl2", 7))
+    assert report.applicable and report.degenerate is None
+    derived = report.derived
+    assert derived["case"] == 2 and derived["prime"] == 3 and derived["remainder"] == 1
+    assert "v" in report.witnesses
+    assert report.all_pass()
 
 
 def test_jordan_inapplicable_for_alternating_containers():
@@ -169,8 +171,8 @@ def test_traces_random_choice_mode():
         assert trace.all_pass(), seed
 
 
-def test_jordan_to_report():
-    report = jordan_bound_trace(catalog.builtin("mathieu", 12)).to_report()
+def test_jordan_report_dicts():
+    report = jordan_bound_trace(catalog.builtin("mathieu", 12))
     assert report.name == "jordan"
     assert report.derived["case"] == 1
     assert "u" in report.witnesses and "v" in report.witnesses
@@ -195,18 +197,34 @@ def test_every_trace_on_every_mathieu_group():
             assert result.all_pass(), (k, name)
 
 
+def test_every_trace_returns_a_trace_report():
+    from permdeg.groups import PermutationGroup
+    from permdeg.verify import TRACES, TraceReport
+
+    groups = [catalog.builtin("mathieu", 11), catalog.builtin("symmetric", 7),
+              catalog.parse_group_name("C6"), PermutationGroup([], 5)]
+    for g in groups:
+        for name, build in TRACES.items():
+            report = build(g)
+            assert type(report) is TraceReport, (g.label, name)
+            assert report.name == name, (g.label, name)
+            if not report.applicable:
+                assert report.checks == [], (g.label, name)
+
+
 def test_jordan_psl2_11_odd_prime_case2():
-    trace = jordan_bound_trace(catalog.builtin("psl2", 11))
-    assert trace.case == 2 and trace.prime == 5 and trace.remainder == 1
-    assert trace.degenerate is None
-    assert trace.all_pass()
+    report = jordan_bound_trace(catalog.builtin("psl2", 11))
+    derived = report.derived
+    assert derived["case"] == 2 and derived["prime"] == 5 and derived["remainder"] == 1
+    assert report.degenerate is None
+    assert report.all_pass()
 
 
 def test_jordan_psl2_13_degenerate_shift():
-    trace = jordan_bound_trace(catalog.builtin("psl2", 13))
-    assert trace.case == 2 and trace.prime == 2
-    assert trace.degenerate is not None
-    assert trace.conclusion_holds    # 12 >= 2*2 - 2
+    report = jordan_bound_trace(catalog.builtin("psl2", 13))
+    assert report.derived["case"] == 2 and report.derived["prime"] == 2
+    assert report.degenerate is not None
+    assert report.conclusion_holds    # 12 >= 2*2 - 2
 
 
 def test_traces_on_file_loaded_group(tmp_path):

@@ -201,9 +201,9 @@ def test_commutator_law_suite_clean():
             assert c.passed, c.label
 
 
-def test_commutator_law_suite_jobs_stable():
+def test_commutator_law_suite_repeatable():
     g = catalog.builtin("symmetric", 5)
-    assert commutator_law_suite(g, 200, 3, jobs=1) == commutator_law_suite(g, 200, 3, jobs=4)
+    assert commutator_law_suite(g, 200, 3) == commutator_law_suite(g, 200, 3)
 
 
 def test_count_identity_suite_exact():
@@ -222,10 +222,10 @@ def test_count_identity_suite_gating():
     assert set(inapplicable) == set(CLAUSES)
 
 
-def test_count_identity_suite_jobs_stable():
+def test_count_identity_suite_repeatable():
     g = catalog.builtin("symmetric", 5)
-    a = count_identity_suite(g, 100, 9, jobs=1)
-    b = count_identity_suite(g, 100, 9, jobs=4)
+    a = count_identity_suite(g, 100, 9)
+    b = count_identity_suite(g, 100, 9)
     assert a == b
 
 
