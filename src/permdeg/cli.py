@@ -34,6 +34,7 @@ from .perm import format_cycles
 from .verify import (
     CountCheck,
     TRACES,
+    all_pass,
     commutator_law_suite,
     count_identity_suite,
     mathieu_bound_table,
@@ -109,10 +110,6 @@ def _print_checks(checks) -> None:
               f"{_fraction_str(check.formula)}")
 
 
-def _suite_failed(checks) -> bool:
-    return any(not c.passed for c in checks if not c.informational)
-
-
 def _trace_details(report) -> dict:
     derived = {}
     for key in sorted(report.derived):
@@ -170,7 +167,7 @@ def _cmd_verify(args) -> int:
         suites.append(_suite_json("laws", checks, True))
         print(f"suite laws on {group.label}:")
         _print_checks(checks)
-        failed = failed or _suite_failed(checks)
+        failed = failed or not all_pass(checks)
     if args.suite in ("counts", "all"):
         checks, inapplicable = count_identity_suite(group, args.samples, args.seed)
         details = {"inapplicable_clauses": inapplicable}
@@ -180,13 +177,13 @@ def _cmd_verify(args) -> int:
         _print_checks(checks)
         for clause in inapplicable:
             print(f"  [SKIP] {clause}: inapplicable at this transitivity degree")
-        failed = failed or _suite_failed(checks)
+        failed = failed or not all_pass(checks)
         if group.transitivity_degree() >= 2:
             balance = relation_balance_checks(group)
             suites.append(_suite_json("pair-relation", balance, True))
             print(f"suite pair-relation on {group.label}:")
             _print_checks(balance)
-            failed = failed or _suite_failed(balance)
+            failed = failed or not all_pass(balance)
         else:
             suites.append(_suite_json("pair-relation", [], False))
             print("suite pair-relation: inapplicable (needs a doubly transitive group)")
@@ -221,7 +218,7 @@ def _cmd_trace(args) -> int:
                     _trace_details(report)),
     ], args.seed)
     _write_json(json_report, args.json)
-    return EXIT_CHECK_FAILED if _suite_failed(report.checks) else EXIT_OK
+    return EXIT_OK if all_pass(report.checks) else EXIT_CHECK_FAILED
 
 
 def _cmd_mindeg(args) -> int:

@@ -28,23 +28,22 @@ class CapExceeded(RuntimeError):
 
 @dataclass
 class ChainLevel:
-    """One level: its base point, the transversal (orbit point b -> an
-    element carrying the base point to b) and the orbit in ascending order."""
+    """One level: its base point, the transversal (orbit point b -> the image
+    tuple of an element carrying the base point to b) and the orbit in
+    ascending order."""
 
     point: int
-    transversal: dict[int, Permutation]
+    transversal: dict[int, tuple[int, ...]]
     orbit: tuple[int, ...]
 
 
 class StabilizerChain:
+    """What ``build_chain`` computed; nothing changes it afterwards."""
+
     def __init__(self, degree: int, levels: list[ChainLevel], strong_gens: tuple[Permutation, ...]):
         self.degree = degree
         self.levels = levels
         self.strong_gens = strong_gens
-        # inverses of the representatives that sift and transporter have
-        # used, by (level, point); keeping every inverse on every cached
-        # chain would double the memory of the chain caches
-        self._inverses: dict[tuple[int, int], Permutation] = {}
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -53,47 +52,38 @@ class StabilizerChain:
     def order(self) -> int:
         return prod(len(level.transversal) for level in self.levels)
 
-    def rep_inverse(self, i: int, point: int) -> Permutation | None:
-        """The inverse of ``levels[i].transversal[point]``, computed once;
-        None when the point is off the level's orbit."""
-        key = (i, point)
-        inv = self._inverses.get(key)
-        if inv is None:
-            rep = self.levels[i].transversal.get(point)
-            if rep is None:
-                return None
-            inv = self._inverses[key] = rep.inverse()
-        return inv
+    def contains(self, p: Permutation) -> bool:
+        """Sift ``p`` through the transversals; it belongs to the group exactly
+        when the residue is the identity.
 
-    def sift(self, p: Permutation) -> Permutation:
-        """Factor ``p`` through the transversals; the residue is the identity
-        exactly when ``p`` belongs to the group."""
+        The sift carries q, the inverse of the residue, so no representative
+        is ever inverted: the residue sends a base point to ``q.index(point)``
+        and dividing it by rep turns q into rep * q.  It starts from q = p,
+        that is it sifts p^-1, which lies in the group exactly when p does.
+        """
         if p.degree != self.degree:
             raise DegreeMismatchError(f"degree mismatch: {p.degree} vs {self.degree}")
-        for i, level in enumerate(self.levels):
-            rep_inv = self.rep_inverse(i, p.images[level.point])
-            if rep_inv is None:
-                return p
-            p = p * rep_inv
-        return p
-
-    def contains(self, p: Permutation) -> bool:
-        return self.sift(p).is_identity()
+        q = p.images
+        for level in self.levels:
+            rep = level.transversal.get(q.index(level.point))
+            if rep is None:
+                return False
+            q = tuple([q[x] for x in rep])
+        return q == tuple(range(self.degree))
 
     def elements(self) -> Iterator[Permutation]:
         """Yield each group element exactly once, one transversal choice per level."""
-        ident = Permutation.identity(self.degree)
         levels = self.levels
 
-        def walk(i: int, right: Permutation) -> Iterator[Permutation]:
+        def walk(i: int, right: tuple[int, ...]) -> Iterator[Permutation]:
             if i == len(levels):
-                yield right
+                yield Permutation._trusted(right)
                 return
             transversal = levels[i].transversal
             for point in levels[i].orbit:
-                yield from walk(i + 1, transversal[point] * right)
+                yield from walk(i + 1, tuple([right[x] for x in transversal[point]]))
 
-        return walk(0, ident)
+        return walk(0, tuple(range(self.degree)))
 
 
 def build_chain(generators: Iterable[Permutation], degree: int,
@@ -111,8 +101,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     The construction runs on image tuples.  While it runs, each level keeps
     the inverse of every transversal representative, built in the same
     breadth-first pass, so stripping never inverts a permutation; the
-    finished chain keeps only the representatives and inverts those that
-    sift and transporter use, once each.
+    finished chain keeps only the representatives, as image tuples.
     """
     gens = []
     for g in generators:
@@ -213,9 +202,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         for j in range(i + 1):
             rebuild_orbit(j)
 
-    wrap = Permutation._trusted
-    levels = [ChainLevel(base[i], {b: wrap(t) for b, t in transversals[i].items()},
-                         tuple(sorted(transversals[i])))
+    levels = [ChainLevel(base[i], transversals[i], tuple(sorted(transversals[i])))
               for i in range(len(base))]
     return StabilizerChain(degree, levels, tuple(strong))
 
@@ -273,7 +260,7 @@ class PermutationGroup:
         the product is composed on image tuples and wrapped once."""
         g = tuple(range(self.degree))
         for level in self.chain().levels:
-            rep = level.transversal[rng.choice(level.orbit)].images
+            rep = level.transversal[rng.choice(level.orbit)]
             g = tuple([g[x] for x in rep])
         return Permutation._trusted(g)
 
@@ -332,25 +319,23 @@ class PermutationGroup:
         for pt in (*src, *dst):
             if not 0 <= pt < self.degree:
                 raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
-        acc = Permutation.identity(self.degree)
-        acc_inv = acc
+        # acc = rep_i * ... * rep_1 on image tuples; the next level's
+        # representative must carry its base point to acc^-1(target)
+        acc = tuple(range(self.degree))
         chain = self.chain(src)
-        for i, target in enumerate(dst):
-            level = chain.levels[i]
-            needed = acc_inv.images[target]
-            rep = level.transversal.get(needed)
+        for level, target in zip(chain.levels, dst):
+            rep = level.transversal.get(acc.index(target))
             if rep is None:
                 return None
-            acc = rep * acc
-            acc_inv = acc_inv * chain.rep_inverse(i, needed)
-        return acc
+            acc = tuple([acc[x] for x in rep])
+        return Permutation._trusted(acc)
 
     def transitivity_degree(self) -> int:
         """Largest t with the group transitive on ordered t-tuples of distinct
         points, read off a chain based on 0, 1, 2, ...: the prefix length over
         which every fundamental orbit is the whole remaining point set."""
         if self._tdeg is None:
-            chain = self.chain(tuple(range(self.degree)))
+            chain = build_chain(self.generators, self.degree, range(self.degree))
             t = 0
             for i in range(self.degree):
                 if len(chain.levels[i].transversal) == self.degree - i:

@@ -102,10 +102,10 @@ def minimal_degree_backtrack(group: PermutationGroup) -> MinDegResult:
             seen.add(child_fix)
             stack.append((child, child_fix))
 
-    witnesses = [g for g in best_stab.generators if not g.is_identity()]
-    if not witnesses:
-        witnesses = list(best_stab.chain().strong_gens)
-    witness = min(witnesses, key=lambda g: g.images)
+    # the root has a nonidentity generator (its order is above 1), and every
+    # other node is generated by strong generators, none of them the identity
+    witness = min((g for g in best_stab.generators if not g.is_identity()),
+                  key=lambda g: g.images)
     m = n - len(best_fix)
     if witness.moved_count() != m:
         raise RuntimeError(f"{group.label}: witness moves {witness.moved_count()} "

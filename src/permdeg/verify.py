@@ -443,8 +443,10 @@ class TraceReport:
     checks: list[CountCheck] = field(default_factory=list)
     conclusion_holds: bool | None = None
 
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
+
+def all_pass(checks: Iterable[CountCheck]) -> bool:
+    """Whether every non-informational check passed."""
+    return all(c.passed for c in checks if not c.informational)
 
 
 def _trace_witness(group: PermutationGroup, rng=None) -> Permutation:
@@ -884,23 +886,22 @@ class DegreeBoundRow:
     ok: bool
 
 
-def mathieu_bound_table(groups: Sequence[PermutationGroup] | None = None) -> list[DegreeBoundRow]:
+def mathieu_bound_table() -> list[DegreeBoundRow]:
     """The degree/bound table for the Mathieu fixtures.
 
     The quadruply-transitive bound max(6, ceil((n-3)/2)) is tabulated against
-    the computed minimal degree; for the builtin fixtures a mismatch with the
-    pinned expected minimal degree raises.
+    the computed minimal degree; a mismatch with the pinned expected minimal
+    degree raises.
     """
     from . import catalog
 
-    if groups is None:
-        groups = [catalog.builtin("mathieu", k) for k in (11, 12, 23, 24)]
     rows = []
-    for g in groups:
+    for k in (11, 12, 23, 24):
+        g = catalog.builtin("mathieu", k)
         result = minimal_degree(g)
         bound = max(6, (g.degree - 2) // 2)
-        expected = catalog.MATHIEU_MINIMAL_DEGREE.get(g.degree)
-        if g.label == f"M{g.degree}" and expected is not None and result.m != expected:
+        expected = catalog.MATHIEU_MINIMAL_DEGREE[k]
+        if result.m != expected:
             raise ValueError(f"{g.label}: computed minimal degree {result.m}, "
                              f"expected {expected}")
         rows.append(DegreeBoundRow(g.label, g.degree, g.transitivity_degree(),

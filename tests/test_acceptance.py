@@ -13,6 +13,7 @@ from permdeg.groups import PermutationGroup
 from permdeg.mindeg import minimal_degree, minimal_degree_backtrack, minimal_degree_exhaustive
 from permdeg.verify import (
     CLAUSES,
+    all_pass,
     commutator_law_suite,
     count_identity_suite,
     double_transitive_trace,
@@ -121,19 +122,19 @@ def test_criterion_6_trace_equalities_and_bounds():
         double = double_transitive_trace(g)
         if double.sizes["fixing"] * (double.n - 1) != double.sizes["orbit"] * (double.n - double.m):
             problems.append(f"{name}: fixing-count identity")
-        if not double.all_pass():
+        if not all_pass(double.checks):
             problems.append(f"{name}: double trace")
         triple = triple_transitive_trace(g)
         lhs = triple.sizes["overlap_pairs"] * (triple.n - 2)
         rhs = triple.sizes["orbit"] * ((triple.n - 2) + (triple.m - 1) * (triple.m - 2))
         if lhs != rhs:
             problems.append(f"{name}: overlap-pairs identity")
-        if not triple.all_pass():
+        if not all_pass(triple.checks):
             problems.append(f"{name}: triple trace")
 
     quad11 = quadruple_transitive_trace(catalog.builtin("mathieu", 11))
     if not (quad11.derived["m_shift"] == 5 and quad11.derived["slack_poly"] == 3409
-            and quad11.all_pass()):
+            and all_pass(quad11.checks)):
         problems.append("M11: quadruple shifted form")
 
     triple23 = triple_transitive_trace(catalog.builtin("mathieu", 23))

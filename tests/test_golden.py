@@ -98,6 +98,24 @@ GOLDEN = [
      "729034afe1ce83212ebdd832ed455fceb5f2c3adb3fe40199ee253e3a4626043"),
     (("verify", "catalog:M24", "counts", "--samples", "20", "--seed", "1"), 0,
      "da4652fcef592771832f17ec8d94c65c781ef3f78f8ce069d3975b18f6eef2fb"),
+    # chain readers: element enumeration, the stabilizer-prefix backtrack,
+    # and transporters and seeded draws on the large Mathieu groups
+    (("mindeg", "catalog:M11", "--method", "exhaustive"), 0,
+     "a9e66670e141f90e65b1b796ef69db5eefa23fdc0a6ebd19c732cf43d5e223f9"),
+    (("mindeg", "catalog:PSL2_7", "--method", "exhaustive"), 0,
+     "34c7ea4e602e551f361036815b7eea6e99deb4745c8b57e475e5ec793a19ab4d"),
+    (("mindeg", "catalog:M23"), 0,
+     "4250ed30b52a6b8a364cafe573278d09afbd133fd32f5017c49ef1c45be02578"),
+    (("mindeg", "catalog:M24"), 0,
+     "b6c61eb8d9dd531a4b178edd65bd5ec2d395157ca418acfb861b919647e55134"),
+    (("info", "catalog:M24"), 0,
+     "b985d61f6f843b89d16aa4a9f1ec92ffb4207de91946a7ed73db3276bb0fda35"),
+    (("trace", "catalog:M24", "jordan", "--seed", "7"), 0,
+     "b866affa6f319123b4441c381a4ec2c3dc435b1b147888f76961733624185645"),
+    (("trace", "catalog:M24", "triple", "--seed", "1"), 0,
+     "9ae7a6dfcc4a2d09fb4ad43b0f196d689abb7ec75695b21f15c1282f877e7247"),
+    (("trace", "catalog:M23", "quadruple", "--seed", "2"), 0,
+     "d9a7a6cb2f861bb14cb6d2c7e1441729748088c50268cd243f7845820d5040f7"),
 ]
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import permutations
 
@@ -89,7 +90,7 @@ def test_enumerate_partition_by_top_transversal():
     stab = g.pointwise_stabilizer([top.point])
     pieces = set()
     for point in sorted(top.transversal):
-        rep = top.transversal[point]
+        rep = Permutation(top.transversal[point])
         pieces |= {h * rep for h in stab.elements()}
     assert pieces == set(g.elements())
     assert len(pieces) == g.order
@@ -280,6 +281,28 @@ def test_chain_determinism():
     assert a.strong_gens == b.strong_gens
     for la, lb in zip(a.levels, b.levels):
         assert la.transversal == lb.transversal
+
+
+@pytest.mark.parametrize("name", ["S6", "M11", "M12", "PGL2_13"])
+def test_chain_invariants_and_immutability(name):
+    g = catalog.parse_group_name(name)
+    rng = random.Random(3)
+    for prefix in ((), (0,), (3, 1), tuple(range(g.degree))):
+        chain = g.chain(prefix)
+        for level in chain.levels:
+            assert level.orbit == tuple(sorted(level.transversal))
+            for point, rep in level.transversal.items():
+                assert type(rep) is tuple and rep[level.point] == point
+        assert chain.order() == g.order
+        # membership, transporters and draws read the chain and never change it
+        before = pickle.dumps(chain)
+        for _ in range(5):
+            x = g.random_element(rng)
+            assert g.contains(x) and chain.contains(x)
+            dst = tuple(x.images[p] for p in prefix)
+            t = g.transporter(prefix, dst)
+            assert t is not None and tuple(t.images[p] for p in prefix) == dst
+        assert pickle.dumps(chain) == before, prefix
 
 
 def test_random_element_membership():

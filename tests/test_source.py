@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import permdeg
@@ -15,3 +17,14 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def test_benchmark_tracer_installs():
+    # the traced benchmark run rebinds library names by getattr; a rename or
+    # deletion in permdeg would otherwise surface only under --trace 1
+    code = ('import sys; sys.path[:0] = ["bench", "src"]; import tracer; '
+            'tracer.install(tracer.Tracer())')
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

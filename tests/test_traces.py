@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from permdeg import catalog
 from permdeg.verify import (
+    all_pass,
     double_transitive_trace,
     jordan_bound_trace,
     mathieu_bound_table,
@@ -22,7 +23,7 @@ def test_jordan_m12_tight():
     assert (report.m, report.t) == (8, 5)
     bound = {c.label: c for c in report.checks}["jordan-bound"]
     assert bound.observed == 8 and bound.formula == 8   # tight: m = 2t - 2
-    assert report.all_pass()
+    assert all_pass(report.checks)
     assert report.conclusion_holds
 
 
@@ -30,7 +31,7 @@ def test_jordan_m24_case1():
     report = jordan_bound_trace(catalog.builtin("mathieu", 24))
     assert report.applicable and report.degenerate is None
     assert report.derived["case"] == 1
-    assert report.all_pass()
+    assert all_pass(report.checks)
 
 
 def test_jordan_m11_degenerate_but_bound_holds():
@@ -39,7 +40,7 @@ def test_jordan_m11_degenerate_but_bound_holds():
     assert report.degenerate is not None         # t multiple of p: image pinned
     assert report.derived["remainder"] == report.derived["prime"] - 1
     assert report.conclusion_holds               # 8 >= 2*4 - 2 = 6
-    assert report.all_pass()
+    assert all_pass(report.checks)
 
 
 def test_jordan_psl27_case2_constructive():
@@ -48,7 +49,7 @@ def test_jordan_psl27_case2_constructive():
     derived = report.derived
     assert derived["case"] == 2 and derived["prime"] == 3 and derived["remainder"] == 1
     assert "v" in report.witnesses
-    assert report.all_pass()
+    assert all_pass(report.checks)
 
 
 def test_jordan_inapplicable_for_alternating_containers():
@@ -67,7 +68,7 @@ def test_jordan_trivial_group():
 def test_double_trace_identity_cross_multiplied():
     for name in ("PGL2_7", "PSL2_7", "M11", "M12"):
         report = double_transitive_trace(catalog.parse_group_name(name))
-        assert report.applicable and report.all_pass(), name
+        assert report.applicable and all_pass(report.checks), name
         # |F| (n-1) == |E| (n-m) re-verified from the recorded sizes
         size_e = report.sizes["orbit"]
         size_f = report.sizes["fixing"]
@@ -99,7 +100,7 @@ def test_double_trace_inapplicable_low_transitivity():
 def test_triple_trace_identity_cross_multiplied():
     for name in ("PGL2_7", "M11", "M12"):
         report = triple_transitive_trace(catalog.parse_group_name(name))
-        assert report.applicable and report.all_pass(), name
+        assert report.applicable and all_pass(report.checks), name
         size_e = report.sizes["orbit"]
         pairs = report.sizes["overlap_pairs"]
         lhs = pairs * (report.n - 2)
@@ -121,7 +122,7 @@ def test_triple_trace_needs_three_transitivity():
 
 def test_quadruple_trace_m11_shifted_form():
     report = quadruple_transitive_trace(catalog.builtin("mathieu", 11))
-    assert report.applicable and report.all_pass()
+    assert report.applicable and all_pass(report.checks)
     assert report.derived["m_shift"] == 5
     assert report.derived["n_shift"] == 8
     assert report.derived["vertex"] == Fraction(103, 10)
@@ -138,7 +139,7 @@ def test_quadruple_trace_m24_window():
     assert checks["degree-window"].observed == 21
     assert checks["degree-window"].formula == 32
     assert checks["minimal-degree-at-least-six"].passed
-    assert report.all_pass()
+    assert all_pass(report.checks)
 
 
 def test_quadruple_trace_gates_alternating():
@@ -159,16 +160,16 @@ def test_traces_random_choice_mode():
     for seed in range(3):
         rng = random.Random(seed)
         report = double_transitive_trace(g, rng=rng)
-        assert report.all_pass(), seed
+        assert all_pass(report.checks), seed
         rng = random.Random(seed)
         report = triple_transitive_trace(g, rng=rng)
-        assert report.all_pass(), seed
+        assert all_pass(report.checks), seed
         rng = random.Random(seed)
         report = quadruple_transitive_trace(g, rng=rng)
-        assert report.all_pass(), seed
+        assert all_pass(report.checks), seed
         rng = random.Random(seed)
         trace = jordan_bound_trace(g, rng=rng)
-        assert trace.all_pass(), seed
+        assert all_pass(trace.checks), seed
 
 
 def test_jordan_report_dicts():
@@ -194,7 +195,7 @@ def test_every_trace_on_every_mathieu_group():
         for name, build in TRACES.items():
             result = build(g)
             assert result.applicable, (k, name)
-            assert result.all_pass(), (k, name)
+            assert all_pass(result.checks), (k, name)
 
 
 def test_every_trace_returns_a_trace_report():
@@ -217,7 +218,7 @@ def test_jordan_psl2_11_odd_prime_case2():
     derived = report.derived
     assert derived["case"] == 2 and derived["prime"] == 5 and derived["remainder"] == 1
     assert report.degenerate is None
-    assert report.all_pass()
+    assert all_pass(report.checks)
 
 
 def test_jordan_psl2_13_degenerate_shift():
@@ -234,5 +235,5 @@ def test_traces_on_file_loaded_group(tmp_path):
     save_generator_file(catalog.builtin("mathieu", 11), path)
     loaded = load_generator_file(path)
     report = quadruple_transitive_trace(loaded)
-    assert report.applicable and report.all_pass()
+    assert report.applicable and all_pass(report.checks)
     assert report.m == 8
