@@ -20,6 +20,7 @@ memory or time, never selects an algorithm, and is accepted but unused by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -288,10 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args reads the parser without changing it, so one process
+    # builds it once and every main call reuses it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     handlers = {

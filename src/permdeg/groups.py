@@ -7,7 +7,9 @@ orbit sizes is the group order, and factoring a permutation through the
 transversals (sifting) decides membership.  Construction is deterministic:
 generators, orbit points and Schreier generators are always processed in a
 fixed order, so bases, transversals and every derived witness are
-reproducible for a given generating sequence.
+reproducible for a given generating sequence.  Once a group's order is
+verified, later chains of the group stop as soon as their orbit lengths
+multiply to it, and come out the same as a full build.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class StabilizerChain:
 
 
 def build_chain(generators: Iterable[Permutation], degree: int,
-                base_prefix: Sequence[int] = ()) -> StabilizerChain:
+                base_prefix: Sequence[int] = (), *,
+                order: int | None = None) -> StabilizerChain:
     """Deterministic Schreier-Sims construction.
 
     The base starts with ``base_prefix`` (kept even where redundant) and is
@@ -102,6 +105,18 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     the inverse of every transversal representative, built in the same
     breadth-first pass, so stripping never inverts a permutation; the
     finished chain keeps only the representatives, as image tuples.
+
+    With ``order``, the construction stops as soon as the orbit lengths
+    multiply to it.  Each level's group lies inside the true stabilizer of
+    its base prefix, so the product never exceeds the group order, and
+    reaching it proves every level complete: every remaining Schreier
+    generator would strip to the identity, and the chain is the one a full
+    build returns.  A product above ``order`` raises ValueError; a
+    generating set that never reaches it (a proper subgroup, or an order
+    that is too large) is built in full, so ``chain.order()`` tells the
+    caller which.  A too small order that some intermediate product happens
+    to equal would cut the chain short unseen, so ``order`` must come from a
+    verified chain, never from an expected value.
     """
     gens = []
     for g in generators:
@@ -187,13 +202,21 @@ def build_chain(generators: Iterable[Permutation], degree: int,
                     return residue
         return None
 
+    def reached() -> bool:
+        if order is None:
+            return False
+        size = prod(len(table) for table in transversals)
+        if size > order:
+            raise ValueError(f"orbit lengths multiply to {size}, above the given order {order}")
+        return size == order
+
     for g in gens:
         install(g)
     for i in range(len(base)):
         rebuild_orbit(i)
 
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and not reached():
         residue = first_residue(i)
         if residue is None:
             i -= 1
@@ -231,6 +254,7 @@ class PermutationGroup:
         self.generators = gens
         self.label = label
         self._chains: dict[tuple[int, ...], StabilizerChain] = {}
+        self._order: int | None = None
         self._tdeg: int | None = None
         self.mindeg: MinDegResult | None = None  # set by mindeg.minimal_degree
 
@@ -238,16 +262,22 @@ class PermutationGroup:
         return f"PermutationGroup({self.label!r}, degree={self.degree}, gens={len(self.generators)})"
 
     def chain(self, base_prefix: Sequence[int] = ()) -> StabilizerChain:
+        """The chain whose base starts with ``base_prefix``.  A rebased chain
+        stops at the order the ``()`` chain verified, and so does the ``()``
+        chain of a stabilizer whose order its parent's chain fixed."""
         key = tuple(base_prefix)
         chain = self._chains.get(key)
         if chain is None:
-            chain = build_chain(self.generators, self.degree, key)
+            order = self.order if key else self._order
+            chain = build_chain(self.generators, self.degree, key, order=order)
             self._chains[key] = chain
         return chain
 
     @property
     def order(self) -> int:
-        return self.chain().order()
+        if self._order is None:
+            self._order = self.chain().order()
+        return self._order
 
     def contains(self, p: Permutation) -> bool:
         return self.chain().contains(p)
@@ -290,7 +320,10 @@ class PermutationGroup:
         return out
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermutationGroup":
-        """The subgroup fixing every listed point, via a chain rebased on them."""
+        """The subgroup fixing every listed point, via a chain rebased on them.
+
+        Its generators are the strong generators fixing the points, and its
+        order is the product of the rebased chain's levels past them."""
         pts = tuple(sorted(set(points)))
         if not pts:
             return self
@@ -300,7 +333,9 @@ class PermutationGroup:
         chain = self.chain(pts)
         sub = [g for g in chain.strong_gens
                if all(g.images[p] == p for p in pts)]
-        return PermutationGroup(sub, self.degree, label=f"{self.label}_stab")
+        child = PermutationGroup(sub, self.degree, label=f"{self.label}_stab")
+        child._order = prod(len(level.transversal) for level in chain.levels[len(pts):])
+        return child
 
     def transporter(self, src: Sequence[int], dst: Sequence[int]) -> Permutation | None:
         """An element mapping src[i] to dst[i] for all i, or None.
@@ -335,7 +370,8 @@ class PermutationGroup:
         points, read off a chain based on 0, 1, 2, ...: the prefix length over
         which every fundamental orbit is the whole remaining point set."""
         if self._tdeg is None:
-            chain = build_chain(self.generators, self.degree, range(self.degree))
+            chain = build_chain(self.generators, self.degree, range(self.degree),
+                                order=self.order)
             t = 0
             for i in range(self.degree):
                 if len(chain.levels[i].transversal) == self.degree - i:
@@ -382,3 +418,19 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
                 seen.add(y)
                 out.append(y)
     return (seed, *map(Permutation._trusted, out[1:]))
+
+
+def short_generators(group: PermutationGroup) -> tuple[Permutation, ...]:
+    """The shortest prefix of ``group.generators`` that generates the group.
+
+    A prefix generates a subgroup, so it generates the whole group exactly
+    when its chain, stopped at the group's verified order, reaches that
+    order.  Orbits and conjugation closures over the prefix are the same
+    sets as over every generator, reached with fewer products.
+    """
+    gens = group.generators
+    order = group.order
+    for k in range(1, len(gens)):
+        if build_chain(gens[:k], group.degree, order=order).order() == order:
+            return gens[:k]
+    return gens

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import PermutationGroup, conjugation_closure
+from .groups import PermutationGroup, conjugation_closure, short_generators
 from .mindeg import minimal_degree
 from .perm import DegreeMismatchError, Permutation, format_cycles, prime_order_witness
 
@@ -280,7 +280,7 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
     t = group.transitivity_degree() if transitivity is None else transitivity
     if orbit is None:
         stab = group.pointwise_stabilizer(dset)
-        orbit = conjugation_closure(stab.generators, u, cap)
+        orbit = conjugation_closure(short_generators(stab), u, cap)
     plan = _clause_plan(group.degree, u.moved_count(), len(dset), t, len(orbit))
     counts = _clause_counts(plan, _orbit_columns(orbit, group.degree), dset, gamma, second)
     return [ClauseResult(name, False, None) if observed is None
@@ -488,7 +488,7 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     if rng is not None:
         h = stab.random_element(rng) * h
     v = u.conjugate(h.inverse())
-    return h, v, conjugation_closure(stab.generators, v, cap)
+    return h, v, conjugation_closure(short_generators(stab), v, cap)
 
 
 def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[CountCheck],
@@ -633,7 +633,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     alpha = support[0] if rng is None else rng.choice(support)
     beta = u.images[alpha]
     stab = group.pointwise_stabilizer([alpha])
-    orbit = conjugation_closure(stab.generators, u, cap)
+    orbit = conjugation_closure(short_generators(stab), u, cap)
     size = len(orbit)
     fixers = [x for x in orbit if x.images[beta] == beta]
     middle = [a for a in support if a != alpha and a != beta]

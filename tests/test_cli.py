@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,29 @@ def test_json_deterministic_across_runs(tmp_path, capsys):
     run(capsys, "trace", "catalog:M11", "triple", "--json", str(p1))
     run(capsys, "trace", "catalog:M11", "triple", "--json", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
+    # one process parses every main call with the same parser; no option of
+    # one call may leak into the next (info must report the default seed 0)
+    commands = [("trace", "catalog:M11", "triple", "--seed", "1", "--cap", "5000"),
+                ("info", "catalog:M11")]
+    reused = []
+    for i, argv in enumerate(commands):
+        path = tmp_path / f"reused{i}.json"
+        code, out = run(capsys, *argv, "--json", str(path))
+        reused.append((code, out, path.read_bytes()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    fresh = []
+    for i, argv in enumerate(commands):
+        path = tmp_path / f"fresh{i}.json"
+        done = subprocess.run([sys.executable, "-m", "permdeg.cli", *argv, "--json", str(path)],
+                              capture_output=True, text=True, env=env)
+        fresh.append((done.returncode, done.stdout, path.read_bytes()))
+    assert reused == fresh
+    assert json.loads(reused[1][2])["seed"] == 0
 
 
 def test_file_group_round_trip(tmp_path, capsys):

@@ -116,6 +116,16 @@ GOLDEN = [
      "9ae7a6dfcc4a2d09fb4ad43b0f196d689abb7ec75695b21f15c1282f877e7247"),
     (("trace", "catalog:M23", "quadruple", "--seed", "2"), 0,
      "d9a7a6cb2f861bb14cb6d2c7e1441729748088c50268cd243f7845820d5040f7"),
+    # conjugation closures over the large groups' point and two-point
+    # stabilizers, and the known-order chains under them
+    (("trace", "catalog:M24", "double", "--seed", "3"), 0,
+     "4dec71e8de989ea9e2c45d62e83e396e7952d6f11267d3b8aeb39b71d1ea8334"),
+    (("trace", "catalog:M24", "quadruple", "--seed", "3"), 0,
+     "9ed46c2d17df9aa2e3a22256682c43963905553ff225dcbd2851c4dd9bd83243"),
+    (("trace", "catalog:M23", "double", "--seed", "3"), 0,
+     "e6821b6ff698615aef50552d7c998aea7c18830b945e1ce073a03ef3a92065cc"),
+    (("trace", "catalog:M23", "triple", "--seed", "3"), 0,
+     "852ef402b8d53ef9d462be00a8a1c800784cafef6c118b3aff84ab30ed0e8b7f"),
 ]
 
 

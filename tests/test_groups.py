@@ -9,9 +9,10 @@ from permdeg.groups import (
     PermutationGroup,
     build_chain,
     conjugation_closure,
+    short_generators,
 )
 from permdeg.perm import DegreeMismatchError, Permutation, parse_cycles
-from permdeg import catalog
+from permdeg import catalog, groups
 
 from brute import all_tuples, mulclose, tuple_orbit_transitivity
 
@@ -361,3 +362,69 @@ def test_transporter_against_brute_force():
         if got is not None:
             assert tuple(got.images[s] for s in src) == dst
             assert g.contains(got)
+
+
+@pytest.mark.parametrize("name", ["S7", "M11", "M12", "M23", "PGL2_13"])
+def test_known_order_chain_equals_full_build(name):
+    # reaching the verified order proves every level complete, so stopping
+    # there leaves the chain a full build returns, byte for byte
+    g = catalog.parse_group_name(name)
+    for prefix in ((), (5,), (4, 0, 2)):
+        full = build_chain(g.generators, g.degree, prefix)
+        known = build_chain(g.generators, g.degree, prefix, order=g.order)
+        assert pickle.dumps(known) == pickle.dumps(full), prefix
+
+
+@pytest.mark.parametrize("name", ["S7", "M11"])
+def test_known_order_too_small_raises(name):
+    # order - 1 is prime for both and above the degree, so no product of
+    # orbit lengths can equal it and the build must pass it
+    g = catalog.parse_group_name(name)
+    with pytest.raises(ValueError, match="above the given order"):
+        build_chain(g.generators, g.degree, (), order=g.order - 1)
+
+
+def test_known_order_of_a_proper_subgroup_builds_in_full():
+    g = catalog.builtin("mathieu", 11)
+    chain = build_chain(g.generators[:1], 11, order=g.order)
+    assert chain.order() == 11
+
+
+def test_stabilizer_order_needs_no_chain(monkeypatch):
+    plain = groups.build_chain
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return plain(*args, **kwargs)
+
+    for name, pts in (("M12", (0,)), ("M12", (3, 7)), ("M23", (1, 2, 5)),
+                      ("PGL2_13", (0, 13))):
+        g = catalog.parse_group_name(name)
+        stab = g.pointwise_stabilizer(pts)
+        monkeypatch.setattr(groups, "build_chain", counted)
+        order = stab.order
+        monkeypatch.setattr(groups, "build_chain", plain)
+        assert builds == [], name
+        assert order == build_chain(stab.generators, g.degree).order(), (name, pts)
+
+
+@pytest.mark.parametrize("name,shortened", [("PGL2_7", 0), ("M11", 2)])
+def test_short_generators_close_the_same_orbits(name, shortened):
+    g = catalog.parse_group_name(name)
+    rng = random.Random(4)
+    shorter = 0
+    for _ in range(4):
+        u = g.random_element(rng)
+        while u.is_identity():
+            u = g.random_element(rng)
+        delta = rng.sample(sorted(u.support()), rng.randint(1, 2))
+        stab = g.pointwise_stabilizer(delta)
+        short = short_generators(stab)
+        assert short == stab.generators[:len(short)]
+        shorter += len(short) < len(stab.generators)
+        assert PermutationGroup(short, g.degree).order == stab.order
+        closure = set(conjugation_closure(short, u))
+        assert closure == set(conjugation_closure(stab.generators, u))
+        assert closure == {u.conjugate(h) for h in stab.elements()}
+    assert shorter >= shortened
