@@ -162,36 +162,30 @@ def _cmd_info(args) -> int:
 def _cmd_verify(args) -> int:
     group = resolve_group(args.group)
     suites = []
-    failed = False
-    if args.suite in ("laws", "all"):
-        checks = commutator_law_suite(group, args.samples, args.seed)
-        suites.append(_suite_json("laws", checks, True))
-        print(f"suite laws on {group.label}:")
+    ran = []
+
+    def emit(name: str, checks, applicable: bool = True, details: dict | None = None):
+        suites.append(_suite_json(name, checks, applicable, details))
+        ran.extend(checks)
+        print(f"suite {name} on {group.label}:")
         _print_checks(checks)
-        failed = failed or not all_pass(checks)
+
+    if args.suite in ("laws", "all"):
+        emit("laws", commutator_law_suite(group, args.samples, args.seed))
     if args.suite in ("counts", "all"):
         checks, inapplicable = count_identity_suite(group, args.samples, args.seed)
-        details = {"inapplicable_clauses": inapplicable}
-        applicable = bool(checks)
-        suites.append(_suite_json("counts", checks, applicable, details))
-        print(f"suite counts on {group.label}:")
-        _print_checks(checks)
+        emit("counts", checks, bool(checks), {"inapplicable_clauses": inapplicable})
         for clause in inapplicable:
             print(f"  [SKIP] {clause}: inapplicable at this transitivity degree")
-        failed = failed or not all_pass(checks)
         if group.transitivity_degree() >= 2:
-            balance = relation_balance_checks(group)
-            suites.append(_suite_json("pair-relation", balance, True))
-            print(f"suite pair-relation on {group.label}:")
-            _print_checks(balance)
-            failed = failed or not all_pass(balance)
+            emit("pair-relation", relation_balance_checks(group))
         else:
             suites.append(_suite_json("pair-relation", [], False))
             print("suite pair-relation: inapplicable (needs a doubly transitive group)")
     result = _maybe_minimal_degree(group)
     report = _report_json(group, result.m if result else None, suites, args.seed)
     _write_json(report, args.json)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_OK if all_pass(ran) else EXIT_CHECK_FAILED
 
 
 def _cmd_trace(args) -> int:

@@ -233,9 +233,9 @@ def build_chain(generators: Iterable[Permutation], degree: int,
 class PermutationGroup:
     """A permutation group given by generators, with cached chain-backed queries.
 
-    Instances are immutable after construction; chains, the order, the
-    transitivity degree and minimal-degree results are lazily computed and
-    cached, and every query is safe to share between readers.
+    Instances are immutable after construction; chains, the order and
+    minimal-degree results are lazily computed and cached, and every query
+    is safe to share between readers.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
@@ -255,7 +255,6 @@ class PermutationGroup:
         self.label = label
         self._chains: dict[tuple[int, ...], StabilizerChain] = {}
         self._order: int | None = None
-        self._tdeg: int | None = None
         self.mindeg: MinDegResult | None = None  # set by mindeg.minimal_degree
 
     def __repr__(self) -> str:
@@ -367,19 +366,16 @@ class PermutationGroup:
 
     def transitivity_degree(self) -> int:
         """Largest t with the group transitive on ordered t-tuples of distinct
-        points, read off a chain based on 0, 1, 2, ...: the prefix length over
-        which every fundamental orbit is the whole remaining point set."""
-        if self._tdeg is None:
-            chain = build_chain(self.generators, self.degree, range(self.degree),
-                                order=self.order)
-            t = 0
-            for i in range(self.degree):
-                if len(chain.levels[i].transversal) == self.degree - i:
-                    t += 1
-                else:
-                    break
-            self._tdeg = t
-        return self._tdeg
+        points, read off the ``()`` chain: the number of leading levels whose
+        orbit is every point not yet in the base.  Past the base the
+        stabilizer is trivial, which is transitive on the one point left
+        when all n - 1 levels are full (and on the lone point when n = 1)."""
+        levels = self.chain().levels
+        n = self.degree
+        t = 0
+        while t < len(levels) and len(levels[t].orbit) == n - t:
+            t += 1
+        return t + 1 if t == n - 1 else t
 
     def contains_alternating(self) -> bool:
         """Whether the group contains every even permutation of its points.

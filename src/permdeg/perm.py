@@ -65,9 +65,6 @@ class Permutation:
     def apply(self, point: int) -> int:
         return self.images[point]
 
-    def __getitem__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right product: apply ``self`` first, then ``other``."""
         s = self.images

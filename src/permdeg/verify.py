@@ -462,9 +462,29 @@ def _trace_witness(group: PermutationGroup, rng=None) -> Permutation:
     return u
 
 
-def _overlap_size(x: Permutation, points: Sequence[int]) -> int:
-    xi = x.images
-    return sum(1 for a in points if xi[a] != a)
+def _pick(rng, points: Sequence[int]) -> int:
+    """The first of ``points``, or with an rng a random one."""
+    return points[0] if rng is None else rng.choice(points)
+
+
+def _counting_setup(name: str, group: PermutationGroup, rng, min_t: int,
+                    avoid_alternating: bool = False):
+    """(report, u, support, alpha) for a counting trace: the report applies
+    to a nontrivial, at least ``min_t``-transitive group (avoiding the
+    alternating group if asked) and then names the witness u; support is
+    supp(u) ascending and alpha a point of it.  u and alpha are None when
+    the trace does not apply."""
+    t = group.transitivity_degree()
+    report = TraceReport(name, group.label, group.degree, t, None, False)
+    if (group.order <= 1 or t < min_t
+            or (avoid_alternating and group.contains_alternating())):
+        return report, None, [], None
+    report.applicable = True
+    u = _trace_witness(group, rng)
+    report.m = u.moved_count()
+    report.witnesses["u"] = format_cycles(u)
+    support = sorted(u.support())
+    return report, u, support, _pick(rng, support)
 
 
 def _sorted_checks(checks: list[CountCheck]) -> list[CountCheck]:
@@ -477,13 +497,14 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     close the result under the pointwise stabilizer H of the pair.
 
     v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
-    (h, v, E), E the conjugates of v under H, or None when no element maps
-    the pair to the targets.  With an rng, h is first multiplied on the left
-    by a random element of H, which moves v within E.
+    (h, v, E), E the conjugates of v under H.  Both traces that call it need
+    a doubly transitive group, so h exists for any two pairs of distinct
+    points.  With an rng, h is first multiplied on the left by a random
+    element of H, which moves v within E.
     """
     h = group.transporter(pair, targets)
     if h is None:
-        return None
+        raise RuntimeError(f"{group.label}: no element maps {pair} to {targets}")
     stab = group.pointwise_stabilizer(pair)
     if rng is not None:
         h = stab.random_element(rng) * h
@@ -560,14 +581,14 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     checks.append(_eq("pinned-size", len(phi), t - 1 - r))
     support = sorted(u.support())
     outside = [a for a in support if a not in phi]
-    alpha = outside[0] if rng is None else rng.choice(outside)
+    alpha = _pick(rng, outside)
 
     if r == 0:
         report.derived["case"] = 1
         fixed = sorted(u.fixed())
         if not fixed:
             return finish("witness moves every point; no relocation target exists")
-        beta = fixed[0] if rng is None else rng.choice(fixed)
+        beta = _pick(rng, fixed)
         pinned_tuple = tuple(sorted(phi))
         v = group.transporter((*pinned_tuple, alpha), (*pinned_tuple, beta))
         if v is None:
@@ -620,45 +641,46 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     summing the overlaps against the exact moved-point count squeezes n
     below 4m + 6/(m-3) whenever the group avoids the alternating group.
     """
-    n = group.degree
-    t = group.transitivity_degree()
-    report = TraceReport("double", group.label, n, t, None, False)
-    if group.order <= 1 or t < 2:
+    report, u, support, alpha = _counting_setup("double", group, rng, 2)
+    if not report.applicable:
         return report
-    report.applicable = True
-    u = _trace_witness(group, rng)
-    m = u.moved_count()
-    report.m = m
-    support = sorted(u.support())
-    alpha = support[0] if rng is None else rng.choice(support)
-    beta = u.images[alpha]
-    stab = group.pointwise_stabilizer([alpha])
-    orbit = conjugation_closure(short_generators(stab), u, cap)
+    n, m = report.n, report.m
+    ui = u.images
+    beta = ui[alpha]
+    orbit = conjugation_closure(short_generators(group.pointwise_stabilizer([alpha])), u, cap)
     size = len(orbit)
-    fixers = [x for x in orbit if x.images[beta] == beta]
+
+    fixing = commuting = thin = pair_total = 0
+    movers = [0] * n     # per point: the fixers that move it
+    for x in orbit:
+        xi = x.images
+        if xi[beta] != beta:
+            continue
+        fixing += 1
+        commuting += not _commutator_support(ui, xi)
+        overlap = 0
+        for a in support:
+            if xi[a] != a:
+                overlap += 1
+                movers[a] += 1
+        thin += 3 * overlap < m
+        pair_total += overlap
     middle = [a for a in support if a != alpha and a != beta]
 
     checks = [
-        _eq("fixing-count-identity", len(fixers), Fraction(size * (n - m), n - 1)),
-        _eq("fixer-noncommuting",
-            sum(1 for x in fixers if not _commutator_support(u.images, x.images)), 0),
+        _eq("fixing-count-identity", fixing, Fraction(size * (n - m), n - 1)),
+        _eq("fixer-noncommuting", commuting, 0),
+        _eq("overlap-lower-third", thin, 0),
+        _eq("overlap-pairs-partition", pair_total,
+            fixing + sum(movers[g] for g in middle)),
+        _ge("overlap-pairs-lower", pair_total, Fraction(fixing * m, 3)),
+        _le("overlap-pairs-upper", pair_total,
+            fixing + Fraction((m - 2) * (m - 1) * size, n - 1)),
     ]
-    overlaps = [_overlap_size(x, support) for x in fixers]
-    checks.append(_eq("overlap-lower-third",
-                      sum(1 for o in overlaps if 3 * o < m), 0))
-    pair_total = sum(overlaps)
-    per_gamma = [sum(1 for x in fixers if x.images[g] != g) for g in middle]
-    checks.append(_eq("overlap-pairs-partition", pair_total,
-                      len(fixers) + sum(per_gamma)))
-    checks.append(_ge("overlap-pairs-lower", pair_total, Fraction(len(fixers) * m, 3)))
-    checks.append(_le("overlap-pairs-upper", pair_total,
-                      len(fixers) + Fraction((m - 2) * (m - 1) * size, n - 1)))
-
     _closing_bound(group, report, checks, 4, 6, 38, "quarter-bound")
 
-    report.witnesses = {"u": format_cycles(u), "alpha": str(alpha + 1),
-                        "beta": str(beta + 1)}
-    report.sizes = {"orbit": size, "fixing": len(fixers),
+    report.witnesses.update(alpha=str(alpha + 1), beta=str(beta + 1))
+    report.sizes = {"orbit": size, "fixing": fixing,
                     "overlap_pairs": pair_total, "middle_points": len(middle)}
     report.checks = _sorted_checks(checks)
     return report
@@ -676,74 +698,54 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     supports are wedged between m|E| and 3|F| - |G|, closing with
     n <= 3m + 4/(m-3).
     """
-    n = group.degree
-    t = group.transitivity_degree()
-    report = TraceReport("triple", group.label, n, t, None, False)
-    if group.order <= 1 or t < 3:
+    report, u, support, alpha = _counting_setup("triple", group, rng, 3)
+    if not report.applicable:
         return report
-    report.applicable = True
-    u = _trace_witness(group, rng)
-    m = u.moved_count()
-    report.m = m
-    support = sorted(u.support())
-    alpha = support[0] if rng is None else rng.choice(support)
     fixed = sorted(u.fixed())
     if not fixed:
         report.degenerate = "witness moves every point; no fixed point to relocate onto"
-        report.witnesses = {"u": format_cycles(u)}
         return report
-    beta = fixed[0] if rng is None else rng.choice(fixed)
-    relocated = _relocated_orbit(group, u, (alpha, beta), (alpha, u.images[alpha]), rng, cap)
-    if relocated is None:
-        report.degenerate = "no stabilizer element relocates the fixed point"
-        return report
-    h, v, orbit = relocated
+    beta = _pick(rng, fixed)
+    n, m = report.n, report.m
+    ui = u.images
+    h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (alpha, ui[alpha]), rng, cap)
     size = len(orbit)
-    u_inv = u.inverse()
+    u_inv = u.inverse().images
 
-    commuting = 0
-    commutator_total = 0
-    overlap_total = 0
-    doubled_total = 0
+    misplaced = commuting = commutator_total = overlap_total = doubled_total = 0
+    movers = [0] * n     # per point: the conjugates that move it
     for x in orbit:
         xi = x.images
-        commutator_size = len(_commutator_support(u.images, xi))
+        misplaced += xi[alpha] != beta
+        commutator_size = len(_commutator_support(ui, xi))
         commuting += commutator_size == 0
         commutator_total += commutator_size
         for a in support:
             if xi[a] != a:
                 overlap_total += 1
-                b = u_inv.images[a]
+                movers[a] += 1
+                b = u_inv[a]
                 if xi[b] != b:
                     doubled_total += 1
+
+    edge_formula = Fraction(size * (m - 2), n - 2)
     checks = [
-        _eq("orbit-relocation-structure",
-            sum(1 for x in orbit if x.images[alpha] != beta), 0),
+        _eq("orbit-relocation-structure", misplaced, 0),
         _eq("orbit-noncommuting", commuting, 0),
         _ge("commutator-pairs-lower", commutator_total, size * m),
+        _le("commutator-pairs-upper", commutator_total, 3 * overlap_total - doubled_total),
+        _eq("overlap-pairs-identity", overlap_total,
+            size + Fraction(size * (m - 1) * (m - 2), n - 2)),
+        _eq("overlap-pairs-partition", overlap_total,
+            size + sum(movers[g] for g in support if g != alpha)),
+        _eq("edge-mover-count-back", movers[u_inv[alpha]], edge_formula),
+        _eq("edge-mover-count-forward", movers[ui[alpha]], edge_formula),
+        _ge("doubled-overlap-lower", doubled_total, 2 * edge_formula),
     ]
-    checks.append(_le("commutator-pairs-upper", commutator_total,
-                      3 * overlap_total - doubled_total))
-    checks.append(_eq("overlap-pairs-identity", overlap_total,
-                      size + Fraction(size * (m - 1) * (m - 2), n - 2)))
-    middle = [a for a in support if a != alpha]
-    per_gamma = [sum(1 for x in orbit if x.images[g] != g) for g in middle]
-    checks.append(_eq("overlap-pairs-partition", overlap_total, size + sum(per_gamma)))
-
-    edge_back = u_inv.images[alpha]
-    edge_forward = u.images[alpha]
-    count_back = sum(1 for x in orbit if x.images[edge_back] != edge_back)
-    count_forward = sum(1 for x in orbit if x.images[edge_forward] != edge_forward)
-    edge_formula = Fraction(size * (m - 2), n - 2)
-    checks.append(_eq("edge-mover-count-back", count_back, edge_formula))
-    checks.append(_eq("edge-mover-count-forward", count_forward, edge_formula))
-    checks.append(_ge("doubled-overlap-lower", doubled_total, 2 * edge_formula))
-
     _closing_bound(group, report, checks, 3, 4, 23, "third-bound")
 
-    report.witnesses = {"u": format_cycles(u), "v": format_cycles(v),
-                        "h": format_cycles(h), "alpha": str(alpha + 1),
-                        "beta": str(beta + 1)}
+    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
+                            beta=str(beta + 1))
     report.sizes = {"orbit": size, "overlap_pairs": overlap_total,
                     "doubled_pairs": doubled_total,
                     "commutator_pairs": commutator_total}
@@ -765,91 +767,75 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
     form (2MN - (3(M+1)^2 - M))^2 <= M^4 + 14M^3 + 35M^2 + 30M + 9 with
     M = m - 3 and N = n - 3, whenever the left factor is nonnegative.
     """
-    n = group.degree
-    t = group.transitivity_degree()
-    report = TraceReport("quadruple", group.label, n, t, None, False)
-    if group.order <= 1 or t < 4 or group.contains_alternating():
+    report, u, support, alpha = _counting_setup("quadruple", group, rng, 4,
+                                                 avoid_alternating=True)
+    if not report.applicable:
         return report
-    report.applicable = True
-    u = _trace_witness(group, rng)
-    m = u.moved_count()
-    report.m = m
-    support = sorted(u.support())
-    alpha = support[0] if rng is None else rng.choice(support)
-    beta = u.images[alpha]
+    ui = u.images
+    beta = ui[alpha]
     middle = [a for a in support if a != alpha and a != beta]
     fixed = sorted(u.fixed())
     if not fixed or not middle:
         report.degenerate = "witness leaves no room for the two relocation targets"
-        report.witnesses = {"u": format_cycles(u)}
         return report
-    fix_target = fixed[0] if rng is None else rng.choice(fixed)
-    mid_target = middle[0] if rng is None else rng.choice(middle)
-    relocated = _relocated_orbit(group, u, (alpha, beta), (fix_target, mid_target), rng, cap)
-    if relocated is None:
-        report.degenerate = "no group element realizes the two relocation targets"
-        return report
-    h, v, orbit = relocated
+    fix_target = _pick(rng, fixed)
+    mid_target = _pick(rng, middle)
+    h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (fix_target, mid_target),
+                                   rng, cap)
+    n, m = report.n, report.m
     size = len(orbit)
-    support_set = u.support()
 
-    structure_violations = sum(1 for x in orbit
-                               if x.images[alpha] != alpha or x.images[beta] == beta)
-    commuting = 0
-    commutator_total = 0
-    overlap_total = 0
-    carried_total = 0
-    arrows_total = 0
-    containment_violations = 0
+    structure_violations = commuting = commutator_total = 0
+    overlap_total = carried_total = arrows_total = containment_violations = 0
     for x in orbit:
         xi = x.images
-        commutator_support = _commutator_support(u.images, xi)
-        commuting += not commutator_support
-        commutator_total += len(commutator_support)
-        overlap = {a for a in support if xi[a] != a}
-        overlap_total += len(overlap)
-        carried = {g for g in fixed if xi[g] != g and xi[g] in support_set}
-        carried_total += len(carried)
-        arrows = {g for g in support
-                  if xi[g] == g and xi[u.images[g]] != u.images[g]}
-        arrows_total += len(arrows)
-        allowed = overlap | carried | arrows
-        containment_violations += sum(1 for a in commutator_support if a not in allowed)
+        structure_violations += xi[alpha] != alpha or xi[beta] == beta
+        commutator_size = 0
+        for a in range(n):
+            b, c = xi[a], ui[a]
+            # split: a is an overlap point, a carried fixed point or an arrow
+            if c == a:
+                split = b != a and ui[b] != b
+                carried_total += split
+            elif b != a:
+                split = True
+                overlap_total += 1
+            else:
+                split = xi[c] != c
+                arrows_total += split
+            if xi[c] != ui[b]:      # a^(u x) != a^(x u): [u,x] moves a
+                commutator_size += 1
+                containment_violations += not split
+        commuting += commutator_size == 0
+        commutator_total += commutator_size
 
     checks = [
         _eq("orbit-stabilizer-structure", structure_violations, 0),
         _eq("orbit-noncommuting", commuting, 0),
         _eq("support-split-containment", containment_violations, 0),
+        _ge("commutator-pairs-lower", commutator_total, size * m),
+        _le("pair-count-split", commutator_total,
+            overlap_total + carried_total + arrows_total),
+        _eq("overlap-pairs-identity", overlap_total,
+            size + Fraction(size * (m - 1) * (m - 2), n - 2)),
+        _le("carried-pairs-upper", carried_total,
+            Fraction(size * (n - m), n - 2) * (Fraction((m - 2) ** 2, n - 3) + 1)),
+        _le("arrow-pairs-upper", arrows_total,
+            size * (1 + Fraction((n - m) * (m - 2) ** 2, (n - 2) * (n - 3)))),
     ]
-    checks.append(_ge("commutator-pairs-lower", commutator_total, size * m))
-    checks.append(_le("pair-count-split", commutator_total,
-                      overlap_total + carried_total + arrows_total))
-    checks.append(_eq("overlap-pairs-identity", overlap_total,
-                      size + Fraction(size * (m - 1) * (m - 2), n - 2)))
-    checks.append(_le("carried-pairs-upper", carried_total,
-                      Fraction(size * (n - m), n - 2)
-                      * (Fraction((m - 2) ** 2, n - 3) + 1)))
-    checks.append(_le("arrow-pairs-upper", arrows_total,
-                      size * (1 + Fraction((n - m) * (m - 2) ** 2,
-                                           (n - 2) * (n - 3)))))
 
     assembled_bound = (2 + Fraction((m - 1) * (m - 2), n - 2)
                        + Fraction(n - m, n - 2) * (Fraction((m - 2) ** 2, n - 3) + 1)
                        + Fraction((n - m) * (m - 2) ** 2, (n - 2) * (n - 3)))
     checks.append(_le("assembled-degree-inequality", m, assembled_bound))
 
-    m_shift = m - 3
-    n_shift = n - 3
+    m_shift, n_shift = m - 3, n - 3
     poly = m_shift ** 4 + 14 * m_shift ** 3 + 35 * m_shift ** 2 + 30 * m_shift + 9
     left = 2 * m_shift * n_shift - (3 * (m_shift + 1) ** 2 - m_shift)
     checks.append(_le("shifted-threshold-bound", max(left, 0) ** 2, poly))
-    report.derived = {
-        "m_shift": m_shift,
-        "n_shift": n_shift,
-        "vertex": Fraction(3 * (m_shift + 1) ** 2 - m_shift, 2 * m_shift),
-        "slack_poly": poly,
-        "contains_alternating": False,
-    }
+    report.derived = {"m_shift": m_shift, "n_shift": n_shift,
+                      "vertex": Fraction(3 * (m_shift + 1) ** 2 - m_shift, 2 * m_shift),
+                      "slack_poly": poly, "contains_alternating": False}
 
     conclusion = [
         _ge("minimal-degree-at-least-six", m, 6),
@@ -858,9 +844,8 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
     checks.extend(conclusion)
     report.conclusion_holds = all(c.passed for c in conclusion)
 
-    report.witnesses = {"u": format_cycles(u), "v": format_cycles(v),
-                        "h": format_cycles(h), "alpha": str(alpha + 1),
-                        "beta": str(beta + 1)}
+    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
+                            beta=str(beta + 1))
     report.sizes = {"orbit": size, "overlap_pairs": overlap_total,
                     "carried_pairs": carried_total, "arrow_pairs": arrows_total,
                     "commutator_pairs": commutator_total}

@@ -191,14 +191,34 @@ def test_transporter_matches_transitivity(name, param):
         assert missing
 
 
+def random_generating_set(seed):
+    """A seeded group of degree 1-8 with up to three generators, each a
+    random permutation of all points or of a leading block of them, so
+    trivial and intransitive groups turn up as well as transitive ones."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        block = rng.choice((rng.randint(1, n), n, n))
+        images = list(range(n))
+        head = images[:block]
+        rng.shuffle(head)
+        gens.append(Permutation(head + images[block:]))
+    return PermutationGroup(gens, n, f"random{seed}")
+
+
 @pytest.mark.parametrize("name,param,expected", [
     ("symmetric", 4, 4), ("alternating", 5, 3), ("cyclic", 4, 1),
     ("dihedral", 4, 1), ("pgl2", 7, 3), ("psl2", 7, 2),
+    *[("random", seed, None) for seed in range(60)],
 ])
 def test_transitivity_degree_against_tuple_orbits(name, param, expected):
-    g = catalog.builtin(name, param)
-    assert g.transitivity_degree() == expected
-    assert tuple_orbit_transitivity(list(g.generators), g.degree) == expected
+    # random generating sets are checked against the tuple closure alone
+    g = random_generating_set(param) if name == "random" else catalog.builtin(name, param)
+    found = tuple_orbit_transitivity(list(g.generators), g.degree)
+    assert g.transitivity_degree() == found
+    if expected is not None:
+        assert found == expected
 
 
 def test_transitivity_identity_group():
@@ -428,3 +448,20 @@ def test_short_generators_close_the_same_orbits(name, shortened):
         assert closure == set(conjugation_closure(stab.generators, u))
         assert closure == {u.conjugate(h) for h in stab.elements()}
     assert shorter >= shortened
+
+
+def test_validation_reads_one_chain(monkeypatch):
+    # order and transitivity degree both read the group's () chain, so
+    # building and validating a Mathieu group runs Schreier-Sims once
+    plain = groups.build_chain
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "_cache", {})
+    monkeypatch.setattr(groups, "build_chain", counted)
+    g = catalog.builtin("mathieu", 24)
+    assert g.transitivity_degree() == 5
+    assert len(builds) == 1

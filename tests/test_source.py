@@ -23,14 +23,15 @@ def test_benchmark_tracer_installs(tmp_path):
     # the traced benchmark run rebinds library names by getattr and measures
     # their arguments and results (the closure's generator count, a chain's
     # levels); a rename, deletion or signature change in permdeg would
-    # otherwise surface only under --trace 1, so one traced command runs too
-    report = tmp_path / "trace.json"
+    # otherwise surface only under --trace 1, so every traced theorem runs too
+    theorems = ("jordan", "double", "triple", "quadruple")
+    reports = [tmp_path / f"{theorem}.json" for theorem in theorems]
     code = ('import sys; sys.path[:0] = ["bench", "src"]; import tracer; '
             'tracer.install(tracer.Tracer()); from permdeg import cli; '
-            'sys.exit(cli.main(["trace", "catalog:M12", "triple", "--seed", "1", '
-            f'"--json", {str(report)!r}]))')
+            f'sys.exit(max(cli.main(["trace", "catalog:M12", theorem, "--seed", "1", '
+            f'"--json", path]) for theorem, path in {list(zip(theorems, map(str, reports)))!r}))')
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], cwd=root,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert report.stat().st_size > 0
+    assert all(report.stat().st_size > 0 for report in reports)

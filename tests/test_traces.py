@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from brute import image_chase_commutator
 from permdeg import catalog
+from permdeg.groups import conjugation_closure
+from permdeg.perm import parse_cycles
 from permdeg.verify import (
     all_pass,
     double_transitive_trace,
@@ -237,3 +242,67 @@ def test_traces_on_file_loaded_group(tmp_path):
     report = quadruple_transitive_trace(loaded)
     assert report.applicable and all_pass(report.checks)
     assert report.m == 8
+
+
+COUNTING_TRACES = {"double": double_transitive_trace, "triple": triple_transitive_trace,
+                   "quadruple": quadruple_transitive_trace}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["M11", "M12", "PGL2_7", "PGL2_13"])
+def test_counting_trace_sizes_recounted(name, seed):
+    # E is rebuilt from the report's own witnesses over every generator of
+    # the stabilizer, and each size is recounted with plain set arithmetic
+    # and image-chased commutators
+    g = catalog.parse_group_name(name)
+    n = g.degree
+    for theorem, build in COUNTING_TRACES.items():
+        report = build(g, rng=random.Random(seed) if seed else None)
+        if not report.applicable:
+            continue
+        assert report.degenerate is None, (name, seed, theorem)
+        w = report.witnesses
+        u = parse_cycles(w["u"], n)
+        alpha, beta = int(w["alpha"]) - 1, int(w["beta"]) - 1
+        if theorem == "double":
+            stab = g.pointwise_stabilizer([alpha])
+            orbit = conjugation_closure(stab.generators, u)
+        else:
+            stab = g.pointwise_stabilizer([alpha, beta])
+            orbit = conjugation_closure(stab.generators, parse_cycles(w["v"], n))
+        supp_u = u.support()
+        moved = [x.support() for x in orbit]
+        checks = by_label(report)
+        if theorem == "double":
+            fixers = [s for s in moved if beta not in s]
+            middle = supp_u - {alpha, beta}
+            expected = {"orbit": len(orbit), "fixing": len(fixers),
+                        "overlap_pairs": sum(len(supp_u & s) for s in fixers),
+                        "middle_points": len(middle)}
+            assert checks["overlap-pairs-partition"].formula == len(fixers) + sum(
+                1 for s in fixers for a in middle if a in s)
+        else:
+            expected = {"orbit": len(orbit),
+                        "overlap_pairs": sum(len(supp_u & s) for s in moved),
+                        "commutator_pairs": sum(image_chase_commutator(u, x).moved_count()
+                                                for x in orbit)}
+        if theorem == "triple":
+            u_inv = u.inverse()
+            expected["doubled_pairs"] = sum(1 for s in moved for a in supp_u & s
+                                            if u_inv.apply(a) in s)
+            assert checks["overlap-pairs-partition"].formula == len(orbit) + sum(
+                1 for s in moved for a in supp_u - {alpha} if a in s)
+            for label, point in (("edge-mover-count-back", u_inv.apply(alpha)),
+                                 ("edge-mover-count-forward", u.apply(alpha))):
+                assert checks[label].observed == sum(1 for s in moved if point in s)
+        if theorem == "quadruple":
+            carried = [{a for a in u.fixed() & s if x.apply(a) in supp_u}
+                       for x, s in zip(orbit, moved)]
+            arrows = [{a for a in supp_u - s if u.apply(a) in s} for s in moved]
+            expected["carried_pairs"] = sum(map(len, carried))
+            expected["arrow_pairs"] = sum(map(len, arrows))
+            outside = sum(len(image_chase_commutator(u, x).support()
+                              - ((supp_u & s) | c | r))
+                          for x, s, c, r in zip(orbit, moved, carried, arrows))
+            assert checks["support-split-containment"].observed == outside == 0
+        assert report.sizes == expected, (name, seed, theorem)
