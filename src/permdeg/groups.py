@@ -14,6 +14,7 @@ multiply to it, and come out the same as a full build.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -22,6 +23,12 @@ from .perm import DegreeMismatchError, Permutation
 
 if TYPE_CHECKING:
     from .mindeg import MinDegResult
+
+
+# pairs drawn per stabilizer level before falling back to its strong
+# generators; the catalog groups' one- and two-point stabilizers need at
+# most six
+_PAIR_DRAWS = 8
 
 
 class CapExceeded(RuntimeError):
@@ -254,6 +261,7 @@ class PermutationGroup:
         self.generators = gens
         self.label = label
         self._chains: dict[tuple[int, ...], StabilizerChain] = {}
+        self._pairs: dict[int, tuple[Permutation, ...]] = {}
         self._order: int | None = None
         self.mindeg: MinDegResult | None = None  # set by mindeg.minimal_degree
 
@@ -287,11 +295,7 @@ class PermutationGroup:
     def random_element(self, rng) -> Permutation:
         """A uniform random element, from one transversal choice per level;
         the product is composed on image tuples and wrapped once."""
-        g = tuple(range(self.degree))
-        for level in self.chain().levels:
-            rep = level.transversal[rng.choice(level.orbit)]
-            g = tuple([g[x] for x in rep])
-        return Permutation._trusted(g)
+        return _random_product(self.chain().levels, self.degree, rng)
 
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
@@ -336,6 +340,59 @@ class PermutationGroup:
         child._order = prod(len(level.transversal) for level in chain.levels[len(pts):])
         return child
 
+    def stabilizer_generators(self, points: Iterable[int]) -> tuple[Permutation, ...]:
+        """Generators of the pointwise stabilizer of ``points``, usually two,
+        read off the ``()`` chain without building a chain based on them.
+
+        With b the first k = |points| base points of the ``()`` chain, the
+        element g that walks that chain's transversals from b to the sorted
+        points (as ``transporter`` walks a rebased chain) conjugates one
+        stabilizer onto the other: G_(points) = g^-1 G_(b) g (Seress,
+        *Permutation Group Algorithms*, CUP 2003, on conjugating a base).
+        So one generating set of G_(b), kept per k, serves every k-set of
+        points.  It is the first pair of random elements of G_(b) (drawn
+        from the chain's levels past k by a private ``random.Random(0)``)
+        whose chain, stopped at the order those levels verified, reaches
+        it.  A random pair generates such a group with high probability
+        (Seress, ibid., on random generation; Dixon, Math. Z. 110, 1969,
+        for symmetric groups; Liebeck and Shalev, Geom. Dedicata 56, 1995,
+        for simple groups), so few pairs are drawn.  If no pair of
+        ``_PAIR_DRAWS`` draws generates G_(b), which then needs more than
+        two generators, the strong generators fixing b stand in for it.
+        If the walk fails, because the group does not carry b to the
+        points, the generators are those of ``pointwise_stabilizer``.  The
+        group they generate is the stabilizer in every case, and no
+        caller's rng is ever read.
+        """
+        pts = tuple(sorted(set(points)))
+        for pt in pts:
+            if not 0 <= pt < self.degree:
+                raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
+        g = _walk(self.chain().levels, pts, self.degree)
+        if g is None:
+            return self.pointwise_stabilizer(pts).generators
+        return tuple(x.conjugate(g) for x in self._level_pair(len(pts)))
+
+    def _level_pair(self, k: int) -> tuple[Permutation, ...]:
+        """Generators of the ``()`` chain's level-k stabilizer: the first
+        random pair that generates it, else its strong generators."""
+        pair = self._pairs.get(k)
+        if pair is None:
+            chain = self.chain()
+            levels = chain.levels[k:]
+            order = prod(len(level.orbit) for level in levels)
+            rng = random.Random(0)
+            for _ in range(_PAIR_DRAWS):
+                pair = tuple(_random_product(levels, self.degree, rng) for _ in range(2))
+                if build_chain(pair, self.degree, order=order).order() == order:
+                    break
+            else:
+                prefix = chain.base[:k]
+                pair = tuple(g for g in chain.strong_gens
+                             if all(g.images[p] == p for p in prefix))
+            self._pairs[k] = pair
+        return pair
+
     def transporter(self, src: Sequence[int], dst: Sequence[int]) -> Permutation | None:
         """An element mapping src[i] to dst[i] for all i, or None.
 
@@ -353,16 +410,7 @@ class PermutationGroup:
         for pt in (*src, *dst):
             if not 0 <= pt < self.degree:
                 raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
-        # acc = rep_i * ... * rep_1 on image tuples; the next level's
-        # representative must carry its base point to acc^-1(target)
-        acc = tuple(range(self.degree))
-        chain = self.chain(src)
-        for level, target in zip(chain.levels, dst):
-            rep = level.transversal.get(acc.index(target))
-            if rep is None:
-                return None
-            acc = tuple([acc[x] for x in rep])
-        return Permutation._trusted(acc)
+        return _walk(self.chain(src).levels, dst, self.degree)
 
     def transitivity_degree(self) -> int:
         """Largest t with the group transitive on ordered t-tuples of distinct
@@ -392,6 +440,35 @@ class PermutationGroup:
         return self.contains(probe)
 
 
+def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
+          degree: int) -> Permutation | None:
+    """The element that carries the base point of levels[i] to targets[i]
+    for every i, taking the first representative at each level, or None
+    when some level's orbit misses its target or there are fewer levels
+    than targets."""
+    if len(levels) < len(targets):
+        return None
+    # acc = rep_i * ... * rep_1 on image tuples; the next level's
+    # representative must carry its base point to acc^-1(target)
+    acc = tuple(range(degree))
+    for level, target in zip(levels, targets):
+        rep = level.transversal.get(acc.index(target))
+        if rep is None:
+            return None
+        acc = tuple([acc[x] for x in rep])
+    return Permutation._trusted(acc)
+
+
+def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Permutation:
+    """A uniform random element of the group the chain ``levels`` describe,
+    from one transversal choice per level, composed on image tuples."""
+    g = tuple(range(degree))
+    for level in levels:
+        rep = level.transversal[rng.choice(level.orbit)]
+        g = tuple([g[x] for x in rep])
+    return Permutation._trusted(g)
+
+
 def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
                         cap: int = 10_000_000) -> tuple[Permutation, ...]:
     """Close ``seed`` under conjugation by the given generators (breadth first).
@@ -415,18 +492,3 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
                 out.append(y)
     return (seed, *map(Permutation._trusted, out[1:]))
 
-
-def short_generators(group: PermutationGroup) -> tuple[Permutation, ...]:
-    """The shortest prefix of ``group.generators`` that generates the group.
-
-    A prefix generates a subgroup, so it generates the whole group exactly
-    when its chain, stopped at the group's verified order, reaches that
-    order.  Orbits and conjugation closures over the prefix are the same
-    sets as over every generator, reached with fewer products.
-    """
-    gens = group.generators
-    order = group.order
-    for k in range(1, len(gens)):
-        if build_chain(gens[:k], group.degree, order=order).order() == order:
-            return gens[:k]
-    return gens

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import PermutationGroup, conjugation_closure, short_generators
+from .groups import PermutationGroup, conjugation_closure
 from .mindeg import minimal_degree
 from .perm import DegreeMismatchError, Permutation, format_cycles, prime_order_witness
 
@@ -279,8 +279,7 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
     _check_configuration(group, u, dset, [(gamma, second)])
     t = group.transitivity_degree() if transitivity is None else transitivity
     if orbit is None:
-        stab = group.pointwise_stabilizer(dset)
-        orbit = conjugation_closure(short_generators(stab), u, cap)
+        orbit = conjugation_closure(group.stabilizer_generators(dset), u, cap)
     plan = _clause_plan(group.degree, u.moved_count(), len(dset), t, len(orbit))
     counts = _clause_counts(plan, _orbit_columns(orbit, group.degree), dset, gamma, second)
     return [ClauseResult(name, False, None) if observed is None
@@ -499,17 +498,19 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
     (h, v, E), E the conjugates of v under H.  Both traces that call it need
     a doubly transitive group, so h exists for any two pairs of distinct
-    points.  With an rng, h is first multiplied on the left by a random
-    element of H, which moves v within E.
+    points.  E is closed over ``group.stabilizer_generators(pair)``, which
+    builds no chain based on the pair and reads no rng.  With an rng, h is
+    first multiplied on the left by a random element of H, which moves v
+    within E; it is drawn from ``pointwise_stabilizer(pair)``, whose
+    rebased chain fixes the element each seeded draw picks.
     """
     h = group.transporter(pair, targets)
     if h is None:
         raise RuntimeError(f"{group.label}: no element maps {pair} to {targets}")
-    stab = group.pointwise_stabilizer(pair)
     if rng is not None:
-        h = stab.random_element(rng) * h
+        h = group.pointwise_stabilizer(pair).random_element(rng) * h
     v = u.conjugate(h.inverse())
-    return h, v, conjugation_closure(short_generators(stab), v, cap)
+    return h, v, conjugation_closure(group.stabilizer_generators(pair), v, cap)
 
 
 def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[CountCheck],
@@ -647,7 +648,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     n, m = report.n, report.m
     ui = u.images
     beta = ui[alpha]
-    orbit = conjugation_closure(short_generators(group.pointwise_stabilizer([alpha])), u, cap)
+    orbit = conjugation_closure(group.stabilizer_generators([alpha]), u, cap)
     size = len(orbit)
 
     fixing = commuting = thin = pair_total = 0
@@ -980,8 +981,8 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
     for u, delta, draws in batches:
         dset = frozenset(delta)
         _check_configuration(group, u, dset, draws)
-        stab = group.pointwise_stabilizer(delta)
-        orbits = _pair_orbits([g.images for g in stab.generators], u.images)
+        orbits = _pair_orbits([g.images for g in group.stabilizer_generators(delta)],
+                              u.images)
         plan = _clause_plan(n, u.moved_count(), len(dset), t, 1)
         for gamma, second in draws:
             shares = _clause_shares(plan, orbits, dset, gamma, second)

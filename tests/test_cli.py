@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from permdeg import catalog
 from permdeg.cli import main
 
 
@@ -181,6 +182,30 @@ def test_json_deterministic_across_runs(tmp_path, capsys):
     run(capsys, "trace", "catalog:M11", "triple", "--json", str(p1))
     run(capsys, "trace", "catalog:M11", "triple", "--json", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_seeded_traces_ignore_filled_stabilizer_pairs(tmp_path, capsys, monkeypatch):
+    # the carried stabilizer pairs are drawn from a private rng, so a seeded
+    # trace writes the same bytes on a fresh group as on one whose pairs an
+    # earlier counts suite already drew
+    theorems = ("triple", "quadruple")
+
+    def trace(theorem, tag):
+        path = tmp_path / f"{tag}-{theorem}.json"
+        code, _ = run(capsys, "trace", "catalog:M12", theorem, "--seed", "3",
+                      "--json", str(path))
+        assert code == 0
+        return path.read_bytes()
+
+    fresh = []
+    for theorem in theorems:
+        monkeypatch.setattr(catalog, "_cache", {})
+        fresh.append(trace(theorem, "fresh"))
+    monkeypatch.setattr(catalog, "_cache", {})
+    code, _ = run(capsys, "verify", "catalog:M12", "counts", "--samples", "200", "--seed", "5")
+    assert code == 0
+    assert set(catalog.parse_group_name("M12")._pairs) == {1, 2}
+    assert [trace(theorem, "filled") for theorem in theorems] == fresh
 
 
 def test_reused_parser_matches_fresh_processes(tmp_path, capsys):

@@ -9,7 +9,6 @@ from permdeg.groups import (
     PermutationGroup,
     build_chain,
     conjugation_closure,
-    short_generators,
 )
 from permdeg.perm import DegreeMismatchError, Permutation, parse_cycles
 from permdeg import catalog, groups
@@ -429,25 +428,63 @@ def test_stabilizer_order_needs_no_chain(monkeypatch):
         assert order == build_chain(stab.generators, g.degree).order(), (name, pts)
 
 
-@pytest.mark.parametrize("name,shortened", [("PGL2_7", 0), ("M11", 2)])
-def test_short_generators_close_the_same_orbits(name, shortened):
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["PGL2_7", "M11", "M12", "PSL2_13"])
+def test_stabilizer_generators_close_the_same_orbits(name, k):
     g = catalog.parse_group_name(name)
-    rng = random.Random(4)
-    shorter = 0
-    for _ in range(4):
+    rng = random.Random(4 + k)
+    for _ in range(3):
         u = g.random_element(rng)
         while u.is_identity():
             u = g.random_element(rng)
-        delta = rng.sample(sorted(u.support()), rng.randint(1, 2))
+        delta = rng.sample(sorted(u.support()), k)
         stab = g.pointwise_stabilizer(delta)
-        short = short_generators(stab)
-        assert short == stab.generators[:len(short)]
-        shorter += len(short) < len(stab.generators)
-        assert PermutationGroup(short, g.degree).order == stab.order
-        closure = set(conjugation_closure(short, u))
-        assert closure == set(conjugation_closure(stab.generators, u))
-        assert closure == {u.conjugate(h) for h in stab.elements()}
-    assert shorter >= shortened
+        gens = g.stabilizer_generators(delta)
+        assert PermutationGroup(gens, g.degree).order == stab.order
+        assert set(conjugation_closure(gens, u)) == {u.conjugate(h) for h in stab.elements()}
+
+
+def test_stabilizer_generators_fallbacks(monkeypatch):
+    # the point stabilizers of C2^4 are C2^3, which no pair generates, so
+    # the strong generators fixing the base prefix stand in for the pair;
+    # a point outside the first base point's orbit takes pointwise_stabilizer
+    g = PermutationGroup([parse_cycles(f"({a},{a + 1})", 8) for a in (1, 3, 5, 7)], 8)
+    chain = g.chain()
+    assert chain.base == (0, 2, 4, 6)
+    rebased = []
+    plain = PermutationGroup.pointwise_stabilizer
+
+    def recorded(group, points):
+        rebased.append(tuple(points))
+        return plain(group, points)
+
+    monkeypatch.setattr(PermutationGroup, "pointwise_stabilizer", recorded)
+    swap = parse_cycles("(1,2)", 8)
+    carried = g.stabilizer_generators([1])
+    assert carried == tuple(s.conjugate(swap) for s in chain.strong_gens
+                            if s.images[0] == 0)
+    assert len(carried) == 3 and rebased == []
+    outside = g.stabilizer_generators([2])
+    assert rebased == [(2,)]
+    assert outside == plain(g, [2]).generators
+    for points, gens in (([1], carried), ([2], outside)):
+        stab = plain(g, points)
+        assert PermutationGroup(gens, 8).order == stab.order
+        assert (PermutationGroup(gens, 8).orbit_partition()
+                == PermutationGroup(stab.generators, 8).orbit_partition())
+        for u in g.elements():
+            assert (set(conjugation_closure(gens, u))
+                    == set(conjugation_closure(stab.generators, u)))
+
+
+def test_stabilizer_generators_read_no_chain_of_their_points():
+    g = catalog.parse_group_name("M12")
+    g.chain()
+    before = set(g._chains)
+    for points in ([3], [3, 7], [11, 0]):
+        g.stabilizer_generators(points)
+    assert set(g._chains) == before
+    assert len(g.stabilizer_generators([5, 9])) == 2
 
 
 def test_validation_reads_one_chain(monkeypatch):

@@ -35,3 +35,20 @@ def test_benchmark_tracer_installs(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert all(report.stat().st_size > 0 for report in reports)
+
+
+def test_library_reads_no_shared_rng():
+    # random.choice and the other module-level functions read the global
+    # rng, which any caller may reseed or advance, so seeded bytes would
+    # depend on the caller; only seeded random.Random instances are allowed
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "random"
+                  and not (node.func.attr == "Random" and len(node.args) == 1
+                           and not node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and found == []
