@@ -1,4 +1,10 @@
-"""Permutation groups, stabilizer chains, minimal degree and exact count checks."""
+"""Permutation groups, stabilizer chains, minimal degree and exact count checks.
+
+``permdeg.verify`` is imported on first use, so commands that never verify
+anything do not pay for it.
+"""
+
+import importlib
 
 from .perm import (
     CycleParseError,
@@ -16,7 +22,7 @@ from .groups import (
     conjugation_closure,
 )
 from .mindeg import MinDegResult, minimal_degree, minimal_degree_backtrack, minimal_degree_exhaustive
-from . import catalog, verify
+from . import catalog
 
 __version__ = "0.1.0"
 
@@ -39,3 +45,11 @@ __all__ = [
     "prime_order_witness",
     "verify",
 ]
+
+
+def __getattr__(name):
+    # PEP 562 hook, reached once: the import binds permdeg.verify.  A
+    # ``from . import verify`` here would re-enter the hook and recurse.
+    if name == "verify":
+        return importlib.import_module(".verify", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

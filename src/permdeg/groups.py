@@ -15,7 +15,6 @@ multiply to it, and come out the same as a full build.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import factorial, prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -35,15 +34,18 @@ class CapExceeded(RuntimeError):
     """A configured orbit or enumeration cap was exceeded."""
 
 
-@dataclass
 class ChainLevel:
     """One level: its base point, the transversal (orbit point b -> the image
     tuple of an element carrying the base point to b) and the orbit in
     ascending order."""
 
-    point: int
-    transversal: dict[int, tuple[int, ...]]
-    orbit: tuple[int, ...]
+    __slots__ = ("point", "transversal", "orbit")
+
+    def __init__(self, point: int, transversal: dict[int, tuple[int, ...]],
+                 orbit: tuple[int, ...]):
+        self.point = point
+        self.transversal = transversal
+        self.orbit = orbit
 
 
 class StabilizerChain:

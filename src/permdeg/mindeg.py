@@ -9,19 +9,15 @@ exhaustive scan is called directly (tests, ``mindeg --method exhaustive``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groups import CapExceeded, PermutationGroup
 from .perm import Permutation
 
-
-@dataclass(frozen=True)
-class MinDegResult:
-    m: int
-    witness: Permutation
-    method: str
-    elements_visited: int
-    nodes_pruned: int
+# m, a nonidentity witness moving exactly m points, the method that found
+# it, and the elements or search nodes visited and the nodes pruned
+MinDegResult = namedtuple("MinDegResult",
+                          "m witness method elements_visited nodes_pruned")
 
 
 def minimal_degree_exhaustive(group: PermutationGroup,

@@ -23,7 +23,7 @@ their orbits under the pointwise stabilizer of delta, and each clause of a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,14 +36,11 @@ class PreconditionError(ValueError):
     """An input set violates the hypothesis of the check it was passed to."""
 
 
-@dataclass(frozen=True)
-class CountCheck:
-    label: str
-    relation: str          # "=", "<=", ">=" or "subset"
-    observed: int
-    formula: Fraction
-    passed: bool
-    informational: bool = False
+# relation is "=", "<=", ">=" or "subset"; observed is an int and formula a
+# Fraction; an informational check never fails a suite
+CountCheck = namedtuple("CountCheck",
+                        "label relation observed formula passed informational",
+                        defaults=(False,))
 
 
 def _eq(label: str, observed: int, formula, informational: bool = False) -> CountCheck:
@@ -74,6 +71,16 @@ def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
     ux = [x[b] for b in u]
     xu = [u[b] for b in x]
     return [a for a in range(len(u)) if ux[a] != xu[a]]
+
+
+def _commute(u: tuple[int, ...], x: tuple[int, ...], support: Iterable[int]) -> bool:
+    """Whether u and x commute, from image tuples and supp(u).
+
+    u x and x u agree everywhere once they agree on supp(u): x then maps
+    supp(u) into, hence onto, itself, and so the fixed points of u onto
+    themselves.  The scan stops at the first point where they differ.
+    """
+    return all(x[u[a]] == u[x[a]] for a in support)
 
 
 # (label, relation, informational) of each law, in the order _LawFacts.laws
@@ -184,13 +191,9 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
 # invariant bipartite relations (biregular counting)
 
 
-@dataclass(frozen=True)
-class ProductAction:
-    """One group acting on two index sets: per generator, an action on each."""
-
-    left_degree: int
-    right_degree: int
-    generator_pairs: tuple[tuple[Permutation, Permutation], ...]
+# one group acting on two index sets: per generator, a pair of permutations
+# of degrees left_degree and right_degree
+ProductAction = namedtuple("ProductAction", "left_degree right_degree generator_pairs")
 
 
 def distinct_pair_action(gens: Sequence[Permutation], degree: int):
@@ -242,11 +245,8 @@ def invariant_relation_counts(action: ProductAction,
 # conjugation-orbit counting identities
 
 
-@dataclass(frozen=True)
-class ClauseResult:
-    clause: str
-    applicable: bool
-    check: CountCheck | None
+# check is None when the clause is inapplicable
+ClauseResult = namedtuple("ClauseResult", "clause applicable check")
 
 
 CLAUSES = ("fixes-gamma", "moves-gamma", "fixes-gamma-moves-second",
@@ -424,23 +424,33 @@ def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: frozenset[int],
 # bound traces
 
 
-@dataclass
 class TraceReport:
     """The result of every trace builder.  An inapplicable trace has no
     checks; a degenerate one names the construction step that failed."""
 
-    name: str
-    group_label: str
-    n: int
-    t: int
-    m: int | None
-    applicable: bool
-    degenerate: str | None = None
-    witnesses: dict[str, str] = field(default_factory=dict)
-    sizes: dict[str, int] = field(default_factory=dict)
-    derived: dict[str, object] = field(default_factory=dict)
-    checks: list[CountCheck] = field(default_factory=list)
-    conclusion_holds: bool | None = None
+    __slots__ = ("name", "group_label", "n", "t", "m", "applicable", "degenerate",
+                 "witnesses", "sizes", "derived", "checks", "conclusion_holds")
+
+    def __init__(self, name: str, group_label: str, n: int, t: int, m: int | None,
+                 applicable: bool, degenerate: str | None = None,
+                 witnesses: dict[str, str] | None = None,
+                 sizes: dict[str, int] | None = None,
+                 derived: dict[str, object] | None = None,
+                 checks: list[CountCheck] | None = None,
+                 conclusion_holds: bool | None = None):
+        self.name = name
+        self.group_label = group_label
+        self.n = n
+        self.t = t
+        self.m = m
+        self.applicable = applicable
+        self.degenerate = degenerate
+        # fresh containers per report: the builders fill them in place
+        self.witnesses = {} if witnesses is None else witnesses
+        self.sizes = {} if sizes is None else sizes
+        self.derived = {} if derived is None else derived
+        self.checks = [] if checks is None else checks
+        self.conclusion_holds = conclusion_holds
 
 
 def all_pass(checks: Iterable[CountCheck]) -> bool:
@@ -658,7 +668,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
         if xi[beta] != beta:
             continue
         fixing += 1
-        commuting += not _commutator_support(ui, xi)
+        commuting += _commute(ui, xi, support)
         overlap = 0
         for a in support:
             if xi[a] != a:
@@ -862,14 +872,8 @@ TRACES = {
 }
 
 
-@dataclass(frozen=True)
-class DegreeBoundRow:
-    label: str
-    n: int
-    t: int
-    m: int
-    bound: int
-    ok: bool
+# ok is m >= bound
+DegreeBoundRow = namedtuple("DegreeBoundRow", "label n t m bound ok")
 
 
 def mathieu_bound_table() -> list[DegreeBoundRow]:

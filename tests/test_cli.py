@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from permdeg import catalog
-from permdeg.cli import main
+from permdeg.cli import build_parser, main
+from permdeg.verify import TRACES
 
 
 def run(capsys, *argv):
@@ -229,6 +231,16 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
         fresh.append((done.returncode, done.stdout, path.read_bytes()))
     assert reused == fresh
     assert json.loads(reused[1][2])["seed"] == 0
+
+
+def test_trace_choices_match_the_trace_builders():
+    # the parser lists the trace names itself so that building it imports
+    # no verify; this keeps the list equal to the builders verify offers
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    theorem = next(action for action in subparsers.choices["trace"]._actions
+                   if action.dest == "theorem")
+    assert tuple(theorem.choices) == tuple(sorted(TRACES))
 
 
 def test_file_group_round_trip(tmp_path, capsys):

@@ -8,6 +8,13 @@ from pathlib import Path
 import permdeg
 
 SOURCES = sorted(Path(permdeg.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with the library on its path."""
+    return subprocess.run([sys.executable, "-c", f'import sys; sys.path[:0] = ["src"]; {code}'],
+                          cwd=ROOT, capture_output=True, text=True)
 
 
 def test_library_has_no_assert_statements():
@@ -30,8 +37,7 @@ def test_benchmark_tracer_installs(tmp_path):
             'tracer.install(tracer.Tracer()); from permdeg import cli; '
             f'sys.exit(max(cli.main(["trace", "catalog:M12", theorem, "--seed", "1", '
             f'"--json", path]) for theorem, path in {list(zip(theorems, map(str, reports)))!r}))')
-    root = Path(__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", code], cwd=root,
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert all(report.stat().st_size > 0 for report in reports)
@@ -52,3 +58,48 @@ def test_library_reads_no_shared_rng():
                            and not node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 10 ms of
+    # every cold start; the record types are namedtuples and slotted classes
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and found == []
+
+
+def test_info_and_mindeg_leave_verify_unloaded(tmp_path):
+    # the cold commands that never verify anything must not import verify,
+    # dataclasses or fractions; only modules the run itself added count, so
+    # a site hook that preloads one of them does not matter
+    report = str(tmp_path / "report.json")
+    done = _fresh(
+        "before = set(sys.modules); from permdeg import cli; "
+        f"codes = [cli.main(['info', 'catalog:M11', '--json', {report!r}]), "
+        f"cli.main(['mindeg', 'catalog:M11', '--json', {report!r}])]; "
+        "added = set(sys.modules) - before; "
+        "print(codes, sorted(added & {'permdeg.verify', 'dataclasses', 'fractions'}))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_verify_loads_on_first_use():
+    done = _fresh("import permdeg; assert 'permdeg.verify' not in sys.modules; "
+                  "print(sorted(permdeg.verify.TRACES)); "
+                  "print(sys.modules['permdeg.verify'] is permdeg.verify)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['double', 'jordan', 'quadruple', 'triple']", "True"]
+    done = _fresh("from permdeg import *; print(verify.__name__)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "permdeg.verify"
+    done = _fresh("import permdeg; permdeg.no_such_name")
+    assert "AttributeError" in done.stderr and "no_such_name" in done.stderr

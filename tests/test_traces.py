@@ -8,6 +8,7 @@ from permdeg import catalog
 from permdeg.groups import conjugation_closure
 from permdeg.perm import parse_cycles
 from permdeg.verify import (
+    _commute,
     all_pass,
     double_transitive_trace,
     jordan_bound_trace,
@@ -281,6 +282,9 @@ def test_counting_trace_sizes_recounted(name, seed):
                         "middle_points": len(middle)}
             assert checks["overlap-pairs-partition"].formula == len(fixers) + sum(
                 1 for s in fixers for a in middle if a in s)
+            assert checks["fixer-noncommuting"].observed == sum(
+                1 for x, s in zip(orbit, moved)
+                if beta not in s and image_chase_commutator(u, x).is_identity())
         else:
             expected = {"orbit": len(orbit),
                         "overlap_pairs": sum(len(supp_u & s) for s in moved),
@@ -306,3 +310,17 @@ def test_counting_trace_sizes_recounted(name, seed):
                           for x, s, c, r in zip(orbit, moved, carried, arrows))
             assert checks["support-split-containment"].observed == outside == 0
         assert report.sizes == expected, (name, seed, theorem)
+
+
+def test_commute_reads_only_the_support_of_u():
+    # every ordered pair of S4 (commuting ones included) against the
+    # image-chased commutator
+    elements = list(catalog.parse_group_name("S4").elements())
+    commuting = 0
+    for u in elements:
+        support = sorted(u.support())
+        for x in elements:
+            expected = image_chase_commutator(u, x).is_identity()
+            assert _commute(u.images, x.images, support) == expected, (u, x)
+            commuting += expected
+    assert 0 < commuting < len(elements) ** 2

@@ -6,11 +6,14 @@ from hypothesis import given, strategies as st
 
 from permdeg import catalog
 from permdeg.groups import PermutationGroup, conjugation_closure
+from permdeg.mindeg import minimal_degree
 from permdeg.perm import Permutation, parse_cycles
 from permdeg.verify import (
     CLAUSES,
+    CountCheck,
     PreconditionError,
     ProductAction,
+    TraceReport,
     _clause_counts,
     _clause_plan,
     _clause_shares,
@@ -24,6 +27,7 @@ from permdeg.verify import (
     count_identity_suite,
     distinct_pair_action,
     invariant_relation_counts,
+    mathieu_bound_table,
     relation_balance_checks,
 )
 
@@ -433,3 +437,17 @@ def test_pair_orbit_shares_match_closure_counts(name, param):
                     assert (share == formula) == res.check.passed
                     formula_failures += not res.check.passed
     assert formula_failures > 0
+
+
+def test_record_types_are_fixed_and_reports_own_their_containers():
+    check = CountCheck("label", "=", 1, Fraction(1), True)
+    assert check.informational is False
+    records = [(check, "passed"), (minimal_degree(catalog.parse_group_name("S5")), "m"),
+               (mathieu_bound_table()[0], "ok")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    first, second = (TraceReport("double", "S5", 5, 5, None, False) for _ in range(2))
+    for name in ("checks", "sizes", "witnesses", "derived"):
+        assert getattr(first, name) is not getattr(second, name), name
+        assert not getattr(first, name), name
