@@ -10,15 +10,21 @@ fixed order, so bases, transversals and every derived witness are
 reproducible for a given generating sequence.  Once a group's order is
 verified, later chains of the group stop as soon as their orbit lengths
 multiply to it, and come out the same as a full build.
+
+Everything runs on image tuples, composed in C by ``operator.itemgetter``:
+products, sifts, Schreier generators, transporter walks and random draws
+through ``perm.compose``, and conjugation closures through getters of
+their own, one per orbit element shared by every generator.
 """
 
 from __future__ import annotations
 
 import random
 from math import factorial, prod
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .perm import DegreeMismatchError, Permutation
+from .perm import DegreeMismatchError, Permutation, compose
 
 if TYPE_CHECKING:
     from .mindeg import MinDegResult
@@ -79,7 +85,7 @@ class StabilizerChain:
             rep = level.transversal.get(q.index(level.point))
             if rep is None:
                 return False
-            q = tuple([q[x] for x in rep])
+            q = compose(rep, q)
         return q == tuple(range(self.degree))
 
     def elements(self) -> Iterator[Permutation]:
@@ -92,7 +98,7 @@ class StabilizerChain:
                 return
             transversal = levels[i].transversal
             for point in levels[i].orbit:
-                yield from walk(i + 1, tuple([right[x] for x in transversal[point]]))
+                yield from walk(i + 1, compose(transversal[point], right))
 
         return walk(0, tuple(range(self.degree)))
 
@@ -165,8 +171,8 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             for s, s_inv in gen_lists[i]:
                 b = s[a]
                 if b not in table:
-                    table[b] = tuple([s[x] for x in rep])
-                    inv[b] = tuple([rep_inv[x] for x in s_inv])
+                    table[b] = compose(rep, s)
+                    inv[b] = compose(s_inv, rep_inv)
                     queue.append(b)
         transversals[i] = table
         inverses[i] = inv
@@ -176,7 +182,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             rep_inv = inverses[j].get(g[base[j]])
             if rep_inv is None:
                 break
-            g = tuple([rep_inv[x] for x in g])
+            g = compose(g, rep_inv)
         return g
 
     def install(g: Permutation) -> int:
@@ -203,7 +209,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             rep = table[a]
             for s, _ in gen_lists[i]:
                 back = inv[s[a]]
-                schreier = tuple([back[s[r]] for r in rep])
+                schreier = compose(compose(rep, s), back)
                 if schreier == ident:
                     continue
                 residue = strip(schreier, i + 1)
@@ -457,7 +463,7 @@ def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
         rep = level.transversal.get(acc.index(target))
         if rep is None:
             return None
-        acc = tuple([acc[x] for x in rep])
+        acc = compose(rep, acc)
     return Permutation._trusted(acc)
 
 
@@ -467,7 +473,7 @@ def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Permutati
     g = tuple(range(degree))
     for level in levels:
         rep = level.transversal[rng.choice(level.orbit)]
-        g = tuple([g[x] for x in rep])
+        g = compose(rep, g)
     return Permutation._trusted(g)
 
 
@@ -480,13 +486,20 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
     for g in gens:
         if g.degree != seed.degree:
             raise DegreeMismatchError(f"degree mismatch: {g.degree} vs {seed.degree}")
-    # g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]]
-    pairs = [(g.images, g.inverse().images) for g in gens]
+    if seed.degree == 1:
+        # the identity is the only permutation of one point, and a getter of
+        # one index would return a bare entry, not a tuple
+        return (seed,)
+    # g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]]: one getter per
+    # element x, shared by every generator, reads z = (g[x[a]] for each a),
+    # and each generator's prebuilt getter of g^-1 reorders z into y
+    pairs = [(g.images, itemgetter(*g.inverse().images)) for g in gens]
     seen = {seed.images}
     out = [seed.images]
     for x in out:
-        for g, g_inv in pairs:
-            y = tuple([g[x[b]] for b in g_inv])
+        x_getter = itemgetter(*x)
+        for g, inv_getter in pairs:
+            y = inv_getter(x_getter(g))
             if y not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"conjugation orbit exceeds cap {cap}")

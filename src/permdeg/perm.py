@@ -5,6 +5,13 @@ compose left to right: ``(p * q).apply(a) == q.apply(p.apply(a))``.  All
 text I/O uses 1-based disjoint-cycle notation such as ``(1,2,3)(4,5)``;
 internally a permutation is an immutable 0-based image tuple.
 
+``compose(first, then)`` is the library's product of image tuples (only
+the conjugation closure in ``groups`` keeps itemgetters of its own): entry
+a of the result is ``then[first[a]]``, so ``first`` acts first, the order
+``*`` uses.  It is ``operator.itemgetter(*first)`` applied to ``then``, so
+the tuple is built in C.  An itemgetter of one index returns a bare entry,
+so a degree-1 product is made into a 1-tuple by hand.
+
 A permutation is validated once, when it is constructed from outside data:
 the public constructor checks that the entries are integers forming a
 bijection of 0..n-1.  Products, inverses, conjugates and powers of
@@ -17,6 +24,7 @@ from __future__ import annotations
 import operator
 import re
 from math import lcm
+from operator import itemgetter
 
 
 class CycleParseError(ValueError):
@@ -25,6 +33,14 @@ class CycleParseError(ValueError):
 
 class DegreeMismatchError(ValueError):
     """Operands act on different numbers of points."""
+
+
+def compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of ``first`` followed by ``then``: ``then[first[a]]``
+    at each point a.  Both must have the same length, at least 1."""
+    if len(first) == 1:
+        return (then[first[0]],)
+    return itemgetter(*first)(then)
 
 
 def _mismatch(p: tuple, q: tuple) -> DegreeMismatchError:
@@ -71,7 +87,7 @@ class Permutation:
         o = other.images
         if len(s) != len(o):
             raise _mismatch(s, o)
-        return Permutation._trusted(tuple([o[b] for b in s]))
+        return Permutation._trusted(compose(s, o))
 
     def inverse(self) -> "Permutation":
         imgs = [0] * len(self.images)

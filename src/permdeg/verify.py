@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .groups import PermutationGroup, conjugation_closure
 from .mindeg import minimal_degree
-from .perm import DegreeMismatchError, Permutation, format_cycles, prime_order_witness
+from .perm import DegreeMismatchError, Permutation, compose, format_cycles, prime_order_witness
 
 
 class PreconditionError(ValueError):
@@ -68,8 +68,8 @@ def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
     [u,x] = (u x)(x u)^-1 fixes a exactly when u x and x u agree at a, so
     two products and no inverse decide the support.
     """
-    ux = [x[b] for b in u]
-    xu = [u[b] for b in x]
+    ux = compose(u, x)
+    xu = compose(x, u)
     return [a for a in range(len(u)) if ux[a] != xu[a]]
 
 
@@ -126,7 +126,7 @@ def _law_facts(u: tuple[int, ...], v: tuple[int, ...]) -> _LawFacts:
     comm_set = set(comm)
     delta = {a for a in support if v[a] != a}
     outside = [a for a in comm if a not in delta]
-    forward = delta.union([u[d] for d in delta], [v[d] for d in delta])
+    forward = delta.union({u[d] for d in delta}, {v[d] for d in delta})
     return _LawFacts(
         len(support),
         len(comm),

@@ -11,7 +11,13 @@ from permdeg.perm import Permutation
 
 
 def mulclose(gens, degree, cap=2_000_000):
-    """Breadth-first closure of a generating set under products."""
+    """Breadth-first closure of a generating set under products.
+
+    Each product x g is composed here by chasing images, a to g(x(a)), and
+    checked by the public constructor; it never goes through
+    ``Permutation.__mul__``, so the closure shares no code with the product
+    kernel (``permdeg.perm.compose``) it is used to check.
+    """
     ident = Permutation.identity(degree)
     seen = {ident}
     queue = [ident]
@@ -20,7 +26,7 @@ def mulclose(gens, degree, cap=2_000_000):
         x = queue[qi]
         qi += 1
         for g in gens:
-            y = x * g
+            y = Permutation([g.images[a] for a in x.images])
             if y not in seen:
                 if len(seen) >= cap:
                     raise RuntimeError("closure cap exceeded")

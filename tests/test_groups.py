@@ -225,6 +225,28 @@ def test_transitivity_identity_group():
     assert PermutationGroup([], 1).transitivity_degree() == 1
 
 
+@pytest.mark.parametrize("make", [lambda: PermutationGroup([], 1),
+                                  lambda: catalog.builtin("symmetric", 1)],
+                         ids=["trivial-1", "symmetric-1"])
+def test_degree_one_queries_return_tuples(make):
+    # products at degree 1 must stay 1-tuples: an itemgetter of one index
+    # returns a bare entry; a chain based on (0,) has a level to sift through
+    group = make()
+    ident = Permutation([0])
+    chain = build_chain([], 1, (0,))
+    assert chain.base == (0,) and chain.levels[0].transversal == {0: (0,)}
+    assert chain.contains(ident) and group.chain((0,)).contains(ident)
+    assert group.contains(ident)
+    assert [p.images for p in chain.elements()] == [(0,)]
+    assert [p.images for p in group.elements()] == [(0,)]
+    assert group.random_element(random.Random(0)).images == (0,)
+    assert groups._random_product(chain.levels, 1, random.Random(0)).images == (0,)
+    assert group.transporter((0,), (0,)).images == (0,)
+    orbit = conjugation_closure(group.generators, ident)
+    assert [x.images for x in orbit] == [(0,)]
+    assert conjugation_closure([ident], ident) == (ident,)
+
+
 def test_conjugate_orbit_four_cycles():
     g = sym4()
     stab = g.pointwise_stabilizer([0])

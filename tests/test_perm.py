@@ -7,6 +7,7 @@ from permdeg.perm import (
     CycleParseError,
     DegreeMismatchError,
     Permutation,
+    compose,
     format_cycles,
     parse_cycles,
     prime_order_witness,
@@ -93,6 +94,19 @@ def test_compose_convention():
     q = parse_cycles("(3,4,5)", 5)
     # 2 -> 3 under p, then 3 -> 4 under q (1-based)
     assert (p * q).apply(1) == 3
+
+
+def test_compose_degree_one():
+    # an itemgetter of one index returns a bare entry, not a 1-tuple
+    assert compose((0,), (0,)) == (0,)
+    assert (Permutation([0]) * Permutation([0])).images == (0,)
+
+
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(st.permutations(range(n)),
+                                                      st.permutations(range(n)))))
+def test_compose_chases_images(pair):
+    p, q = map(tuple, pair)
+    assert compose(p, q) == tuple(q[a] for a in p)
 
 
 def test_compose_identity_and_inverse():

@@ -26,6 +26,40 @@ def test_library_has_no_assert_statements():
     assert SOURCES and found == []
 
 
+def _is_image_product(node: ast.AST) -> bool:
+    """Whether ``node`` collects ``x[t]`` (or ``x[y[t]]``) for each t of one
+    sequence into a list or a tuple: the shape of a product of image
+    tuples, as a list comprehension or a generator passed to ``tuple``."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple" and len(node.args) == 1
+            and isinstance(node.args[0], ast.GeneratorExp)):
+        node = node.args[0]
+    elif not isinstance(node, ast.ListComp):
+        return False
+    if len(node.generators) != 1:
+        return False
+    loop = node.generators[0]
+    if not isinstance(loop.target, ast.Name) or loop.ifs:
+        return False
+    index = node.elt
+    if not isinstance(index, ast.Subscript):
+        return False
+    while isinstance(index, ast.Subscript):
+        index = index.slice
+    return isinstance(index, ast.Name) and index.id == loop.target.id
+
+
+def test_library_composes_through_one_kernel():
+    # image tuples are composed by perm.compose, and the conjugation closure
+    # by its shared itemgetters; a comprehension product beside them is a
+    # second, slower path
+    found = {f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _is_image_product(node)}
+    assert SOURCES and found == set()
+
+
 def test_benchmark_tracer_installs(tmp_path):
     # the traced benchmark run rebinds library names by getattr and measures
     # their arguments and results (the closure's generator count, a chain's
