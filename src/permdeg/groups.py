@@ -376,10 +376,19 @@ class PermutationGroup:
         for pt in pts:
             if not 0 <= pt < self.degree:
                 raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
-        g = _walk(self.chain().levels, pts, self.degree)
-        if g is None:
+        carried = self._carry_base(pts)
+        if carried is None:
             return self.pointwise_stabilizer(pts).generators
-        return tuple(x.conjugate(g) for x in self._level_pair(len(pts)))
+        g, pair = carried
+        return tuple(x.conjugate(g) for x in pair)
+
+    def _carry_base(self, pts: Sequence[int]) -> tuple[Permutation, tuple[Permutation, ...]] | None:
+        """(g, gens) for the sorted points ``pts``: g walks the ``()``
+        chain's transversals from its first k = len(pts) base points b to
+        ``pts``, and gens generate G_(b), so G_(pts) = g^-1 G_(b) g.  None
+        when the walk fails, because the group does not carry b to ``pts``."""
+        g = _walk(self.chain().levels, pts, self.degree)
+        return None if g is None else (g, self._level_pair(len(pts)))
 
     def _level_pair(self, k: int) -> tuple[Permutation, ...]:
         """Generators of the ``()`` chain's level-k stabilizer: the first

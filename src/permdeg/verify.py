@@ -15,9 +15,12 @@ close with n <= 4m + 6/(m-3), n <= 3m + 4/(m-3) and n - 3 <= 2m.
 The sampled suites run on image tuples.  A laws sample computes u v, v u,
 supp([u,v]) and the cancellation pools once, and every law reads them.  A
 counts configuration (u, delta) is checked once and never enumerates its
-orbit E: one breadth-first pass labels the ordered pairs of points with
-their orbits under the pointwise stabilizer of delta, and each clause of a
-(gamma, second) draw is an exact ratio read off one or two pair orbits.
+orbit E.  One breadth-first pass per k = |delta| in a suite call labels
+the ordered pairs of points with their orbits under the stabilizer of the
+first k base points; each configuration is carried onto those base points
+by conjugation in O(n), and each clause of a (gamma, second) draw is an
+exact ratio read off one or two pair orbits, judged once per distinct
+orbit key.
 """
 
 from __future__ import annotations
@@ -357,11 +360,10 @@ class _PairOrbits(NamedTuple):
     fixed: list[int]      # #{(a, c) in O : u fixes a and c}
 
 
-def _pair_orbits(gens: Sequence[tuple[int, ...]], u: tuple[int, ...]) -> _PairOrbits:
+def _pair_labels(gens: Sequence[tuple[int, ...]], n: int) -> tuple[list[int], list[int]]:
     """Label all n^2 ordered pairs with their orbit under the group the image
-    tuples ``gens`` generate, breadth first, and tally u's arrows and pairs
-    of fixed points per orbit."""
-    n = len(u)
+    tuples ``gens`` generate, breadth first: the orbit index of (a, c) at
+    a * n + c, and the orbit sizes."""
     label = [-1] * (n * n)
     size = []
     for start in range(n * n):
@@ -378,22 +380,32 @@ def _pair_orbits(gens: Sequence[tuple[int, ...]], u: tuple[int, ...]) -> _PairOr
                     label[image] = k
                     queue.append(image)
         size.append(len(queue))
+    return label, size
+
+
+def _pair_tallies(label: list[int], size: list[int], u: tuple[int, ...]) -> _PairOrbits:
+    """Tally u's arrows and pairs of fixed points per labelled orbit, in
+    O(n + (n - m)^2) for m = |supp(u)|."""
+    n = len(u)
     arrows = [0] * len(size)
     for a in range(n):
         arrows[label[a * n + u[a]]] += 1
     fixed = [0] * len(size)
     points = [a for a in range(n) if u[a] == a]
     for a in points:
+        row = a * n
         for c in points:
-            fixed[label[a * n + c]] += 1
+            fixed[label[row + c]] += 1
     return _PairOrbits(n, label, size, arrows, fixed)
 
 
-def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: frozenset[int],
-                   gamma: int, second: int | None) -> list[Fraction | None]:
+def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: Iterable[int],
+                   gamma: int, second: int | None,
+                   arrow_shares: dict[int, Fraction]) -> list[Fraction | None]:
     """Each clause's count over E divided by |E|, for one (gamma, second)
     draw, read off the pair orbits of H; None where the clause does not
-    apply.
+    apply.  ``arrow_shares`` keeps each orbit's arrows(O) / |O| once it is
+    built, for the other draws of the same u.
 
     x = u^h maps gamma to b exactly when (gamma, b)^(h^-1) is an arrow
     (a, a^u) of u, and each pair of the orbit O of (gamma, b) is reached by
@@ -405,19 +417,72 @@ def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: frozenset[int],
     degree, label, size, arrows, fixed = orbits
     row = gamma * degree
 
-    def share(tally: list[int], b: int) -> Fraction:
+    def arrow_share(b: int) -> Fraction:
         k = label[row + b]
-        return Fraction(tally[k], size[k])
+        value = arrow_shares.get(k)
+        if value is None:
+            value = arrow_shares[k] = Fraction(arrows[k], size[k])
+        return value
+
+    def fixed_share() -> Fraction:
+        k = label[row + second]
+        return Fraction(fixed[k], size[k])
 
     counters = (
-        lambda: share(arrows, gamma),
-        lambda: 1 - share(arrows, gamma),
-        lambda: share(arrows, gamma) - share(fixed, second),
-        lambda: sum(share(arrows, b) for b in dset),
-        lambda: share(arrows, second),
+        lambda: arrow_share(gamma),
+        lambda: 1 - arrow_share(gamma),
+        lambda: arrow_share(gamma) - fixed_share(),
+        lambda: sum(map(arrow_share, dset)),
+        lambda: arrow_share(second),
     )
     return [share_of() if applies and (second is not None or not needs_second) else None
             for (_, applies, needs_second, _), share_of in zip(plan, counters)]
+
+
+def _draw_tallies(plan: _ClausePlan, orbits: _PairOrbits, dset: Sequence[int],
+                  draws: Iterable[tuple[int, int | None]], totals: list[list[int]]) -> None:
+    """Add to ``totals``, per clause, [applied, failed] over the (gamma,
+    second) draws of one configuration.
+
+    A draw's shares depend on it only through its orbit key, the orbits of
+    (gamma, gamma) and (gamma, second): the orbit of (gamma, d) for d in
+    delta is the orbit of gamma read at d, because H fixes d.  So each
+    clause is judged once per distinct key and counted once per draw.
+    """
+    degree, label = orbits.degree, orbits.label
+    keyed: dict[tuple[int, int | None], list] = {}
+    for gamma, second in draws:
+        row = gamma * degree
+        key = (label[row + gamma], None if second is None else label[row + second])
+        keyed.setdefault(key, [gamma, second, 0])[2] += 1
+    arrow_shares: dict[int, Fraction] = {}
+    for gamma, second, count in keyed.values():
+        shares = _clause_shares(plan, orbits, dset, gamma, second, arrow_shares)
+        for (_, _, _, formula), share, total in zip(plan, shares, totals):
+            if share is not None:
+                total[0] += count
+                total[1] += count * (share != formula)
+
+
+def _base_frame(group: PermutationGroup, u: Permutation, delta: Sequence[int]
+                ) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:
+    """Carry the configuration (u, delta) into the frame of the ``()``
+    chain's first k = |delta| base points b.
+
+    With g the element that walks the chain from b to the sorted delta,
+    H = G_(delta) = g^-1 G_(b) g, so (a, c) and (a', c') share an H-orbit
+    exactly when their images under g^-1 share a G_(b)-orbit, and u's
+    arrow (a, a^u) goes to the arrow of u' = g u g^-1 at a^(g^-1).  Returns
+    the generators of G_(b), then g^-1 and u' as image tuples.  Raises
+    RuntimeError when the group does not carry b to delta, which the suite
+    never meets: there |delta| <= t - 1.
+    """
+    carried = group._carry_base(tuple(sorted(delta)))
+    if carried is None:
+        raise RuntimeError(f"{group.label} does not carry its base to {sorted(delta)}")
+    g, pair = carried
+    g_inv = g.inverse().images
+    return pair, g_inv, compose(compose(g.images, u.images), g_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -948,9 +1013,15 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
       #{x in E : x fixes gamma and second} / |E|
         = #{(a, c) in O : u fixes a and c} / |O|,  O the H-orbit of (gamma, second),
 
-    in exact rationals, so a configuration costs one pass over the n^2
-    pairs however large E is.  Returns the aggregated checks plus the
-    clauses that were never applicable.
+    in exact rationals, however large E is.  The stabilizers of all
+    k-sets delta are conjugate to the stabilizer G_(b) of the ``()``
+    chain's first k base points, so the n^2 pairs are labelled once per k
+    under G_(b), and each configuration is carried into that frame by the
+    element g^-1 that takes delta to b: u becomes g u g^-1, and every point
+    its image under g^-1.  A configuration then costs O(n + (n - m)^2) to
+    tally u's arrows and pairs of fixed points per labelled orbit, and each
+    clause is judged once per distinct orbit key of its draws.  Returns the
+    aggregated checks plus the clauses that were never applicable.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -976,25 +1047,26 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
         draws = []
         for _ in range(remaining):
             gamma = rng.choice(rest)
-            others = [b for b in rest if b != gamma]
+            i = rest.index(gamma)
+            others = rest[:i] + rest[i + 1:]
             second = rng.choice(others) if others else None
             draws.append((gamma, second))
         batches.append((u, delta, draws))
 
     totals = [[0, 0] for _ in CLAUSES]  # applied, failed
+    labels = {}  # |delta| -> pair labels under the () chain's level-|delta| stabilizer
     for u, delta, draws in batches:
         dset = frozenset(delta)
         _check_configuration(group, u, dset, draws)
-        orbits = _pair_orbits([g.images for g in group.stabilizer_generators(delta)],
-                              u.images)
+        pair, g_inv, u_carried = _base_frame(group, u, delta)
+        table = labels.get(len(delta))
+        if table is None:
+            table = labels[len(delta)] = _pair_labels([h.images for h in pair], n)
+        orbits = _pair_tallies(*table, u_carried)
         plan = _clause_plan(n, u.moved_count(), len(dset), t, 1)
-        for gamma, second in draws:
-            shares = _clause_shares(plan, orbits, dset, gamma, second)
-            for (_, _, _, formula), share, tally in zip(plan, shares, totals):
-                if share is not None:
-                    tally[0] += 1
-                    if share != formula:
-                        tally[1] += 1
+        carried_draws = [(g_inv[gamma], None if second is None else g_inv[second])
+                         for gamma, second in draws]
+        _draw_tallies(plan, orbits, compose(delta, g_inv), carried_draws, totals)
 
     checks = []
     inapplicable = []

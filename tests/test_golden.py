@@ -77,6 +77,24 @@ GOLDEN = [
      "c7b29f2dcc076cc2c9e7ae2107b96288798de0a2a20246ce4fe396c8e0714a70"),
     (("verify", "catalog:PGL2_31", "counts", "--samples", "40", "--seed", "1"), 0,
      "1c867d55ea7cc6f3c8edbc452264baf5ba5bf8c56dbc802a4a40482c8d0ec762"),
+    # many configurations per suite call, so orbit keys repeat across draws
+    # and the pair-orbit labels of each |delta| serve several configurations
+    (("verify", "catalog:PSL2_31", "counts", "--samples", "400", "--seed", "0"), 0,
+     "f187ae5f71f7ab795f5686b404b91f7467f97964c45ff8762f9d4aad5fbebeb1"),
+    (("verify", "catalog:PSL2_31", "counts", "--samples", "400", "--seed", "1"), 0,
+     "9c1d5c3fbadc15695c6b1f78af422d6d7468a1f278d3f62b225323e6f271b637"),
+    (("verify", "catalog:PGL2_31", "counts", "--samples", "400", "--seed", "0"), 0,
+     "08b8ec336892afcfcb96ce3499fdbae631e72e44395342ab4a02a7d93cd2c564"),
+    (("verify", "catalog:PGL2_31", "counts", "--samples", "400", "--seed", "1"), 0,
+     "63b9001180fc55390a258d0b7b5e606e773daef28de622187101cc8defb589cb"),
+    (("verify", "catalog:M11", "counts", "--samples", "200", "--seed", "0"), 0,
+     "d654c4fa9e72cb9c43b54d18c5bcf0d9cb9dcba66ea4de77ce6b959f86abc4ac"),
+    (("verify", "catalog:M11", "counts", "--samples", "200", "--seed", "1"), 0,
+     "81e451ecf1665050cfae91450405a759b8e347d13225745693053666420b80fb"),
+    (("verify", "catalog:PSL2_31", "all", "--samples", "200", "--seed", "0"), 0,
+     "1284d43063524024ef9541783e9b0030898cc86f081ffc09363ee453a851e12c"),
+    (("verify", "catalog:PSL2_31", "all", "--samples", "200", "--seed", "1"), 0,
+     "3defcf29eeb6405c1027d4296faa9273ca59e6f1633423ef1f14b05e7bc4c96c"),
     # one trace report type: the jordan cases, an inapplicable trace's
     # null-valued details, and a seeded relocation in the quadruple trace
     (("trace", "catalog:S7", "jordan"), 0,

@@ -14,12 +14,15 @@ from permdeg.verify import (
     PreconditionError,
     ProductAction,
     TraceReport,
+    _base_frame,
     _clause_counts,
     _clause_plan,
     _clause_shares,
+    _draw_tallies,
     _law_facts,
     _orbit_columns,
-    _pair_orbits,
+    _pair_labels,
+    _pair_tallies,
     commutator_cancellation_bound,
     commutator_law_checks,
     commutator_law_suite,
@@ -31,7 +34,8 @@ from permdeg.verify import (
     relation_balance_checks,
 )
 
-from brute import image_chase_commutator, mulclose
+from brute import (clause_shares, count_identity_suite_by_configuration, image_chase_commutator,
+                   mulclose, pair_orbits)
 
 perms8 = st.permutations(range(8)).map(Permutation)
 
@@ -420,13 +424,13 @@ def test_pair_orbit_shares_match_closure_counts(name, param):
         plan = _clause_plan(n, u.moved_count(), len(delta), n, 1)
         for gens in (stab_gens, _proper_subgroup_gens(stab_gens, n)):
             orbit = conjugation_closure(gens, u)
-            orbits = _pair_orbits([h.images for h in gens], u.images)
+            orbits = _pair_tallies(*_pair_labels([h.images for h in gens], n), u.images)
             assert sum(orbits.size) == n * n
             assert sum(orbits.arrows) == n
             assert sum(orbits.fixed) == (n - u.moved_count()) ** 2
             for _ in range(5):
                 gamma, second = rng.sample(rest, 2)
-                shares = _clause_shares(plan, orbits, delta, gamma, second)
+                shares = _clause_shares(plan, orbits, delta, gamma, second, {})
                 results = conjugate_orbit_count_checks(g, u, delta, gamma, second,
                                                        orbit=orbit, transitivity=n)
                 for res, share, (_, _, _, formula) in zip(results, shares, plan):
@@ -437,6 +441,122 @@ def test_pair_orbit_shares_match_closure_counts(name, param):
                     assert (share == formula) == res.check.passed
                     formula_failures += not res.check.passed
     assert formula_failures > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["S6", "A7", "M11", "M12", "PSL2_13", "PGL2_7", "PSL2_31",
+                                  "M24"])
+def test_count_suite_matches_the_per_configuration_route(name, seed):
+    # the suite labels pairs once per |delta| and carries each configuration
+    # onto the base; the oracle labels them afresh under every delta's own
+    # stabilizer and reads every draw on its own
+    g = catalog.parse_group_name(name)
+    assert count_identity_suite(g, 200, seed) == count_identity_suite_by_configuration(g, 200, seed)
+
+
+@pytest.mark.parametrize("name", ["S6", "A7", "M11", "M12", "PSL2_13", "PGL2_7"])
+def test_draw_tallies_match_per_draw_verdicts_where_formulas_fail(name):
+    # under a proper subgroup of the stabilizer of delta some draws fail
+    # their formulas and others pass, so judging a clause once per orbit
+    # key must give each draw the verdict it gets on its own
+    g = catalog.parse_group_name(name)
+    n = g.degree
+    rng = random.Random(f"tallies-{name}")
+    formula_failures = 0
+    for _ in range(4):
+        u = g.random_element(rng)
+        while u.is_identity():
+            u = g.random_element(rng)
+        delta = sorted(rng.sample(sorted(u.support()), rng.choice((1, 2))))
+        gens = _proper_subgroup_gens(g.pointwise_stabilizer(delta).generators, n)
+        images = [h.images for h in gens]
+        rest = [a for a in range(n) if a not in delta]
+        draws = [tuple(rng.sample(rest, 2)) for _ in range(40)]
+        plan = _clause_plan(n, u.moved_count(), len(delta), n, 1)
+        direct = pair_orbits(images, u.images)
+        expected = [[0, 0] for _ in plan]
+        for gamma, second in draws:
+            shares = clause_shares(plan, direct, delta, gamma, second)
+            for (_, _, _, formula), share, tally in zip(plan, shares, expected):
+                if share is not None:
+                    tally[0] += 1
+                    tally[1] += share != formula
+        orbits = _pair_tallies(*_pair_labels(images, n), u.images)
+        totals = [[0, 0] for _ in plan]
+        _draw_tallies(plan, orbits, delta, draws, totals)
+        assert totals == expected
+        formula_failures += sum(failed for _, failed in expected)
+    assert formula_failures > 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["M11", "M12", "PSL2_13", "M24"])
+def test_carried_pair_labels_match_the_stabilizer_orbits(name, k):
+    g = catalog.parse_group_name(name)
+    n = g.degree
+    rng = random.Random(f"{name}-{k}")
+    for _ in range(4):
+        u = g.random_element(rng)
+        while u.is_identity():
+            u = g.random_element(rng)
+        delta = sorted(rng.sample(sorted(u.support()), k))
+        pair, g_inv, u_carried = _base_frame(g, u, delta)
+        carried = _pair_tallies(*_pair_labels([h.images for h in pair], n), u_carried)
+        direct = pair_orbits([h.images for h in g.pointwise_stabilizer(delta).generators],
+                             u.images)
+        # read through g^-1, the base frame's labels partition the pairs as
+        # the stabilizer of delta does, orbit for orbit
+        match = {}
+        for a in range(n):
+            for c in range(n):
+                theirs = carried.label[g_inv[a] * n + g_inv[c]]
+                assert match.setdefault(direct.label[a * n + c], theirs) == theirs
+        assert sorted(match.values()) == list(range(len(carried.size)))
+        for k_direct, k_carried in match.items():
+            assert direct.size[k_direct] == carried.size[k_carried]
+            assert direct.arrows[k_direct] == carried.arrows[k_carried]
+            assert direct.fixed[k_direct] == carried.fixed[k_carried]
+
+
+def test_count_suite_labels_pairs_once_per_delta_size(monkeypatch):
+    import permdeg.verify as verify
+
+    labelled = []
+    frames = []
+    plain_labels = verify._pair_labels
+    plain_frame = verify._base_frame
+
+    def counted_labels(gens, n):
+        labelled.append(len(gens))
+        return plain_labels(gens, n)
+
+    def recorded_frame(group, u, delta):
+        frames.append(len(delta))
+        return plain_frame(group, u, delta)
+
+    monkeypatch.setattr(verify, "_pair_labels", counted_labels)
+    monkeypatch.setattr(verify, "_base_frame", recorded_frame)
+    # PGL2_31 is sharply 3-transitive, so delta takes one or two points
+    g = catalog.parse_group_name("PGL2_31")
+    count_identity_suite(g, 400, 0)
+    assert len(frames) == 20
+    assert sorted(set(frames)) == [1, 2]
+    assert len(labelled) == len(set(frames))
+
+
+def test_base_frame_raises_where_the_walk_fails():
+    # C2^4 does not carry its first base point 0 to 2, so stabilizer
+    # generators fall back to the rebased stabilizer and the suite's frame
+    # raises; 1 lies in 0's orbit and is carried
+    g = PermutationGroup([parse_cycles(f"({a},{a + 1})", 8) for a in (1, 3, 5, 7)], 8)
+    u = parse_cycles("(1,2)(3,4)", 8)
+    assert g._carry_base((2,)) is None
+    assert g.stabilizer_generators([2]) == g.pointwise_stabilizer([2]).generators
+    with pytest.raises(RuntimeError):
+        _base_frame(g, u, [2])
+    pair, g_inv, u_carried = _base_frame(g, u, [1])
+    assert pair == g._level_pair(1)
+    assert g_inv[1] == 0 and u_carried == u.images
 
 
 def test_record_types_are_fixed_and_reports_own_their_containers():
