@@ -12,9 +12,11 @@ verified, later chains of the group stop as soon as their orbit lengths
 multiply to it, and come out the same as a full build.
 
 Everything runs on image tuples, composed in C by ``operator.itemgetter``:
-products, sifts, Schreier generators, transporter walks and random draws
-through ``perm.compose``, and conjugation closures through getters of
-their own, one per orbit element shared by every generator.
+products, Schreier generators, random draws and the one transversal walk
+that both membership sifts and transporters take through ``perm.compose``,
+and conjugation closures through getters of their own, one per orbit
+element shared by every generator.  A conjugation closure returns its
+orbit as image tuples, which is all its readers scan.
 """
 
 from __future__ import annotations
@@ -71,22 +73,12 @@ class StabilizerChain:
 
     def contains(self, p: Permutation) -> bool:
         """Sift ``p`` through the transversals; it belongs to the group exactly
-        when the residue is the identity.
-
-        The sift carries q, the inverse of the residue, so no representative
-        is ever inverted: the residue sends a base point to ``q.index(point)``
-        and dividing it by rep turns q into rep * q.  It starts from q = p,
-        that is it sifts p^-1, which lies in the group exactly when p does.
-        """
+        when the residue is the identity.  The sift is the walk from ``p``
+        onto the chain's own base points, which sifts p^-1 (see ``_walk``),
+        and p^-1 lies in the group exactly when p does."""
         if p.degree != self.degree:
             raise DegreeMismatchError(f"degree mismatch: {p.degree} vs {self.degree}")
-        q = p.images
-        for level in self.levels:
-            rep = level.transversal.get(q.index(level.point))
-            if rep is None:
-                return False
-            q = compose(rep, q)
-        return q == tuple(range(self.degree))
+        return _walk(self.levels, self.base, p.images) == tuple(range(self.degree))
 
     def elements(self) -> Iterator[Permutation]:
         """Yield each group element exactly once, one transversal choice per level."""
@@ -387,8 +379,8 @@ class PermutationGroup:
         chain's transversals from its first k = len(pts) base points b to
         ``pts``, and gens generate G_(b), so G_(pts) = g^-1 G_(b) g.  None
         when the walk fails, because the group does not carry b to ``pts``."""
-        g = _walk(self.chain().levels, pts, self.degree)
-        return None if g is None else (g, self._level_pair(len(pts)))
+        g = _walk(self.chain().levels, pts, tuple(range(self.degree)))
+        return None if g is None else (Permutation._trusted(g), self._level_pair(len(pts)))
 
     def _level_pair(self, k: int) -> tuple[Permutation, ...]:
         """Generators of the ``()`` chain's level-k stabilizer: the first
@@ -427,7 +419,8 @@ class PermutationGroup:
         for pt in (*src, *dst):
             if not 0 <= pt < self.degree:
                 raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
-        return _walk(self.chain(src).levels, dst, self.degree)
+        g = _walk(self.chain(src).levels, dst, tuple(range(self.degree)))
+        return None if g is None else Permutation._trusted(g)
 
     def transitivity_degree(self) -> int:
         """Largest t with the group transitive on ordered t-tuples of distinct
@@ -458,22 +451,28 @@ class PermutationGroup:
 
 
 def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
-          degree: int) -> Permutation | None:
-    """The element that carries the base point of levels[i] to targets[i]
-    for every i, taking the first representative at each level, or None
-    when some level's orbit misses its target or there are fewer levels
-    than targets."""
+          start: tuple[int, ...]) -> tuple[int, ...] | None:
+    """rep_k * ... * rep_1 * start as an image tuple, where rep_i is the
+    representative of levels[i] whose product with the walk so far carries
+    that level's base point to targets[i]; None when some level's orbit
+    misses its target or there are fewer levels than targets.  From the
+    identity, the result carries the base point of levels[i] to targets[i]
+    for every i.
+
+    As a sift, acc is the inverse of the residue r of start^-1, so no
+    representative is ever inverted: the next one must carry its base
+    point to target^r = ``acc.index(target)``, and dividing r by it turns
+    acc into rep * acc.
+    """
     if len(levels) < len(targets):
         return None
-    # acc = rep_i * ... * rep_1 on image tuples; the next level's
-    # representative must carry its base point to acc^-1(target)
-    acc = tuple(range(degree))
+    acc = start
     for level, target in zip(levels, targets):
         rep = level.transversal.get(acc.index(target))
         if rep is None:
             return None
         acc = compose(rep, acc)
-    return Permutation._trusted(acc)
+    return acc
 
 
 def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Permutation:
@@ -487,8 +486,10 @@ def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Permutati
 
 
 def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
-                        cap: int = 10_000_000) -> tuple[Permutation, ...]:
-    """Close ``seed`` under conjugation by the given generators (breadth first).
+                        cap: int = 10_000_000) -> tuple[tuple[int, ...], ...]:
+    """The orbit of ``seed`` under conjugation by the group the given
+    generators generate, as image tuples in breadth-first order, starting
+    with ``seed.images``.
 
     Raises CapExceeded when the orbit would exceed ``cap`` elements.
     """
@@ -498,7 +499,7 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
     if seed.degree == 1:
         # the identity is the only permutation of one point, and a getter of
         # one index would return a bare entry, not a tuple
-        return (seed,)
+        return (seed.images,)
     # g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]]: one getter per
     # element x, shared by every generator, reads z = (g[x[a]] for each a),
     # and each generator's prebuilt getter of g^-1 reorders z into y
@@ -514,5 +515,5 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
                     raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
                 seen.add(y)
                 out.append(y)
-    return (seed, *map(Permutation._trusted, out[1:]))
+    return tuple(out)
 

@@ -87,7 +87,9 @@ def _commute(u: tuple[int, ...], x: tuple[int, ...], support: Iterable[int]) -> 
 
 
 # (label, relation, informational) of each law, in the order _LawFacts.laws
-# lists them; the last is the cancellation bound
+# lists them; the last is the cancellation bound.  The forward-images
+# containment belongs to the opposite composition order, so it is reported
+# but never asserted
 _LAWS = (
     ("commutator-support-containment", "subset", False),
     ("commutator-support-size-bound", "<=", False),
@@ -149,22 +151,6 @@ def _law_check(index: int, observed: int, limit: int) -> CountCheck:
     label, relation, informational = _LAWS[index]
     return CountCheck(label, relation, observed, Fraction(limit), observed <= limit,
                       informational)
-
-
-def commutator_law_checks(u: Permutation, v: Permutation) -> list[CountCheck]:
-    """The three constraints on supp([u,v]) through D = supp(u) & supp(v).
-
-    With points acting on the right, supp([u,v]) lies in D together with the
-    points u (resp. v) sends into D; its size is at most
-    3|D| - |D & D^u| - |D & D^v|; and outside D it consists of fixed points
-    of one factor carried into D by the other.  The same containment stated
-    with forward images D^u, D^v belongs to the opposite composition order,
-    so it is reported but not asserted.
-    """
-    if u.degree != v.degree:
-        raise DegreeMismatchError(f"degree mismatch: {u.degree} vs {v.degree}")
-    laws = _law_facts(u.images, v.images).laws(0, 0)
-    return [_law_check(i, *laws[i]) for i in range(4)]
 
 
 def commutator_cancellation_bound(u: Permutation, v: Permutation,
@@ -259,7 +245,7 @@ CLAUSES = ("fixes-gamma", "moves-gamma", "fixes-gamma-moves-second",
 def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
                                  delta: Iterable[int], gamma: int,
                                  second: int | None = None, *,
-                                 orbit: Sequence[Permutation] | None = None,
+                                 orbit: Sequence[tuple[int, ...]] | None = None,
                                  transitivity: int | None = None,
                                  cap: int = 10_000_000) -> list[ClauseResult]:
     """Exact counts over E = {g^-1 u g : g fixing delta pointwise}.
@@ -275,8 +261,9 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
 
     Inapplicable clauses are reported as such, never as failures.  This is
     the enumeration route: it builds E, bounded by ``cap``, and reports the
-    observed counts.  ``count_identity_suite`` tests the same clauses
-    without building E.
+    observed counts.  A caller that already holds E passes it as ``orbit``,
+    the image tuples ``conjugation_closure`` returns.
+    ``count_identity_suite`` tests the same clauses without building E.
     """
     dset = frozenset(delta)
     _check_configuration(group, u, dset, [(gamma, second)])
@@ -328,9 +315,9 @@ def _clause_plan(n: int, m: int, d: int, t: int, size: int) -> _ClausePlan:
     )
 
 
-def _orbit_columns(orbit: Sequence[Permutation], n: int) -> list[tuple[int, ...]]:
+def _orbit_columns(orbit: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """E transposed: entry a lists a^x for every x in E, in orbit order."""
-    return list(zip(*(x.images for x in orbit))) if orbit else [()] * n
+    return list(zip(*orbit)) if orbit else [()] * n
 
 
 def _clause_counts(plan: _ClausePlan, cols: list[tuple[int, ...]], dset: frozenset[int],
@@ -571,9 +558,9 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     close the result under the pointwise stabilizer H of the pair.
 
     v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
-    (h, v, E), E the conjugates of v under H.  Both traces that call it need
-    a doubly transitive group, so h exists for any two pairs of distinct
-    points.  E is closed over ``group.stabilizer_generators(pair)``, which
+    (h, v, E), E the conjugates of v under H as image tuples.  Both traces
+    that call it need a doubly transitive group, so h exists for any two
+    pairs of distinct points.  E is closed over ``group.stabilizer_generators(pair)``, which
     builds no chain based on the pair and reads no rng.  With an rng, h is
     first multiplied on the left by a random element of H, which moves v
     within E; it is drawn from ``pointwise_stabilizer(pair)``, whose
@@ -728,8 +715,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
 
     fixing = commuting = thin = pair_total = 0
     movers = [0] * n     # per point: the fixers that move it
-    for x in orbit:
-        xi = x.images
+    for xi in orbit:
         if xi[beta] != beta:
             continue
         fixing += 1
@@ -790,8 +776,7 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
 
     misplaced = commuting = commutator_total = overlap_total = doubled_total = 0
     movers = [0] * n     # per point: the conjugates that move it
-    for x in orbit:
-        xi = x.images
+    for xi in orbit:
         misplaced += xi[alpha] != beta
         commutator_size = len(_commutator_support(ui, xi))
         commuting += commutator_size == 0
@@ -863,8 +848,7 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
 
     structure_violations = commuting = commutator_total = 0
     overlap_total = carried_total = arrows_total = containment_violations = 0
-    for x in orbit:
-        xi = x.images
+    for xi in orbit:
         structure_violations += xi[alpha] != alpha or xi[beta] == beta
         commutator_size = 0
         for a in range(n):

@@ -6,7 +6,7 @@ import pytest
 from brute import image_chase_commutator
 from permdeg import catalog
 from permdeg.groups import conjugation_closure
-from permdeg.perm import parse_cycles
+from permdeg.perm import Permutation, parse_cycles
 from permdeg.verify import (
     _commute,
     all_pass,
@@ -271,6 +271,7 @@ def test_counting_trace_sizes_recounted(name, seed):
         else:
             stab = g.pointwise_stabilizer([alpha, beta])
             orbit = conjugation_closure(stab.generators, parse_cycles(w["v"], n))
+        orbit = [Permutation(x) for x in orbit]
         supp_u = u.support()
         moved = [x.support() for x in orbit]
         checks = by_label(report)

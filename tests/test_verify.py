@@ -19,12 +19,12 @@ from permdeg.verify import (
     _clause_plan,
     _clause_shares,
     _draw_tallies,
+    _law_check,
     _law_facts,
     _orbit_columns,
     _pair_labels,
     _pair_tallies,
     commutator_cancellation_bound,
-    commutator_law_checks,
     commutator_law_suite,
     conjugate_orbit_count_checks,
     count_identity_suite,
@@ -42,6 +42,14 @@ perms8 = st.permutations(range(8)).map(Permutation)
 
 def by_label(checks):
     return {c.label: c for c in checks}
+
+
+def commutator_law_checks(u, v):
+    """The four support laws of one pair (u, v), read through the suite's
+    own kernel: containment, size bound, fixed crossings and the
+    informational forward-images containment."""
+    laws = _law_facts(u.images, v.images).laws(0, 0)
+    return [_law_check(i, *laws[i]) for i in range(4)]
 
 
 def test_commutator_laws_worked_example():
@@ -156,7 +164,7 @@ def test_conjugate_orbit_counts_s4_worked_examples():
     stab = g.pointwise_stabilizer([0])
     orbit = conjugation_closure(stab.generators, u)
     assert len(orbit) == 6
-    assert sum(1 for x in orbit if x.images[1] == 2) == 1
+    assert sum(1 for x in orbit if x[1] == 2) == 1
 
 
 def test_conjugate_orbit_counts_applicability():
@@ -368,7 +376,8 @@ def test_clause_columns_match_direct_scans(name, param):
         fixing = [h for h in elements if all(h.images[a] == a for a in delta)]
         orbit_set = {u.conjugate(h) for h in fixing}
         orbit = conjugation_closure(g.pointwise_stabilizer(delta).generators, u)
-        assert set(orbit) == orbit_set and len(orbit) == len(orbit_set)
+        assert {Permutation(x) for x in orbit} == orbit_set
+        assert len(orbit) == len(orbit_set)
         cols = _orbit_columns(orbit, n)
         # transitivity n makes every clause apply at |delta| = 1
         plan = _clause_plan(n, u.moved_count(), len(delta), n, len(orbit))
