@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import catalog
-from .groups import CapExceeded, PermutationGroup
+from .groups import DEFAULT_CAP, CapExceeded, PermutationGroup
 from .mindeg import minimal_degree, minimal_degree_exhaustive
 from .perm import format_cycles
 
@@ -138,7 +138,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=_positive_int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-    parser.add_argument("--cap", type=_positive_int, default=10_000_000,
+    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="element bound (at least 1) for trace orbit closures "
                              "and mindeg --method exhaustive; unused elsewhere")
 

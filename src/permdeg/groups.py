@@ -38,6 +38,11 @@ if TYPE_CHECKING:
 _PAIR_DRAWS = 8
 
 
+# the element bound of conjugation closures and exhaustive scans where the
+# caller (or ``--cap``) sets none
+DEFAULT_CAP = 10_000_000
+
+
 class CapExceeded(RuntimeError):
     """A configured orbit or enumeration cap was exceeded."""
 
@@ -486,7 +491,7 @@ def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Permutati
 
 
 def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
-                        cap: int = 10_000_000) -> tuple[tuple[int, ...], ...]:
+                        cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
     """The orbit of ``seed`` under conjugation by the group the given
     generators generate, as image tuples in breadth-first order, starting
     with ``seed.images``.

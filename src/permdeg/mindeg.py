@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .groups import CapExceeded, PermutationGroup
+from .groups import DEFAULT_CAP, CapExceeded, PermutationGroup
 from .perm import Permutation
 
 # m, a nonidentity witness moving exactly m points, the method that found
@@ -21,7 +21,7 @@ MinDegResult = namedtuple("MinDegResult",
 
 
 def minimal_degree_exhaustive(group: PermutationGroup,
-                              order_cap: int = 10_000_000) -> MinDegResult:
+                              order_cap: int = DEFAULT_CAP) -> MinDegResult:
     """Scan every nonidentity element; the witness is the lexicographically
     least image sequence among those of minimal support."""
     order = group.order

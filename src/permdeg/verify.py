@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import PermutationGroup, conjugation_closure
+from .groups import DEFAULT_CAP, PermutationGroup, conjugation_closure
 from .mindeg import minimal_degree
 from .perm import DegreeMismatchError, Permutation, compose, format_cycles, prime_order_witness
 
@@ -189,7 +189,8 @@ def distinct_pair_action(gens: Sequence[Permutation], degree: int):
     """The induced action on ordered distinct pairs; returns (pairs, images)."""
     pairs = [(a, b) for a in range(degree) for b in range(degree) if a != b]
     index = {pair: i for i, pair in enumerate(pairs)}
-    images = [Permutation(index[(g.images[a], g.images[b])] for (a, b) in pairs)
+    # induced by bijections, so each image is a bijection of the pairs
+    images = [Permutation._trusted(tuple(index[(g.images[a], g.images[b])] for (a, b) in pairs))
               for g in gens]
     return pairs, images
 
@@ -247,7 +248,7 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
                                  second: int | None = None, *,
                                  orbit: Sequence[tuple[int, ...]] | None = None,
                                  transitivity: int | None = None,
-                                 cap: int = 10_000_000) -> list[ClauseResult]:
+                                 cap: int = DEFAULT_CAP) -> list[ClauseResult]:
     """Exact counts over E = {g^-1 u g : g fixing delta pointwise}.
 
     With n the degree, m = |supp(u)|, d = |delta| and t the transitivity
@@ -387,7 +388,7 @@ def _pair_tallies(label: list[int], size: list[int], u: tuple[int, ...]) -> _Pai
 
 
 def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: Iterable[int],
-                   gamma: int, second: int | None,
+                   gamma: int, second: int,
                    arrow_shares: dict[int, Fraction]) -> list[Fraction | None]:
     """Each clause's count over E divided by |E|, for one (gamma, second)
     draw, read off the pair orbits of H; None where the clause does not
@@ -422,12 +423,12 @@ def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: Iterable[int],
         lambda: sum(map(arrow_share, dset)),
         lambda: arrow_share(second),
     )
-    return [share_of() if applies and (second is not None or not needs_second) else None
-            for (_, applies, needs_second, _), share_of in zip(plan, counters)]
+    return [share_of() if applies else None
+            for (_, applies, _, _), share_of in zip(plan, counters)]
 
 
 def _draw_tallies(plan: _ClausePlan, orbits: _PairOrbits, dset: Sequence[int],
-                  draws: Iterable[tuple[int, int | None]], totals: list[list[int]]) -> None:
+                  draws: Iterable[tuple[int, int]], totals: list[list[int]]) -> None:
     """Add to ``totals``, per clause, [applied, failed] over the (gamma,
     second) draws of one configuration.
 
@@ -437,10 +438,10 @@ def _draw_tallies(plan: _ClausePlan, orbits: _PairOrbits, dset: Sequence[int],
     clause is judged once per distinct key and counted once per draw.
     """
     degree, label = orbits.degree, orbits.label
-    keyed: dict[tuple[int, int | None], list] = {}
+    keyed: dict[tuple[int, int], list] = {}
     for gamma, second in draws:
         row = gamma * degree
-        key = (label[row + gamma], None if second is None else label[row + second])
+        key = (label[row + gamma], label[row + second])
         keyed.setdefault(key, [gamma, second, 0])[2] += 1
     arrow_shares: dict[int, Fraction] = {}
     for gamma, second, count in keyed.values():
@@ -484,25 +485,21 @@ class TraceReport:
                  "witnesses", "sizes", "derived", "checks", "conclusion_holds")
 
     def __init__(self, name: str, group_label: str, n: int, t: int, m: int | None,
-                 applicable: bool, degenerate: str | None = None,
-                 witnesses: dict[str, str] | None = None,
-                 sizes: dict[str, int] | None = None,
-                 derived: dict[str, object] | None = None,
-                 checks: list[CountCheck] | None = None,
-                 conclusion_holds: bool | None = None):
+                 applicable: bool, sizes: dict[str, int] | None = None,
+                 derived: dict[str, object] | None = None):
         self.name = name
         self.group_label = group_label
         self.n = n
         self.t = t
         self.m = m
         self.applicable = applicable
-        self.degenerate = degenerate
+        self.degenerate = None
         # fresh containers per report: the builders fill them in place
-        self.witnesses = {} if witnesses is None else witnesses
+        self.witnesses = {}
         self.sizes = {} if sizes is None else sizes
         self.derived = {} if derived is None else derived
-        self.checks = [] if checks is None else checks
-        self.conclusion_holds = conclusion_holds
+        self.checks = []
+        self.conclusion_holds = None
 
 
 def all_pass(checks: Iterable[CountCheck]) -> bool:
@@ -651,13 +648,11 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
         fixed = sorted(u.fixed())
         if not fixed:
             return finish("witness moves every point; no relocation target exists")
-        beta = _pick(rng, fixed)
-        pinned_tuple = tuple(sorted(phi))
-        v = group.transporter((*pinned_tuple, alpha), (*pinned_tuple, beta))
-        if v is None:
-            return finish("no group element realizes the pinned relocation")
+        pinned = phi
+        target = _pick(rng, fixed)
         fixed_overlap: frozenset[int] = phi
         shifted_overlap: frozenset[int] = phi
+        failure = "no group element realizes the pinned relocation"
     else:
         report.derived["case"] = 2
         u_inv = u.inverse()
@@ -675,12 +670,14 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
         if target in psi:
             return finish("the shifted image is itself pinned, so no relocating "
                           "element can exist")
-        pinned_tuple = tuple(sorted(psi))
-        v = group.transporter((*pinned_tuple, alpha), (*pinned_tuple, target))
-        if v is None:
-            return finish("no group element realizes the pinned shift")
+        pinned = psi
         fixed_overlap = psi - {back[0]}
         shifted_overlap = psi | {alpha}
+        failure = "no group element realizes the pinned shift"
+    pinned_tuple = tuple(sorted(pinned))
+    v = group.transporter((*pinned_tuple, alpha), (*pinned_tuple, target))
+    if v is None:
+        return finish(failure)
     report.witnesses["v"] = format_cycles(v)
 
     c = u.commutator(v)
@@ -695,7 +692,7 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
 
 
 def double_transitive_trace(group: PermutationGroup, *, rng=None,
-                            cap: int = 10_000_000) -> TraceReport:
+                            cap: int = DEFAULT_CAP) -> TraceReport:
     """Counting trace for doubly transitive groups.
 
     Over E, the conjugates of the witness u under a point stabilizer, the
@@ -749,7 +746,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
 
 
 def triple_transitive_trace(group: PermutationGroup, *, rng=None,
-                            cap: int = 10_000_000) -> TraceReport:
+                            cap: int = DEFAULT_CAP) -> TraceReport:
     """Counting trace for triply transitive groups.
 
     The witness u is conjugated so that v carries a support point alpha onto
@@ -815,7 +812,7 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
 
 
 def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
-                               cap: int = 10_000_000) -> TraceReport:
+                               cap: int = DEFAULT_CAP) -> TraceReport:
     """Counting trace for quadruply transitive groups avoiding the alternating
     group, closing with m >= 6 and n - 3 <= 2m.
 
@@ -985,12 +982,13 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
                          seed: int = 0) -> tuple[list[CountCheck], list[str]]:
     """Aggregate the conjugation-orbit counting identities over seeded samples.
 
-    Samples are grouped into (u, delta) configurations, each checked once
-    and reused for many (gamma, second) draws.  A clause states that its
-    count over E = {u^h : h in H}, H the pointwise stabilizer of delta,
-    equals |E| times a rational formula f.  The suite never builds E: it
-    tests the equivalent identity count / |E| = f by double counting over
-    the orbits of H on ordered pairs of points,
+    One pass per (u, delta) configuration draws u, delta (|delta| <= 2)
+    and up to 20 (gamma, second) draws, then checks the configuration once
+    and judges its draws; checking and judging read no seeded rng.  A
+    clause states that its count over E = {u^h : h in H}, H the pointwise
+    stabilizer of delta, equals |E| times a rational formula f.  The suite
+    never builds E: it tests the equivalent identity count / |E| = f by
+    double counting over the orbits of H on ordered pairs of points,
 
       #{x in E : gamma^x = b} / |E| = #{a : (a, a^u) in O} / |O|,
         O the H-orbit of (gamma, b),
@@ -1016,50 +1014,40 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
     if group.order <= 1 or max_delta < 1:
         return [], list(CLAUSES)
 
+    totals = [[0, 0] for _ in CLAUSES]  # applied, failed
+    labels = {}  # |delta| -> pair labels under the () chain's level-|delta| stabilizer
     per_config = 20
-    config_count = (samples + per_config - 1) // per_config
-    batches = []
-    for index in range(config_count):
+    for start in range(0, samples, per_config):
         u = group.random_element(rng)
         while u.is_identity():
             u = group.random_element(rng)
         pool = sorted(u.support())
         dsize = rng.randint(1, min(max_delta, len(pool)))
         delta = tuple(sorted(rng.sample(pool, dsize)))
-        remaining = min(per_config, samples - index * per_config)
         rest = [a for a in range(n) if a not in delta]
         draws = []
-        for _ in range(remaining):
+        for _ in range(min(per_config, samples - start)):
             gamma = rng.choice(rest)
             i = rest.index(gamma)
-            others = rest[:i] + rest[i + 1:]
-            second = rng.choice(others) if others else None
-            draws.append((gamma, second))
-        batches.append((u, delta, draws))
-
-    totals = [[0, 0] for _ in CLAUSES]  # applied, failed
-    labels = {}  # |delta| -> pair labels under the () chain's level-|delta| stabilizer
-    for u, delta, draws in batches:
-        dset = frozenset(delta)
-        _check_configuration(group, u, dset, draws)
+            # |delta| <= n - 2 leaves gamma another point outside delta
+            draws.append((gamma, rng.choice(rest[:i] + rest[i + 1:])))
+        _check_configuration(group, u, frozenset(delta), draws)
         pair, g_inv, u_carried = _base_frame(group, u, delta)
-        table = labels.get(len(delta))
+        table = labels.get(dsize)
         if table is None:
-            table = labels[len(delta)] = _pair_labels([h.images for h in pair], n)
+            table = labels[dsize] = _pair_labels([h.images for h in pair], n)
         orbits = _pair_tallies(*table, u_carried)
-        plan = _clause_plan(n, u.moved_count(), len(dset), t, 1)
-        carried_draws = [(g_inv[gamma], None if second is None else g_inv[second])
-                         for gamma, second in draws]
-        _draw_tallies(plan, orbits, compose(delta, g_inv), carried_draws, totals)
+        plan = _clause_plan(n, u.moved_count(), dsize, t, 1)
+        _draw_tallies(plan, orbits, compose(delta, g_inv),
+                      [(g_inv[gamma], g_inv[second]) for gamma, second in draws], totals)
 
     checks = []
     inapplicable = []
-    total_draws = sum(len(draws) for _, _, draws in batches)
     for clause, (applied, failed) in zip(CLAUSES, totals):
         if applied == 0:
             inapplicable.append(clause)
             continue
-        checks.append(CountCheck(f"{clause} [{applied}/{total_draws} applicable]",
+        checks.append(CountCheck(f"{clause} [{applied}/{samples} applicable]",
                                  "=", failed, Fraction(0), failed == 0))
     return _sorted_checks(checks), inapplicable
 

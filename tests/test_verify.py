@@ -453,8 +453,8 @@ def test_pair_orbit_shares_match_closure_counts(name, param):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", ["S6", "A7", "M11", "M12", "PSL2_13", "PGL2_7", "PSL2_31",
-                                  "M24"])
+@pytest.mark.parametrize("name", ["S3", "S4", "S6", "A7", "M11", "M12", "PSL2_13", "PGL2_7",
+                                  "PSL2_31", "M24"])
 def test_count_suite_matches_the_per_configuration_route(name, seed):
     # the suite labels pairs once per |delta| and carries each configuration
     # onto the base; the oracle labels them afresh under every delta's own
