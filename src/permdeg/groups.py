@@ -11,12 +11,13 @@ reproducible for a given generating sequence.  Once a group's order is
 verified, later chains of the group stop as soon as their orbit lengths
 multiply to it, and come out the same as a full build.
 
-Everything runs on image tuples, composed in C by ``operator.itemgetter``:
-products, Schreier generators, random draws and the one transversal walk
-that both membership sifts and transporters take through ``perm.compose``,
-and conjugation closures through getters of their own, one per orbit
-element shared by every generator.  A conjugation closure returns its
-orbit as image tuples, which is all its readers scan.
+Everything runs on image tuples, composed in C: products, Schreier
+generators, random draws and the one transversal walk that both membership
+sifts and transporters take go through ``perm.compose``.  A conjugation
+closure of up to 256 points runs its breadth-first pass on byte strings,
+which ``bytes.translate`` composes, and above 256 points on getters of its
+own, one per orbit element shared by every generator.  Either way it
+returns its orbit as image tuples, which is all its readers scan.
 """
 
 from __future__ import annotations
@@ -497,28 +498,47 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
     with ``seed.images``.
 
     Raises CapExceeded when the orbit would exceed ``cap`` elements.
+
+    g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]].  Up to 256
+    points the pass runs on byte strings and ``bytes.translate`` composes
+    in C: x padded to a full 256-byte table is shared by every generator,
+    g^-1 read through it gives x[g^-1[b]], and g's padded table maps that
+    to y.  Above 256 points, where a byte cannot hold a point, one getter
+    per element x, shared by every generator, reads z = (g[x[a]] for each
+    a), and each generator's prebuilt getter of g^-1 reorders z into y.
     """
     for g in gens:
         if g.degree != seed.degree:
             raise DegreeMismatchError(f"degree mismatch: {g.degree} vs {seed.degree}")
-    if seed.degree == 1:
-        # the identity is the only permutation of one point, and a getter of
-        # one index would return a bare entry, not a tuple
-        return (seed.images,)
-    # g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]]: one getter per
-    # element x, shared by every generator, reads z = (g[x[a]] for each a),
-    # and each generator's prebuilt getter of g^-1 reorders z into y
-    pairs = [(g.images, itemgetter(*g.inverse().images)) for g in gens]
-    seen = {seed.images}
-    out = [seed.images]
-    for x in out:
-        x_getter = itemgetter(*x)
-        for g, inv_getter in pairs:
-            y = inv_getter(x_getter(g))
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
-                seen.add(y)
-                out.append(y)
-    return tuple(out)
+    n = seed.degree
+    if n <= 256:
+        tail = bytes(range(n, 256))
+        pairs = [(bytes(g.inverse().images), bytes(g.images) + tail) for g in gens]
+        out = [bytes(seed.images)]
+        seen = set(out)
+        for x in out:
+            table = x + tail
+            for inv, g_table in pairs:
+                y = inv.translate(table).translate(g_table)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
+                    seen.add(y)
+                    out.append(y)
+    else:
+        pairs = [(g.images, itemgetter(*g.inverse().images)) for g in gens]
+        out = [seed.images]
+        seen = set(out)
+        for x in out:
+            x_getter = itemgetter(*x)
+            for g, inv_getter in pairs:
+                y = inv_getter(x_getter(g))
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
+                    seen.add(y)
+                    out.append(y)
+    # the set's table is freed before the tuples are built, lowering the peak
+    seen = None
+    return tuple(map(tuple, out))
 

@@ -6,7 +6,8 @@ text I/O uses 1-based disjoint-cycle notation such as ``(1,2,3)(4,5)``;
 internally a permutation is an immutable 0-based image tuple.
 
 ``compose(first, then)`` is the library's product of image tuples (only
-the conjugation closure in ``groups`` keeps itemgetters of its own): entry
+the conjugation closure in ``groups`` composes on its own, by
+``bytes.translate`` up to 256 points and by itemgetters above): entry
 a of the result is ``then[first[a]]``, so ``first`` acts first, the order
 ``*`` uses.  It is ``operator.itemgetter(*first)`` applied to ``then``, so
 the tuple is built in C.  An itemgetter of one index returns a bare entry,

@@ -40,6 +40,25 @@ def mulclose(gens, degree, cap=2_000_000):
     return seen
 
 
+def conjugation_bfs(gens, seed):
+    """The conjugates of ``seed`` under the group ``gens`` generate, as image
+    tuples in breadth-first order from ``seed``: each element x yields
+    x.conjugate(g) for the generators g in order.
+
+    It works on ``Permutation`` objects throughout and shares no code with
+    ``permdeg.groups.conjugation_closure``, which it is used to check.
+    """
+    seen = {seed}
+    queue = [seed]
+    for x in queue:
+        for g in gens:
+            y = x.conjugate(g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return tuple(x.images for x in queue)
+
+
 def brute_minimal_degree(elements):
     return min(g.moved_count() for g in elements if not g.is_identity())
 

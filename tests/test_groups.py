@@ -12,8 +12,9 @@ from permdeg.groups import (
 )
 from permdeg.perm import DegreeMismatchError, Permutation, parse_cycles
 from permdeg import catalog, groups
+from permdeg.verify import double_transitive_trace
 
-from brute import all_tuples, mulclose, tuple_orbit_transitivity
+from brute import all_tuples, conjugation_bfs, mulclose, tuple_orbit_transitivity
 
 
 def sym4():
@@ -282,6 +283,64 @@ def test_conjugation_closure_cap():
     g = catalog.builtin("symmetric", 6)
     with pytest.raises(CapExceeded):
         conjugation_closure(g.generators, parse_cycles("(1,2)", 6), cap=3)
+
+
+def _relabelled(perms, offset, degree):
+    # each permutation of 0..m-1 carried onto the points offset..offset+m-1
+    # of ``degree`` points, fixing the rest
+    out = []
+    for p in perms:
+        images = list(range(degree))
+        for a, b in enumerate(p.images):
+            images[offset + a] = offset + b
+        out.append(Permutation(images))
+    return out
+
+
+def _m11_on_top(degree):
+    # M11 moved onto the top 11 points, and a seed that also swaps point 0
+    # with the top point, so the orbit moves the largest points there are
+    m11 = catalog.builtin("mathieu", 11)
+    gens = _relabelled(m11.generators, degree - 11, degree)
+    (u,) = _relabelled([m11.random_element(random.Random(3))], degree - 11, degree)
+    swap = list(range(degree))
+    swap[0], swap[-1] = swap[-1], swap[0]
+    return gens, u * Permutation(swap)
+
+
+def _trace_stabilizer(name, seed):
+    # the double trace's closure: its witness u under the stabilizer of alpha
+    g = catalog.parse_group_name(name)
+    w = double_transitive_trace(g, rng=random.Random(seed)).witnesses
+    return g.stabilizer_generators([int(w["alpha"]) - 1]), parse_cycles(w["u"], g.degree)
+
+
+CLOSURE_CASES = {
+    "degree-1": lambda: ([Permutation.identity(1)], Permutation.identity(1)),
+    "degree-1-no-generators": lambda: ([], Permutation.identity(1)),
+    "degree-2": lambda: ([parse_cycles("(1,2)", 2)], parse_cycles("(1,2)", 2)),
+    "degree-2-identity": lambda: ([parse_cycles("(1,2)", 2)], Permutation.identity(2)),
+    "M12-trace": lambda: _trace_stabilizer("M12", 1),
+    "M24-trace": lambda: _trace_stabilizer("M24", 2),
+    # bytes up to 256 points, where the padding after x is empty; itemgetters
+    # above
+    "degree-256": lambda: _m11_on_top(256),
+    "degree-257": lambda: _m11_on_top(257),
+    "degree-300": lambda: _m11_on_top(300),
+}
+
+
+@pytest.mark.parametrize("case", CLOSURE_CASES)
+def test_conjugation_closure_matches_plain_bfs(case):
+    gens, seed = CLOSURE_CASES[case]()
+    expected = conjugation_bfs(gens, seed)
+    assert expected[0] == seed.images
+    assert conjugation_closure(gens, seed) == expected
+    assert conjugation_closure(gens, seed, cap=len(expected)) == expected
+    if len(expected) > 1:
+        # a closure that never grows past its seed cannot exceed any cap
+        with pytest.raises(CapExceeded):
+            conjugation_closure(gens, seed, cap=len(expected) - 1)
 
 
 def test_conjugate_orbit_matches_full_stabilizer_enumeration():

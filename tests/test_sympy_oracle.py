@@ -72,3 +72,32 @@ def test_transporter_exists_exactly_on_sympy_tuple_orbit():
                 if t is not None:
                     assert ours.contains(t)
                     assert tuple(t.images[a] for a in src) == dst
+
+
+def test_trace_closure_sizes_match_sympy_centralizers(monkeypatch):
+    # every E that the counting traces close has |H : C_H(v)| elements,
+    # H = <gens> the stabilizer and v the seed, by sympy's own centralizer
+    from permdeg import catalog, verify
+
+    closure = verify.conjugation_closure
+    built = []
+
+    def recording(gens, seed, *args):
+        orbit = closure(gens, seed, *args)
+        built.append((gens, seed, len(orbit)))
+        return orbit
+
+    monkeypatch.setattr(verify, "conjugation_closure", recording)
+    for name in ("M11", "M12", "M23", "M24", "PGL2_13", "PSL2_13"):
+        group = catalog.parse_group_name(name)
+        for seed in range(4):
+            for theorem in ("double", "triple", "quadruple"):
+                verify.TRACES[theorem](group, rng=random.Random(seed) if seed else None)
+    # one closure per applicable trace: all three on the Mathieu groups, the
+    # double and triple traces on PGL2_13, and the double trace on PSL2_13
+    assert len(built) == 60
+    for gens, seed, size in built:
+        h = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens])
+        v = combinatorics.Permutation(list(seed.images))
+        assert size == h.order() // h.centralizer(v).order()
