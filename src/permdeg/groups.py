@@ -510,6 +510,9 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
     for g in gens:
         if g.degree != seed.degree:
             raise DegreeMismatchError(f"degree mismatch: {g.degree} vs {seed.degree}")
+    if cap < 1:
+        # the seed alone already exceeds the cap
+        raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
     n = seed.degree
     if n <= 256:
         tail = bytes(range(n, 256))

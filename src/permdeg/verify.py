@@ -479,14 +479,16 @@ def _base_frame(group: PermutationGroup, u: Permutation, delta: Sequence[int]
 
 class TraceReport:
     """The result of every trace builder.  An inapplicable trace has no
-    checks; a degenerate one names the construction step that failed."""
+    checks.  Only the jordan trace can be degenerate: when t is a multiple
+    of the witness's prime order p (or when the bound it replays is false),
+    ``degenerate`` names the construction step that cannot exist.  A step
+    the argument guarantees raises RuntimeError if it fails."""
 
     __slots__ = ("name", "group_label", "n", "t", "m", "applicable", "degenerate",
                  "witnesses", "sizes", "derived", "checks", "conclusion_holds")
 
     def __init__(self, name: str, group_label: str, n: int, t: int, m: int | None,
-                 applicable: bool, sizes: dict[str, int] | None = None,
-                 derived: dict[str, object] | None = None):
+                 applicable: bool):
         self.name = name
         self.group_label = group_label
         self.n = n
@@ -496,8 +498,8 @@ class TraceReport:
         self.degenerate = None
         # fresh containers per report: the builders fill them in place
         self.witnesses = {}
-        self.sizes = {} if sizes is None else sizes
-        self.derived = {} if derived is None else derived
+        self.sizes = {}
+        self.derived = {}
         self.checks = []
         self.conclusion_holds = None
 
@@ -599,19 +601,21 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     relocates a moved point onto a fixed point (r = 0) or shifts it one step
     along its own cycle while the previous r cycle points stay pinned
     (r != 0).  Either way [u,v] is a nonidentity group element whose support
-    the cancellation bound caps at 2m - 2t + 2, forcing m >= 2t - 2.  When
-    the prescription is unsatisfiable in the concrete group (for instance
-    the shifted image is itself pinned, which happens whenever t is a
-    multiple of p), the trace is flagged degenerate and only the numeric
-    bound is checked.  ``derived`` holds p, N, r and the case (None until
-    reached), ``sizes`` the pinned sets and ``witnesses`` u and v.
+    the cancellation bound caps at 2m - 2t + 2, forcing m >= 2t - 2.
+
+    The trace is flagged degenerate, and only the numeric bound is checked,
+    when the shifted image is itself pinned, which happens exactly when t is
+    a multiple of p, or when u has at most N cycles, which happens only if
+    the bound is false.  Otherwise t-transitivity guarantees v and the
+    cancellation hypotheses, so their failure raises RuntimeError.
+    ``derived`` holds p, N, r and the case (None until reached), ``sizes``
+    the pinned sets and ``witnesses`` u and v.
     """
     n = group.degree
     t = group.transitivity_degree()
-    report = TraceReport("jordan", group.label, n, t, None, False,
-                         sizes={"pinned": 0, "pinned_extended": 0},
-                         derived=dict.fromkeys(("prime", "pinned_cycles",
-                                                "remainder", "case")))
+    report = TraceReport("jordan", group.label, n, t, None, False)
+    report.sizes = {"pinned": 0, "pinned_extended": 0}
+    report.derived = dict.fromkeys(("prime", "pinned_cycles", "remainder", "case"))
     if group.order <= 1 or t < 2:
         return report
     report.m = minimal_degree(group).m
@@ -633,27 +637,23 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
         report.conclusion_holds = bound_check.passed
         return report
 
+    # every cycle has length p, so u has m/p cycles: at most N only if m < t
     cycles = u.cycles()
-    if any(len(c) != p for c in cycles) or len(cycles) <= blocks:
+    if len(cycles) <= blocks:
         return finish("witness cycle structure cannot supply the pinned cycles")
     phi = frozenset(a for cyc in cycles[:blocks] for a in cyc)
     report.sizes["pinned"] = len(phi)
     checks.append(_eq("pinned-size", len(phi), t - 1 - r))
     support = sorted(u.support())
-    outside = [a for a in support if a not in phi]
-    alpha = _pick(rng, outside)
+    alpha = _pick(rng, [a for a in support if a not in phi])
 
     if r == 0:
+        # t >= 2 and n >= 3: G_a is nontrivial, so the witness fixes a point
         report.derived["case"] = 1
-        fixed = sorted(u.fixed())
-        if not fixed:
-            return finish("witness moves every point; no relocation target exists")
-        pinned = phi
-        target = _pick(rng, fixed)
-        fixed_overlap: frozenset[int] = phi
-        shifted_overlap: frozenset[int] = phi
-        failure = "no group element realizes the pinned relocation"
+        target = _pick(rng, sorted(u.fixed()))
+        pinned = fixed_overlap = shifted_overlap = phi
     else:
+        # the r < p points walked back lie on alpha's own cycle, outside phi
         report.derived["case"] = 2
         u_inv = u.inverse()
         back = []
@@ -661,23 +661,21 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
         for _ in range(r):
             pt = u_inv.images[pt]
             back.append(pt)
-        psi = phi | set(back)
-        report.sizes["pinned_extended"] = len(psi)
-        if len(psi) != len(phi) + r or alpha in psi:
-            return finish("pinned cycle points collide with the walked-back points")
-        checks.append(_eq("pinned-extended-size", len(psi), t - 1))
+        pinned = phi.union(back)
+        report.sizes["pinned_extended"] = len(pinned)
+        checks.append(_eq("pinned-extended-size", len(pinned), t - 1))
         target = u.images[alpha]
-        if target in psi:
+        if target in pinned:
             return finish("the shifted image is itself pinned, so no relocating "
                           "element can exist")
-        pinned = psi
-        fixed_overlap = psi - {back[0]}
-        shifted_overlap = psi | {alpha}
-        failure = "no group element realizes the pinned shift"
-    pinned_tuple = tuple(sorted(pinned))
-    v = group.transporter((*pinned_tuple, alpha), (*pinned_tuple, target))
+        fixed_overlap = pinned - {back[0]}
+        shifted_overlap = pinned | {alpha}
+    # at most t distinct points per side, so t-transitivity supplies v
+    src = (*sorted(pinned), alpha)
+    dst = (*src[:-1], target)
+    v = group.transporter(src, dst)
     if v is None:
-        return finish(failure)
+        raise RuntimeError(f"{group.label}: no element maps {src} to {dst}")
     report.witnesses["v"] = format_cycles(v)
 
     c = u.commutator(v)
@@ -686,7 +684,8 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     try:
         checks.append(commutator_cancellation_bound(u, v, fixed_overlap, shifted_overlap))
     except PreconditionError as exc:
-        return finish(f"cancellation hypotheses failed: {exc}")
+        # v fixes the pinned points and maps alpha to target: the hypotheses
+        raise RuntimeError(f"{group.label}: cancellation hypotheses failed: {exc}") from exc
     checks.append(_ge("commutator-support-at-least-minimal", c.moved_count(), m))
     return finish()
 
@@ -760,11 +759,8 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     report, u, support, alpha = _counting_setup("triple", group, rng, 3)
     if not report.applicable:
         return report
-    fixed = sorted(u.fixed())
-    if not fixed:
-        report.degenerate = "witness moves every point; no fixed point to relocate onto"
-        return report
-    beta = _pick(rng, fixed)
+    # t >= 3 makes G_alpha nontrivial, so the minimal-degree witness fixes a point
+    beta = _pick(rng, sorted(u.fixed()))
     n, m = report.n, report.m
     ui = u.images
     h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (alpha, ui[alpha]), rng, cap)
@@ -831,13 +827,9 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
         return report
     ui = u.images
     beta = ui[alpha]
-    middle = [a for a in support if a != alpha and a != beta]
-    fixed = sorted(u.fixed())
-    if not fixed or not middle:
-        report.degenerate = "witness leaves no room for the two relocation targets"
-        return report
-    fix_target = _pick(rng, fixed)
-    mid_target = _pick(rng, middle)
+    # u fixes a point, and m > 2: with a transposition the group would be symmetric
+    fix_target = _pick(rng, sorted(u.fixed()))
+    mid_target = _pick(rng, [a for a in support if a != alpha and a != beta])
     h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (fix_target, mid_target),
                                    rng, cap)
     n, m = report.n, report.m

@@ -1,5 +1,6 @@
 """Seeded faults injected into the verifier: each must flip the checks that
-read the corrupted value, and the CLI must then exit 1."""
+read the corrupted value, and the CLI must then exit 1.  A fault in a
+construction step that the argument guarantees must raise instead."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from permdeg import catalog, verify
 from permdeg.cli import main
+from permdeg.groups import PermutationGroup
 
 
 @pytest.mark.parametrize("name", ["M11", "M12", "PGL2_13", "PSL2_31"])
@@ -29,6 +31,60 @@ def test_counts_suite_fails_on_a_miscounted_arrow(monkeypatch, name):
     # the delta and second-point clauses read off-diagonal orbits only
     assert not failed & {"gamma-into-delta", "gamma-to-second"}
     assert main(["verify", f"catalog:{name}", "counts", "--samples", "200"]) == 1
+
+
+# one extra arrow in an off-diagonal orbit of the carried frame, where delta
+# sits on the first base points b and x, y are the least points outside
+# b[:2]: the orbit of (x, b0) is read by gamma-into-delta alone, and that of
+# (x, y) by gamma-to-second alone (PSL2_31 has t = 2, so gamma-to-second
+# never applies there)
+@pytest.mark.parametrize("clause, name", [
+    (clause, name) for clause in ("gamma-into-delta", "gamma-to-second")
+    for name in ("M11", "M12", "PGL2_13", "PSL2_31", "M24")
+    if (clause, name) != ("gamma-to-second", "PSL2_31")])
+def test_counts_suite_fails_on_an_off_diagonal_arrow(monkeypatch, clause, name):
+    group = catalog.parse_group_name(name)
+    base = group.chain().base
+    x, y = [a for a in range(group.degree) if a not in base[:2]][:2]
+    pair = x * group.degree + (base[0] if clause == "gamma-into-delta" else y)
+    tallies = verify._pair_tallies
+
+    def faulty(label, size, u):
+        orbits = tallies(label, size, u)
+        orbits.arrows[label[pair]] += 1
+        return orbits
+
+    monkeypatch.setattr(verify, "_pair_tallies", faulty)
+    checks, _ = verify.count_identity_suite(group, 200)
+    assert {c.label.split(" [")[0] for c in checks if not c.passed} == {clause}
+    assert main(["verify", f"catalog:{name}", "counts", "--samples", "200"]) == 1
+
+
+# a commutator support that also lists a point both factors fix: that point
+# lies outside every containment set, and it breaks a size bound wherever a
+# sample meets that bound exactly
+EXTRA_FIXED_POINT = {"commutator-support-containment",
+                     "commutator-support-fixed-crossings",
+                     "commutator-support-size-bound"}
+
+
+@pytest.mark.parametrize("name, tight", [
+    ("S5", True), ("S8", True), ("M11", False), ("M12", True), ("M24", False)])
+def test_laws_suite_fails_on_an_extra_fixed_point(monkeypatch, name, tight):
+    support = verify._commutator_support
+
+    def faulty(u, x):
+        both_fixed = [a for a in range(len(u)) if u[a] == a and x[a] == a]
+        return support(u, x) + both_fixed[:1]
+
+    monkeypatch.setattr(verify, "_commutator_support", faulty)
+    checks = verify.commutator_law_suite(catalog.parse_group_name(name), 300, seed=1)
+    failed = {c.label.split(" [")[0] for c in checks
+              if not c.passed and not c.informational}
+    tight_labels = {"commutator-support-cancellation-bound"} if tight else set()
+    assert failed == EXTRA_FIXED_POINT | tight_labels
+    assert main(["verify", f"catalog:{name}", "laws", "--samples", "300",
+                 "--seed", "1"]) == 1
 
 
 # the count identities over E fail when the closure loses its last element;
@@ -55,3 +111,25 @@ def test_traces_fail_on_a_dropped_conjugate(monkeypatch, name, theorem):
     failed = {c.label for c in report.checks if not c.passed and not c.informational}
     assert DROPPED_CONJUGATE[theorem] <= failed
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
+
+
+# a transporter that misses its target, or finds none, where t-transitivity
+# guarantees one: the jordan trace must raise rather than report a
+# degenerate construction (M11 and PSL2_13 stop at the shifted-image exit
+# before they ask for v)
+TRANSPORTER_FAULTS = {
+    "cancellation hypotheses failed": lambda transporter: lambda self, src, dst: (
+        transporter(self, src, dst) * transporter(self, (dst[0],), (dst[-1],))),
+    "no element maps": lambda transporter: lambda self, src, dst: None,
+}
+
+
+@pytest.mark.parametrize("message", TRANSPORTER_FAULTS)
+@pytest.mark.parametrize("name", ["M12", "M24", "PGL2_13"])
+def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, message, name):
+    monkeypatch.setattr(PermutationGroup, "transporter",
+                        TRANSPORTER_FAULTS[message](PermutationGroup.transporter))
+    with pytest.raises(RuntimeError, match=message):
+        verify.jordan_bound_trace(catalog.parse_group_name(name), rng=random.Random(1))
+    with pytest.raises(RuntimeError, match=message):
+        main(["trace", f"catalog:{name}", "jordan", "--seed", "1"])

@@ -105,6 +105,14 @@ GOLDEN = [
      "da92212958f54d3e05992f264793c494148a3276692859e407116a0fa3572655"),
     (("trace", "catalog:C6", "double"), 0,
      "f2f5923b4092430b88f2411fbf8ff048aba0bbb395364194dbc719091ea16b03"),
+    # the one jordan exit that fires: t a multiple of p pins the shifted
+    # image (M11 at seed 0 is the unseeded command above)
+    (("trace", "catalog:M11", "jordan", "--seed", "1"), 0,
+     "2f172000c52994458323abfa5b76095e00fcf151537f9a6ff00477ec923323eb"),
+    (("trace", "catalog:PSL2_13", "jordan", "--seed", "0"), 0,
+     "1f0d9fea78fd52cf5a6ee9257da45bc89ed0eefb5161cf1d54ed6a7b55d57a09"),
+    (("trace", "catalog:PSL2_13", "jordan", "--seed", "1"), 0,
+     "df909b888c06f74b49a47c3b07d6273000d474e86a4bfaee2b84eb69ccba1110"),
     (("trace", "catalog:M11", "quadruple", "--seed", "2"), 0,
      "2d7fd241a5aa0adb1290e100a93bb746609fc79210356d357967fe9762d7e8b3"),
     # the large Mathieu groups, whose conjugation orbits are too big to list

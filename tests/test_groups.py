@@ -337,10 +337,9 @@ def test_conjugation_closure_matches_plain_bfs(case):
     assert expected[0] == seed.images
     assert conjugation_closure(gens, seed) == expected
     assert conjugation_closure(gens, seed, cap=len(expected)) == expected
-    if len(expected) > 1:
-        # a closure that never grows past its seed cannot exceed any cap
+    for cap in (0, len(expected) - 1):
         with pytest.raises(CapExceeded):
-            conjugation_closure(gens, seed, cap=len(expected) - 1)
+            conjugation_closure(gens, seed, cap=cap)
 
 
 def test_conjugate_orbit_matches_full_stabilizer_enumeration():

@@ -101,3 +101,24 @@ def test_trace_closure_sizes_match_sympy_centralizers(monkeypatch):
             [combinatorics.Permutation(list(g.images)) for g in gens])
         v = combinatorics.Permutation(list(seed.images))
         assert size == h.order() // h.centralizer(v).order()
+
+
+@pytest.mark.parametrize("name", ["M11", "M12", "M23", "M24", "PGL2_13", "PSL2_13"])
+def test_stabilizer_generators_generate_sympy_pointwise_stabilizer(name):
+    # the carried generating pairs fix their points and generate a group of
+    # the order of G_(pts), by sympy's own pointwise stabilizer
+    from permdeg import catalog
+
+    group = catalog.parse_group_name(name)
+    full = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in group.generators])
+    rng = random.Random(0)
+    for k in (1, 2, 3):
+        for _ in range(2):
+            pts = rng.sample(range(group.degree), k)
+            gens = group.stabilizer_generators(pts)
+            assert all(g.images[a] == a for g in gens for a in pts), (pts, gens)
+            generated = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g.images)) for g in gens])
+            order = group.pointwise_stabilizer(pts).order
+            assert generated.order() == order == full.pointwise_stabilizer(pts).order(), pts
