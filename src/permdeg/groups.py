@@ -11,13 +11,15 @@ reproducible for a given generating sequence.  Once a group's order is
 verified, later chains of the group stop as soon as their orbit lengths
 multiply to it, and come out the same as a full build.
 
-Everything runs on image tuples, composed in C: products, Schreier
-generators, random draws and the one transversal walk that both membership
-sifts and transporters take go through ``perm.compose``.  A conjugation
-closure of up to 256 points runs its breadth-first pass on byte strings,
-which ``bytes.translate`` composes, and above 256 points on getters of its
-own, one per orbit element shared by every generator.  Either way it
-returns its orbit as image tuples, which is all its readers scan.
+Chains are built on byte strings up to 256 points, which
+``bytes.translate`` composes in C, and on image tuples through
+``perm.compose`` above; either way a finished chain holds image tuples.
+Every other product goes through ``perm.compose``: random draws and the one
+transversal walk that both membership sifts and transporters take.  A
+conjugation closure of up to 256 points runs its breadth-first pass on byte
+strings too, and above 256 points on getters of its own, one per orbit
+element shared by every generator.  Either way it returns its orbit as
+image tuples, which is all its readers scan.
 """
 
 from __future__ import annotations
@@ -114,7 +116,14 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     fixing its prefix; an installation strictly enlarges the fundamental
     orbit at the first base point it moves, which bounds the work.
 
-    The construction runs on image tuples.  While it runs, each level keeps
+    Up to 256 points the construction composes byte strings through
+    ``bytes.translate``, and above 256 points image tuples through
+    ``perm.compose``; the width is picked once per chain, and one body runs
+    either way.  The left operand of every product is a plain n-point
+    string, and the right operand is padded to a 256-byte ``translate``
+    table: transversal representatives and residues are plain, strong
+    generators and inverse representatives are padded.  Above 256 points
+    the padding is empty.  While the construction runs, each level keeps
     the inverse of every transversal representative, built in the same
     breadth-first pass, so stripping never inverts a permutation; the
     finished chain keeps only the representatives, as image tuples.
@@ -138,19 +147,26 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         if not g.is_identity():
             gens.append(g)
 
-    ident = tuple(range(degree))
+    # the one width switch: byte strings that bytes.translate composes, or
+    # image tuples above 256 points; tail pads a right operand to a table
+    if degree <= 256:
+        mul, wrap, tail = bytes.translate, bytes, bytes(range(degree, 256))
+    else:
+        mul, wrap, tail = compose, tuple, ()
+    ident = wrap(range(degree))
+    ident_table = ident + tail
     base: list[int] = []
-    # per level: (generator images, inverse images) of its strong generators
-    gen_lists: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    transversals: list[dict[int, tuple[int, ...]]] = []
-    inverses: list[dict[int, tuple[int, ...]]] = []
+    # per level: (padded generator, plain inverse) of its strong generators
+    gen_lists: list[list[tuple[Sequence[int], Sequence[int]]]] = []
+    transversals: list[dict[int, Sequence[int]]] = []
+    inverses: list[dict[int, Sequence[int]]] = []
     strong: list[Permutation] = []
 
     def add_level(pt: int) -> None:
         base.append(pt)
         gen_lists.append([])
         transversals.append({pt: ident})
-        inverses.append({pt: ident})
+        inverses.append({pt: ident_table})
 
     for pt in base_prefix:
         if not 0 <= pt < degree:
@@ -161,7 +177,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     def rebuild_orbit(i: int) -> None:
         # rep(b) = rep(a) * s and rep(b)^-1 = s^-1 * rep(a)^-1 when b = a^s
         table = {base[i]: ident}
-        inv = {base[i]: ident}
+        inv = {base[i]: ident_table}
         queue = [base[i]]
         for a in queue:
             rep = table[a]
@@ -169,18 +185,18 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             for s, s_inv in gen_lists[i]:
                 b = s[a]
                 if b not in table:
-                    table[b] = compose(rep, s)
-                    inv[b] = compose(s_inv, rep_inv)
+                    table[b] = mul(rep, s)
+                    inv[b] = mul(s_inv, rep_inv) + tail
                     queue.append(b)
         transversals[i] = table
         inverses[i] = inv
 
-    def strip(g: tuple[int, ...], start: int) -> tuple[int, ...]:
+    def strip(g: Sequence[int], start: int) -> Sequence[int]:
         for j in range(start, len(base)):
             rep_inv = inverses[j].get(g[base[j]])
             if rep_inv is None:
                 break
-            g = compose(g, rep_inv)
+            g = mul(g, rep_inv)
         return g
 
     def install(g: Permutation) -> int:
@@ -192,13 +208,13 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             k += 1
         if k == len(base):
             add_level(min(a for a in range(degree) if images[a] != a))
-        entry = (images, g.inverse().images)
+        entry = (wrap(images) + tail, wrap(g.inverse().images))
         for j in range(k + 1):
             gen_lists[j].append(entry)
         strong.append(g)
         return k
 
-    def first_residue(i: int) -> tuple[int, ...] | None:
+    def first_residue(i: int) -> Sequence[int] | None:
         # the first Schreier generator rep(a) * s * rep(a^s)^-1 at level i
         # that does not strip to the identity through the deeper levels
         table = transversals[i]
@@ -207,7 +223,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             rep = table[a]
             for s, _ in gen_lists[i]:
                 back = inv[s[a]]
-                schreier = compose(compose(rep, s), back)
+                schreier = mul(mul(rep, s), back)
                 if schreier == ident:
                     continue
                 residue = strip(schreier, i + 1)
@@ -234,12 +250,17 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         if residue is None:
             i -= 1
             continue
-        i = install(Permutation._trusted(residue))
+        i = install(Permutation._trusted(tuple(residue)))
         for j in range(i + 1):
             rebuild_orbit(j)
 
-    levels = [ChainLevel(base[i], transversals[i], tuple(sorted(transversals[i])))
-              for i in range(len(base))]
+    # one identity tuple, shared by every level's base point
+    ident_images = tuple(ident)
+    levels = []
+    for pt, table in zip(base, transversals):
+        transversal = {b: tuple(rep) for b, rep in table.items()}
+        transversal[pt] = ident_images
+        levels.append(ChainLevel(pt, transversal, tuple(sorted(transversal))))
     return StabilizerChain(degree, levels, tuple(strong))
 
 

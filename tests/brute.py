@@ -9,8 +9,11 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
+from math import prod
+from typing import Iterable, Sequence
 
-from permdeg.perm import Permutation
+from permdeg.groups import ChainLevel, StabilizerChain
+from permdeg.perm import DegreeMismatchError, Permutation, compose
 from permdeg.verify import (CLAUSES, CountCheck, _check_configuration, _clause_plan,
                             _sorted_checks)
 
@@ -57,6 +60,153 @@ def conjugation_bfs(gens, seed):
                 seen.add(y)
                 queue.append(y)
     return tuple(x.images for x in queue)
+
+
+def build_chain_tuples(generators: Iterable[Permutation], degree: int,
+                       base_prefix: Sequence[int] = (), *,
+                       order: int | None = None) -> StabilizerChain:
+    """``permdeg.groups.build_chain`` on image tuples alone: every product
+    goes through ``perm.compose`` at every degree, where the library
+    composes on byte strings up to 256 points.  Both must return chains that
+    pickle to the same bytes.
+
+    Deterministic Schreier-Sims construction.
+
+    The base starts with ``base_prefix`` (kept even where redundant) and is
+    extended with the smallest moved point whenever a strong generator fixes
+    every current base point.  Residues of Schreier generators are sifted
+    through the deeper levels and installed at every level whose base prefix
+    they fix, so each level's generator list is exactly the strong generators
+    fixing its prefix; an installation strictly enlarges the fundamental
+    orbit at the first base point it moves, which bounds the work.
+
+    The construction runs on image tuples.  While it runs, each level keeps
+    the inverse of every transversal representative, built in the same
+    breadth-first pass, so stripping never inverts a permutation; the
+    finished chain keeps only the representatives, as image tuples.
+
+    With ``order``, the construction stops as soon as the orbit lengths
+    multiply to it.  Each level's group lies inside the true stabilizer of
+    its base prefix, so the product never exceeds the group order, and
+    reaching it proves every level complete: every remaining Schreier
+    generator would strip to the identity, and the chain is the one a full
+    build returns.  A product above ``order`` raises ValueError; a
+    generating set that never reaches it (a proper subgroup, or an order
+    that is too large) is built in full, so ``chain.order()`` tells the
+    caller which.  A too small order that some intermediate product happens
+    to equal would cut the chain short unseen, so ``order`` must come from a
+    verified chain, never from an expected value.
+    """
+    gens = []
+    for g in generators:
+        if g.degree != degree:
+            raise DegreeMismatchError(f"generator degree {g.degree}, expected {degree}")
+        if not g.is_identity():
+            gens.append(g)
+
+    ident = tuple(range(degree))
+    base: list[int] = []
+    # per level: (generator images, inverse images) of its strong generators
+    gen_lists: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    transversals: list[dict[int, tuple[int, ...]]] = []
+    inverses: list[dict[int, tuple[int, ...]]] = []
+    strong: list[Permutation] = []
+
+    def add_level(pt: int) -> None:
+        base.append(pt)
+        gen_lists.append([])
+        transversals.append({pt: ident})
+        inverses.append({pt: ident})
+
+    for pt in base_prefix:
+        if not 0 <= pt < degree:
+            raise ValueError(f"base point {pt} outside 0..{degree - 1}")
+        if pt not in base:
+            add_level(pt)
+
+    def rebuild_orbit(i: int) -> None:
+        # rep(b) = rep(a) * s and rep(b)^-1 = s^-1 * rep(a)^-1 when b = a^s
+        table = {base[i]: ident}
+        inv = {base[i]: ident}
+        queue = [base[i]]
+        for a in queue:
+            rep = table[a]
+            rep_inv = inv[a]
+            for s, s_inv in gen_lists[i]:
+                b = s[a]
+                if b not in table:
+                    table[b] = compose(rep, s)
+                    inv[b] = compose(s_inv, rep_inv)
+                    queue.append(b)
+        transversals[i] = table
+        inverses[i] = inv
+
+    def strip(g: tuple[int, ...], start: int) -> tuple[int, ...]:
+        for j in range(start, len(base)):
+            rep_inv = inverses[j].get(g[base[j]])
+            if rep_inv is None:
+                break
+            g = compose(g, rep_inv)
+        return g
+
+    def install(g: Permutation) -> int:
+        # register g at every level whose base prefix it fixes: levels 0..k,
+        # where k is the first base level g moves (new base point if none)
+        images = g.images
+        k = 0
+        while k < len(base) and images[base[k]] == base[k]:
+            k += 1
+        if k == len(base):
+            add_level(min(a for a in range(degree) if images[a] != a))
+        entry = (images, g.inverse().images)
+        for j in range(k + 1):
+            gen_lists[j].append(entry)
+        strong.append(g)
+        return k
+
+    def first_residue(i: int) -> tuple[int, ...] | None:
+        # the first Schreier generator rep(a) * s * rep(a^s)^-1 at level i
+        # that does not strip to the identity through the deeper levels
+        table = transversals[i]
+        inv = inverses[i]
+        for a in sorted(table):
+            rep = table[a]
+            for s, _ in gen_lists[i]:
+                back = inv[s[a]]
+                schreier = compose(compose(rep, s), back)
+                if schreier == ident:
+                    continue
+                residue = strip(schreier, i + 1)
+                if residue != ident:
+                    return residue
+        return None
+
+    def reached() -> bool:
+        if order is None:
+            return False
+        size = prod(len(table) for table in transversals)
+        if size > order:
+            raise ValueError(f"orbit lengths multiply to {size}, above the given order {order}")
+        return size == order
+
+    for g in gens:
+        install(g)
+    for i in range(len(base)):
+        rebuild_orbit(i)
+
+    i = len(base) - 1
+    while i >= 0 and not reached():
+        residue = first_residue(i)
+        if residue is None:
+            i -= 1
+            continue
+        i = install(Permutation._trusted(residue))
+        for j in range(i + 1):
+            rebuild_orbit(j)
+
+    levels = [ChainLevel(base[i], transversals[i], tuple(sorted(transversals[i])))
+              for i in range(len(base))]
+    return StabilizerChain(degree, levels, tuple(strong))
 
 
 def brute_minimal_degree(elements):

@@ -9,6 +9,8 @@ import pytest
 
 from permdeg import catalog
 from permdeg.cli import build_parser, main
+from permdeg.groups import PermutationGroup
+from permdeg.perm import Permutation
 from permdeg.verify import TRACES
 
 
@@ -249,6 +251,26 @@ def test_file_group_round_trip(tmp_path, capsys):
     code, out = run(capsys, "info", f"file:{path}")
     assert code == 0
     assert "order=24" in out
+
+
+def test_info_above_256_points(tmp_path, capsys):
+    # M11 on the top 11 of 300 points, where a byte cannot hold a point:
+    # its order and minimal degree are M11's, and it fixes the other 289
+    # points, so it is not transitive (t = 0)
+    m11 = catalog.builtin("mathieu", 11)
+    gens = []
+    for g in m11.generators:
+        images = list(range(300))
+        images[289:] = [289 + b for b in g.images]
+        gens.append(Permutation(images))
+    path = tmp_path / "m11-300.perm"
+    catalog.save_generator_file(PermutationGroup(gens, 300), path)
+    report = tmp_path / "report.json"
+    code, out = run(capsys, "info", f"file:{path}", "--json", str(report))
+    assert code == 0
+    assert "n=300 order=7920 t=0 m=8" in out
+    assert {key: json.loads(report.read_text())[key] for key in ("n", "order", "t", "m")} == {
+        "n": 300, "order": "7920", "t": 0, "m": 8}
 
 
 def test_trivial_group_reports_null_m(tmp_path, capsys):

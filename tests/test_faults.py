@@ -9,6 +9,7 @@ import pytest
 from permdeg import catalog, verify
 from permdeg.cli import main
 from permdeg.groups import PermutationGroup
+from permdeg.perm import compose
 
 
 @pytest.mark.parametrize("name", ["M11", "M12", "PGL2_13", "PSL2_31"])
@@ -87,9 +88,10 @@ def test_laws_suite_fails_on_an_extra_fixed_point(monkeypatch, name, tight):
                  "--seed", "1"]) == 1
 
 
-# the count identities over E fail when the closure loses its last element;
-# the quadruple trace needs a 4-transitive group, which PGL2_13 is not
-DROPPED_CONJUGATE = {
+# the count identities over E fail when the closure loses its last element or
+# gains a non-conjugate; the quadruple trace needs a 4-transitive group,
+# which PGL2_13 is not
+E_IDENTITIES = {
     "double": {"fixing-count-identity"},
     "triple": {"edge-mover-count-back", "edge-mover-count-forward",
                "overlap-pairs-identity"},
@@ -97,8 +99,13 @@ DROPPED_CONJUGATE = {
 }
 
 
+def _failed_trace_checks(name, theorem):
+    report = verify.TRACES[theorem](catalog.parse_group_name(name), rng=random.Random(1))
+    return {c.label for c in report.checks if not c.passed and not c.informational}
+
+
 @pytest.mark.parametrize("name, theorem", [
-    (name, theorem) for name in ("M11", "M12", "PGL2_13") for theorem in DROPPED_CONJUGATE
+    (name, theorem) for name in ("M11", "M12", "PGL2_13") for theorem in E_IDENTITIES
     if (name, theorem) != ("PGL2_13", "quadruple")])
 def test_traces_fail_on_a_dropped_conjugate(monkeypatch, name, theorem):
     closure = verify.conjugation_closure
@@ -107,9 +114,28 @@ def test_traces_fail_on_a_dropped_conjugate(monkeypatch, name, theorem):
         return closure(*args)[:-1]
 
     monkeypatch.setattr(verify, "conjugation_closure", faulty)
-    report = verify.TRACES[theorem](catalog.parse_group_name(name), rng=random.Random(1))
-    failed = {c.label for c in report.checks if not c.passed and not c.informational}
-    assert DROPPED_CONJUGATE[theorem] <= failed
+    assert E_IDENTITIES[theorem] <= _failed_trace_checks(name, theorem)
+    assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
+
+
+# a product of two adjacent elements of E that moves a different number of
+# points from the seed, so it is conjugate to no element of E; at seed 1 no
+# such product exists in the PGL2_13 triple trace's E
+@pytest.mark.parametrize("name, theorem", [
+    (name, theorem) for name in ("M11", "M12", "PGL2_13") for theorem in E_IDENTITIES
+    if name != "PGL2_13" or theorem == "double"])
+def test_traces_fail_on_a_non_conjugate(monkeypatch, name, theorem):
+    closure = verify.conjugation_closure
+
+    def faulty(gens, seed, *args):
+        orbit = closure(gens, seed, *args)
+        m = seed.moved_count()
+        products = (compose(x, y) for x, y in zip(orbit, orbit[1:]))
+        return orbit + (next(z for z in products
+                             if sum(a != b for a, b in enumerate(z)) != m),)
+
+    monkeypatch.setattr(verify, "conjugation_closure", faulty)
+    assert E_IDENTITIES[theorem] <= _failed_trace_checks(name, theorem)
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 
 

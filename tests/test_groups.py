@@ -14,7 +14,8 @@ from permdeg.perm import DegreeMismatchError, Permutation, parse_cycles
 from permdeg import catalog, groups
 from permdeg.verify import double_transitive_trace
 
-from brute import all_tuples, conjugation_bfs, mulclose, tuple_orbit_transitivity
+from brute import (all_tuples, build_chain_tuples, conjugation_bfs, mulclose,
+                   tuple_orbit_transitivity)
 
 
 def sym4():
@@ -474,6 +475,56 @@ def test_known_order_chain_equals_full_build(name):
         full = build_chain(g.generators, g.degree, prefix)
         known = build_chain(g.generators, g.degree, prefix, order=g.order)
         assert pickle.dumps(known) == pickle.dumps(full), prefix
+
+
+@pytest.mark.parametrize("name", ["S7", "M11", "M12", "M23", "M24", "PGL2_13"])
+def test_chain_matches_the_image_tuple_construction(name):
+    # composing on byte strings keeps every base, strong generator and
+    # representative, and the insertion order of every transversal, which
+    # random draws and the golden digests read
+    g = catalog.parse_group_name(name)
+    for prefix in ((), (5,), (4, 0, 2)):
+        for order in (None, g.order):
+            expected = build_chain_tuples(g.generators, g.degree, prefix, order=order)
+            got = build_chain(g.generators, g.degree, prefix, order=order)
+            assert pickle.dumps(got) == pickle.dumps(expected), (prefix, order)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 256, 257, 300])
+def test_chain_on_either_side_of_256_points(degree):
+    # up to 256 points a chain is built on byte strings, above on image
+    # tuples; M11 on the top points puts the largest points into every
+    # product, and S1 and S2 are the smallest groups there are
+    if degree <= 2:
+        group = catalog.builtin("symmetric", degree)
+        moved, order, t = list(range(degree)), degree, degree
+    else:
+        group = PermutationGroup(_m11_on_top(degree)[0], degree)
+        moved, order, t = list(range(degree - 11, degree)), 7920, 0
+    for prefix in ((), (degree - 1,), (moved[-1], 0, moved[0])):
+        for known in (None, order):
+            expected = build_chain_tuples(group.generators, degree, prefix, order=known)
+            got = build_chain(group.generators, degree, prefix, order=known)
+            assert pickle.dumps(got) == pickle.dumps(expected), (prefix, known)
+    assert group.order == order
+    assert group.transitivity_degree() == t
+    rng = random.Random(degree)
+    k = min(4, len(moved))
+    for _ in range(5):
+        x, y = group.random_element(rng), group.random_element(rng)
+        assert group.contains(x) and group.contains(x * y)
+        dst = tuple(rng.sample(moved, k))
+        found = group.transporter(moved[:k], dst)
+        assert tuple(found.images[a] for a in moved[:k]) == dst
+        assert group.contains(found)
+    if degree > 2:
+        # 4-transitive on the 11 points it moves, and on nothing else
+        assert [len(level.orbit) for level in group.chain().levels[:4]] == [11, 10, 9, 8]
+        assert group.transporter((moved[0],), (0,)) is None
+        for a, b in ((moved[0], moved[1]), (0, moved[0])):
+            swap = list(range(degree))
+            swap[a], swap[b] = b, a
+            assert not group.contains(Permutation(swap))
 
 
 @pytest.mark.parametrize("name", ["S7", "M11"])

@@ -50,9 +50,10 @@ def _is_image_product(node: ast.AST) -> bool:
 
 
 def test_library_composes_through_one_kernel():
-    # image tuples are composed by perm.compose, and the conjugation closure
-    # by bytes.translate up to 256 points and its shared itemgetters above;
-    # a comprehension product beside them is a second, slower path
+    # image tuples are composed by perm.compose, Schreier-Sims and the
+    # conjugation closure compose byte strings by bytes.translate up to 256
+    # points, and the closure uses shared itemgetters above; a comprehension
+    # product beside them is a second, slower path
     found = {f"{path.name}:{node.lineno}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -122,3 +122,24 @@ def test_stabilizer_generators_generate_sympy_pointwise_stabilizer(name):
                 [combinatorics.Permutation(list(g.images)) for g in gens])
             order = group.pointwise_stabilizer(pts).order
             assert generated.order() == order == full.pointwise_stabilizer(pts).order(), pts
+
+
+@pytest.mark.parametrize("name", ["S5", "S6", "S7", "S8", "A5", "A6", "A7", "A8", "M11",
+                                  "M12", "M23", "M24", "PGL2_13", "PSL2_13"])
+def test_catalog_orders_and_transitivity_match_sympy(name):
+    from permdeg import catalog
+
+    group = catalog.parse_group_name(name)
+    theirs = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in group.generators])
+    assert group.order == theirs.order()
+    if name != "M24":
+        assert group.transitivity_degree() == theirs.transitivity_degree
+        return
+    # sympy's transitivity_degree takes about 10 s on M24, so count the
+    # leading k whose stabilizer of the points 0..k-1 is transitive on the rest
+    n = group.degree
+    t = 0
+    while t < n and len(theirs.pointwise_stabilizer(list(range(t))).orbit(t)) == n - t:
+        t += 1
+    assert group.transitivity_degree() == t == 5
