@@ -11,23 +11,20 @@ reproducible for a given generating sequence.  Once a group's order is
 verified, later chains of the group stop as soon as their orbit lengths
 multiply to it, and come out the same as a full build.
 
-Chains are built on byte strings up to 256 points, which
-``bytes.translate`` composes in C, and on image tuples through
-``perm.compose`` above; either way a finished chain holds image tuples.
-Every other product goes through ``perm.compose``: random draws and the one
-transversal walk that both membership sifts and transporters take.  A
-conjugation closure of up to 256 points runs its breadth-first pass on byte
-strings too, and above 256 points on getters of its own, one per orbit
-element shared by every generator.  Either way it returns its orbit as
-image tuples, which is all its readers scan.
+Schreier-Sims and the conjugation closure compose through one width
+switch, ``_width``: byte strings that ``bytes.translate`` composes in C up
+to 256 points, image tuples through ``perm.compose`` above, with one body
+either way.  A finished chain holds image tuples, and a closure returns its
+orbit as image tuples, which is all their readers scan.  Every other
+product goes through ``perm.compose``: random draws and the one transversal
+walk that both membership sifts and transporters take.
 """
 
 from __future__ import annotations
 
 import random
 from math import factorial, prod
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .perm import DegreeMismatchError, Permutation, compose
 
@@ -116,17 +113,16 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     fixing its prefix; an installation strictly enlarges the fundamental
     orbit at the first base point it moves, which bounds the work.
 
-    Up to 256 points the construction composes byte strings through
-    ``bytes.translate``, and above 256 points image tuples through
-    ``perm.compose``; the width is picked once per chain, and one body runs
-    either way.  The left operand of every product is a plain n-point
-    string, and the right operand is padded to a 256-byte ``translate``
-    table: transversal representatives and residues are plain, strong
-    generators and inverse representatives are padded.  Above 256 points
-    the padding is empty.  While the construction runs, each level keeps
-    the inverse of every transversal representative, built in the same
-    breadth-first pass, so stripping never inverts a permutation; the
-    finished chain keeps only the representatives, as image tuples.
+    Products run on the operands ``_width`` picks once per chain: byte
+    strings up to 256 points, image tuples above.  The left operand of every
+    product is a plain n-point string, and the right operand is padded to a
+    256-byte ``translate`` table: transversal representatives and residues
+    are plain, strong generators and inverse representatives are padded.
+    Above 256 points the padding is empty.  While the construction runs,
+    each level keeps the inverse of every transversal representative, built
+    in the same breadth-first pass, so stripping never inverts a
+    permutation; the finished chain keeps only the representatives, as
+    image tuples.
 
     With ``order``, the construction stops as soon as the orbit lengths
     multiply to it.  Each level's group lies inside the true stabilizer of
@@ -147,12 +143,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         if not g.is_identity():
             gens.append(g)
 
-    # the one width switch: byte strings that bytes.translate composes, or
-    # image tuples above 256 points; tail pads a right operand to a table
-    if degree <= 256:
-        mul, wrap, tail = bytes.translate, bytes, bytes(range(degree, 256))
-    else:
-        mul, wrap, tail = compose, tuple, ()
+    mul, wrap, tail = _width(degree)
     ident = wrap(range(degree))
     ident_table = ident + tail
     base: list[int] = []
@@ -477,6 +468,17 @@ class PermutationGroup:
         return self.contains(probe)
 
 
+def _width(degree: int) -> tuple[Callable, type, Sequence[int]]:
+    """(mul, wrap, tail) for products on ``degree`` points: byte strings
+    that ``bytes.translate`` composes up to 256 points, image tuples through
+    ``perm.compose`` above.  ``mul(first, table)`` acts with ``first``
+    first, ``wrap`` turns image tuples into operands, and ``tail`` pads a
+    right operand to a 256-byte ``translate`` table (empty above 256)."""
+    if degree <= 256:
+        return bytes.translate, bytes, bytes(range(degree, 256))
+    return compose, tuple, ()
+
+
 def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
           start: tuple[int, ...]) -> tuple[int, ...] | None:
     """rep_k * ... * rep_1 * start as an image tuple, where rep_i is the
@@ -520,13 +522,10 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
 
     Raises CapExceeded when the orbit would exceed ``cap`` elements.
 
-    g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]].  Up to 256
-    points the pass runs on byte strings and ``bytes.translate`` composes
-    in C: x padded to a full 256-byte table is shared by every generator,
-    g^-1 read through it gives x[g^-1[b]], and g's padded table maps that
-    to y.  Above 256 points, where a byte cannot hold a point, one getter
-    per element x, shared by every generator, reads z = (g[x[a]] for each
-    a), and each generator's prebuilt getter of g^-1 reorders z into y.
+    g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]].  The pass runs
+    on the operands ``_width`` picks (byte strings up to 256 points, image
+    tuples above): x padded to a table is shared by every generator, g^-1
+    read through it gives x[g^-1[b]], and g's padded table maps that to y.
     """
     for g in gens:
         if g.degree != seed.degree:
@@ -534,34 +533,19 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
     if cap < 1:
         # the seed alone already exceeds the cap
         raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
-    n = seed.degree
-    if n <= 256:
-        tail = bytes(range(n, 256))
-        pairs = [(bytes(g.inverse().images), bytes(g.images) + tail) for g in gens]
-        out = [bytes(seed.images)]
-        seen = set(out)
-        for x in out:
-            table = x + tail
-            for inv, g_table in pairs:
-                y = inv.translate(table).translate(g_table)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
-                    seen.add(y)
-                    out.append(y)
-    else:
-        pairs = [(g.images, itemgetter(*g.inverse().images)) for g in gens]
-        out = [seed.images]
-        seen = set(out)
-        for x in out:
-            x_getter = itemgetter(*x)
-            for g, inv_getter in pairs:
-                y = inv_getter(x_getter(g))
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
-                    seen.add(y)
-                    out.append(y)
+    mul, wrap, tail = _width(seed.degree)
+    pairs = [(wrap(g.inverse().images), wrap(g.images) + tail) for g in gens]
+    out = [wrap(seed.images)]
+    seen = set(out)
+    for x in out:
+        table = x + tail
+        for inv, g_table in pairs:
+            y = mul(mul(inv, table), g_table)
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
+                seen.add(y)
+                out.append(y)
     # the set's table is freed before the tuples are built, lowering the peak
     seen = None
     return tuple(map(tuple, out))

@@ -5,14 +5,13 @@ compose left to right: ``(p * q).apply(a) == q.apply(p.apply(a))``.  All
 text I/O uses 1-based disjoint-cycle notation such as ``(1,2,3)(4,5)``;
 internally a permutation is an immutable 0-based image tuple.
 
-``compose(first, then)`` is the library's product of image tuples (only
-Schreier-Sims and the conjugation closure in ``groups`` compose byte
-strings, by ``bytes.translate`` up to 256 points, and the closure uses
-itemgetters of its own above): entry a of the result is
-``then[first[a]]``, so ``first`` acts first, the order ``*`` uses.  It is
-``operator.itemgetter(*first)`` applied to ``then``, so the tuple is built
-in C.  An itemgetter of one index returns a bare entry, so a degree-1
-product is made into a 1-tuple by hand.
+``compose(first, then)`` is the library's only product of image tuples
+(Schreier-Sims and the conjugation closure in ``groups`` compose byte
+strings by ``bytes.translate`` up to 256 points, and call it above): entry
+a of the result is ``then[first[a]]``, so ``first`` acts first, the order
+``*`` uses.  It is ``operator.itemgetter(*first)`` applied to ``then``, so
+the tuple is built in C.  An itemgetter of one index returns a bare entry,
+so a degree-1 product is made into a 1-tuple by hand.
 
 A permutation is validated once, when it is constructed from outside data:
 the public constructor checks that the entries are integers forming a

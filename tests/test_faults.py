@@ -159,3 +159,93 @@ def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, message, name)
         verify.jordan_bound_trace(catalog.parse_group_name(name), rng=random.Random(1))
     with pytest.raises(RuntimeError, match=message):
         main(["trace", f"catalog:{name}", "jordan", "--seed", "1"])
+
+
+# past the count identities, the non-conjugate added to E breaks the
+# relocation and partition counts of the triple trace and the carried-pair
+# bound of the quadruple trace, on M11 and M12 at seed 1
+NON_CONJUGATE_ALSO = {
+    "triple": {"orbit-relocation-structure", "overlap-pairs-partition"},
+    "quadruple": {"carried-pairs-upper"},
+}
+
+
+@pytest.mark.parametrize("name, theorem", [
+    (name, theorem) for name in ("M11", "M12") for theorem in NON_CONJUGATE_ALSO])
+def test_non_conjugate_breaks_the_structure_checks(monkeypatch, name, theorem):
+    closure = verify.conjugation_closure
+
+    def faulty(gens, seed, *args):
+        orbit = closure(gens, seed, *args)
+        m = seed.moved_count()
+        products = (compose(x, y) for x, y in zip(orbit, orbit[1:]))
+        return orbit + (next(z for z in products
+                             if sum(a != b for a, b in enumerate(z)) != m),)
+
+    monkeypatch.setattr(verify, "conjugation_closure", faulty)
+    assert NON_CONJUGATE_ALSO[theorem] <= _failed_trace_checks(name, theorem)
+
+
+# the checks no seeded fault flips, keyed by (suite, label), each with the
+# reason; a conclusion of the theorem can fail only if the theorem is false
+_SLACK = "inequality with slack that one element more or less in E does not cross"
+_NO_RAISE = "dropping cannot raise it; the added product fails to commute"
+_FROM_N_M = "theorem step, from n and m alone"
+_ANY_PAIR = "holds for every pair of permutations; only a fault in the split rule flips it"
+NO_FAULT = {
+    ("jordan", "witness-support-exceeds-transitivity"):
+        "conclusion about the minimal degree, from m and t alone",
+    ("jordan", "pinned-size"): "N whole cycles of a prime-order u hold Np points",
+    ("jordan", "commutator-nontrivial"):
+        "v moves alpha off u's cycle; a transporter that fails raises instead",
+    ("jordan", "commutator-in-group"): "only a faulty membership sift flips it; none is injected",
+    ("jordan", "commutator-support-cancellation-bound"):
+        "lemma for every pair meeting its hypotheses, whose failure raises",
+    ("jordan", "commutator-support-at-least-minimal"):
+        "m is the least support of a nonidentity element, which [u,v] is",
+    ("jordan", "jordan-bound"): "theorem conclusion m >= 2t - 2, from m and t alone",
+    ("double", "degree-bound"): _FROM_N_M,
+    ("double", "fixer-noncommuting"): _NO_RAISE,
+    ("double", "overlap-lower-third"):
+        "dropping cannot raise it; the added product shares m/3 points with u",
+    ("double", "overlap-pairs-partition"):
+        "holds while every fixer in E moves alpha, which both E faults keep at seed 1",
+    ("double", "overlap-pairs-lower"): _SLACK,
+    ("double", "overlap-pairs-upper"): _SLACK,
+    ("triple", "degree-bound"): _FROM_N_M,
+    ("triple", "orbit-noncommuting"): _NO_RAISE,
+    ("triple", "commutator-pairs-lower"): _SLACK,
+    ("triple", "commutator-pairs-upper"): _SLACK,
+    ("triple", "doubled-overlap-lower"): _SLACK,
+    ("quadruple", "orbit-stabilizer-structure"):
+        "a product of elements fixing alpha fixes alpha, and seed 1's moves beta",
+    ("quadruple", "orbit-noncommuting"): _NO_RAISE,
+    ("quadruple", "support-split-containment"): _ANY_PAIR,
+    ("quadruple", "pair-count-split"): _ANY_PAIR,
+    ("quadruple", "commutator-pairs-lower"): _SLACK,
+    ("quadruple", "arrow-pairs-upper"): _SLACK,
+    ("quadruple", "assembled-degree-inequality"): _FROM_N_M,
+    ("quadruple", "shifted-threshold-bound"): _FROM_N_M,
+    ("quadruple", "minimal-degree-at-least-six"): _FROM_N_M,
+    ("quadruple", "degree-window"): _FROM_N_M,
+    ("pair-relation", "row-count-uniform"): "every point starts n - 1 distinct pairs in any group",
+    ("pair-relation", "column-count-uniform"): "every distinct pair has one first entry",
+    ("pair-relation", "count-mass-balance"): "n(n - 1) pairs counted both ways in any group",
+}
+
+
+def test_every_check_is_flipped_or_listed_unreachable():
+    # each check label of the four traces on M12 at seed 1, and of the
+    # pair-relation suite, is flipped by a seeded fault above or named in
+    # NO_FAULT, so a check that can never fire cannot be added unseen
+    faulted = {(theorem, label)
+               for table in (E_IDENTITIES, NON_CONJUGATE_ALSO)
+               for theorem, labels in table.items() for label in labels}
+    group = catalog.parse_group_name("M12")
+    found = {("pair-relation", c.label) for c in verify.relation_balance_checks(group)}
+    for theorem, trace in verify.TRACES.items():
+        report = trace(group, rng=random.Random(1))
+        found |= {(theorem, c.label) for c in report.checks if not c.informational}
+    assert not faulted & NO_FAULT.keys()
+    assert found - faulted - NO_FAULT.keys() == set()
+    assert NO_FAULT.keys() <= found

@@ -323,8 +323,8 @@ CLOSURE_CASES = {
     "degree-2-identity": lambda: ([parse_cycles("(1,2)", 2)], Permutation.identity(2)),
     "M12-trace": lambda: _trace_stabilizer("M12", 1),
     "M24-trace": lambda: _trace_stabilizer("M24", 2),
-    # bytes up to 256 points, where the padding after x is empty; itemgetters
-    # above
+    # bytes up to 256 points, where the padding after x is empty; image
+    # tuples through perm.compose above
     "degree-256": lambda: _m11_on_top(256),
     "degree-257": lambda: _m11_on_top(257),
     "degree-300": lambda: _m11_on_top(300),

@@ -50,15 +50,26 @@ def _is_image_product(node: ast.AST) -> bool:
 
 
 def test_library_composes_through_one_kernel():
-    # image tuples are composed by perm.compose, Schreier-Sims and the
+    # image tuples are composed by perm.compose, and Schreier-Sims and the
     # conjugation closure compose byte strings by bytes.translate up to 256
-    # points, and the closure uses shared itemgetters above; a comprehension
-    # product beside them is a second, slower path
+    # points and call perm.compose above; a comprehension product beside
+    # them is a second, slower path
     found = {f"{path.name}:{node.lineno}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if _is_image_product(node)}
     assert SOURCES and found == set()
+
+
+def test_itemgetter_lives_only_in_perm():
+    # perm.compose is the one getter kernel; an itemgetter imported or read
+    # anywhere else is a second product path beside it
+    name_field = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "perm.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if getattr(node, name_field.get(type(node), ""), None) == "itemgetter"]
+    assert SOURCES and found == []
 
 
 def test_benchmark_tracer_installs(tmp_path):

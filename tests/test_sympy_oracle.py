@@ -143,3 +143,28 @@ def test_catalog_orders_and_transitivity_match_sympy(name):
     while t < n and len(theirs.pointwise_stabilizer(list(range(t))).orbit(t)) == n - t:
         t += 1
     assert group.transitivity_degree() == t == 5
+
+
+@pytest.mark.parametrize("name", ["M11", "M12", "M23", "M24", "PGL2_13", "PSL2_13", "PSL2_31"])
+def test_pair_orbit_sizes_match_sympy(name):
+    # the counts suite labels ordered pairs (diagonal included) by their
+    # orbits under the level-k pair of the () chain; those orbits must be
+    # the ones sympy finds under the pointwise stabilizer of the chain's
+    # first k base points
+    from permdeg import catalog, verify
+
+    group = catalog.parse_group_name(name)
+    n = group.degree
+    full = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in group.generators])
+    base = group.chain().base
+    for k in (1, 2):
+        _, ours = verify._pair_labels([g.images for g in group._level_pair(k)], n)
+        stabilizer = full.pointwise_stabilizer(list(base[:k]))
+        unvisited = {(a, c) for a in range(n) for c in range(n)}
+        theirs = []
+        while unvisited:
+            orbit = stabilizer.orbit(min(unvisited), action="tuples")
+            theirs.append(len(orbit))
+            unvisited -= orbit
+        assert sorted(ours) == sorted(theirs), k
