@@ -11,7 +11,7 @@ from math import factorial
 from pathlib import Path
 
 from .groups import PermutationGroup
-from .perm import CycleParseError, Permutation, format_cycles, parse_cycles
+from .perm import CycleParseError, Permutation, parse_cycles
 
 
 class GeneratorFileError(ValueError):
@@ -224,9 +224,3 @@ def load_generator_file(path: str | Path) -> PermutationGroup:
         raise GeneratorFileError("missing 'degree <n>' header", 1)
     return PermutationGroup(gens, degree, label=path.stem)
 
-
-def save_generator_file(group: PermutationGroup, path: str | Path) -> None:
-    path = Path(path)
-    lines = [f"degree {group.degree}"]
-    lines.extend(format_cycles(g) for g in group.generators)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")

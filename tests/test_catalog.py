@@ -6,11 +6,10 @@ from permdeg.catalog import (
     builtin,
     load_generator_file,
     parse_group_name,
-    save_generator_file,
 )
 from permdeg.perm import parse_cycles
 
-from brute import tuple_orbit_transitivity
+from brute import save_generator_file, tuple_orbit_transitivity
 
 
 @pytest.mark.parametrize("name,param,order,tdeg", [
@@ -81,6 +80,8 @@ def test_perm_file_round_trip(tmp_path):
     g = builtin("mathieu", 11)
     path = tmp_path / "m11.perm"
     save_generator_file(g, path)
+    assert path.read_text(encoding="ascii") == (
+        "degree 11\n(1,2,3,4,5,6,7,8,9,10,11)\n(3,7,11,8)(4,10,5,6)\n")
     loaded = load_generator_file(path)
     assert loaded.degree == 11
     assert loaded.generators == g.generators

@@ -13,6 +13,8 @@ from permdeg.groups import PermutationGroup
 from permdeg.perm import Permutation
 from permdeg.verify import TRACES
 
+from brute import save_generator_file
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -264,7 +266,7 @@ def test_info_above_256_points(tmp_path, capsys):
         images[289:] = [289 + b for b in g.images]
         gens.append(Permutation(images))
     path = tmp_path / "m11-300.perm"
-    catalog.save_generator_file(PermutationGroup(gens, 300), path)
+    save_generator_file(PermutationGroup(gens, 300), path)
     report = tmp_path / "report.json"
     code, out = run(capsys, "info", f"file:{path}", "--json", str(report))
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 
 from permdeg import catalog, verify
 from permdeg.cli import main
-from permdeg.groups import PermutationGroup
+from permdeg.groups import PermutationGroup, StabilizerChain
 from permdeg.perm import compose
 
 
@@ -26,9 +26,14 @@ def test_counts_suite_fails_on_a_miscounted_arrow(monkeypatch, name):
         return orbits
 
     monkeypatch.setattr(verify, "_pair_tallies", faulty)
-    checks, _ = verify.count_identity_suite(catalog.parse_group_name(name), 200)
+    group = catalog.parse_group_name(name)
+    checks, _ = verify.count_identity_suite(group, 200)
     failed = {c.label.split(" [")[0] for c in checks if not c.passed}
     assert {"fixes-gamma", "moves-gamma"} <= failed
+    # fixes-gamma-moves-second reads the same diagonal share, and applies
+    # only where t >= 3 (PSL2_31 has t = 2)
+    if group.transitivity_degree() >= 3:
+        assert "fixes-gamma-moves-second" in failed
     # the delta and second-point clauses read off-diagonal orbits only
     assert not failed & {"gamma-into-delta", "gamma-to-second"}
     assert main(["verify", f"catalog:{name}", "counts", "--samples", "200"]) == 1
@@ -161,6 +166,19 @@ def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, message, name)
         main(["trace", f"catalog:{name}", "jordan", "--seed", "1"])
 
 
+# a membership sift that rejects every element: the commutator [u,v] of two
+# group elements then reads as lying outside the group (M11 and PSL2_13 stop
+# at the shifted-image exit before they build it)
+MEMBERSHIP = {"jordan": {"commutator-in-group"}}
+
+
+@pytest.mark.parametrize("name", ["M12", "M24", "PGL2_13"])
+def test_jordan_trace_fails_on_a_faulty_membership_sift(monkeypatch, name):
+    monkeypatch.setattr(StabilizerChain, "contains", lambda self, p: False)
+    assert MEMBERSHIP["jordan"] <= _failed_trace_checks(name, "jordan")
+    assert main(["trace", f"catalog:{name}", "jordan", "--seed", "1"]) == 1
+
+
 # past the count identities, the non-conjugate added to E breaks the
 # relocation and partition counts of the triple trace and the carried-pair
 # bound of the quadruple trace, on M11 and M12 at seed 1
@@ -198,7 +216,6 @@ NO_FAULT = {
     ("jordan", "pinned-size"): "N whole cycles of a prime-order u hold Np points",
     ("jordan", "commutator-nontrivial"):
         "v moves alpha off u's cycle; a transporter that fails raises instead",
-    ("jordan", "commutator-in-group"): "only a faulty membership sift flips it; none is injected",
     ("jordan", "commutator-support-cancellation-bound"):
         "lemma for every pair meeting its hypotheses, whose failure raises",
     ("jordan", "commutator-support-at-least-minimal"):
@@ -239,7 +256,7 @@ def test_every_check_is_flipped_or_listed_unreachable():
     # pair-relation suite, is flipped by a seeded fault above or named in
     # NO_FAULT, so a check that can never fire cannot be added unseen
     faulted = {(theorem, label)
-               for table in (E_IDENTITIES, NON_CONJUGATE_ALSO)
+               for table in (E_IDENTITIES, MEMBERSHIP, NON_CONJUGATE_ALSO)
                for theorem, labels in table.items() for label in labels}
     group = catalog.parse_group_name("M12")
     found = {("pair-relation", c.label) for c in verify.relation_balance_checks(group)}

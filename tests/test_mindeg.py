@@ -1,12 +1,13 @@
 import pytest
 
-from permdeg import catalog
+from permdeg import catalog, mindeg
 from permdeg.cli import main
 from permdeg.groups import CapExceeded, PermutationGroup, StabilizerChain
 from permdeg.mindeg import minimal_degree, minimal_degree_backtrack, minimal_degree_exhaustive
 from permdeg.perm import Permutation, parse_cycles, prime_order_witness
 
-from brute import brute_minimal_degree, mulclose
+from brute import (DOUBLY_TRANSITIVE, brute_minimal_degree, mulclose, relabelled,
+                   transitive_minimal_degree)
 
 
 def small_catalog():
@@ -139,3 +140,29 @@ def test_global_fixed_points_counted():
     g = PermutationGroup([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3)", 5)], 5)
     assert minimal_degree_backtrack(g).m == 2
     assert minimal_degree_exhaustive(g).m == 2
+
+
+def _gate_on_stabilizers(group):
+    # the production minimal degree against the point-stabilizer oracle
+    assert minimal_degree(group).m == transitive_minimal_degree(group), group.label
+
+
+@pytest.mark.parametrize("name", DOUBLY_TRANSITIVE)
+def test_minimal_degree_matches_the_stabilizer_oracle(name):
+    group = catalog.parse_group_name(name)
+    _gate_on_stabilizers(group)
+    _gate_on_stabilizers(relabelled(group))
+
+
+def test_stabilizer_oracle_fails_a_backtrack_one_too_high(monkeypatch):
+    backtrack = mindeg.minimal_degree_backtrack
+
+    def faulty(group):
+        result = backtrack(group)
+        return result._replace(m=result.m + 1)
+
+    monkeypatch.setattr(mindeg, "minimal_degree_backtrack", faulty)
+    # relabelled copies carry no cached result from an earlier test
+    for name in ("S5", "PSL2_31", "M11", "M24"):
+        with pytest.raises(AssertionError):
+            _gate_on_stabilizers(relabelled(catalog.parse_group_name(name)))

@@ -3,6 +3,7 @@
 import ast
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import permdeg
@@ -47,6 +48,24 @@ def _is_image_product(node: ast.AST) -> bool:
     while isinstance(index, ast.Subscript):
         index = index.slice
     return isinstance(index, ast.Name) and index.id == loop.target.id
+
+
+# CPython 3.11's parser doubles its token array past 8,192 tokens, which
+# raises the peak memory of every cold compile of the module
+TOKEN_BUDGET = 8192
+
+
+def _token_count(path: Path) -> int:
+    """Tokens of a source file, without comments, non-logical newlines and
+    the encoding marker."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(path, "rb") as handle:
+        return sum(1 for tok in tokenize.tokenize(handle.readline) if tok.type not in skipped)
+
+
+def test_library_modules_stay_below_the_token_budget():
+    counts = {path.name: _token_count(path) for path in SOURCES}
+    assert SOURCES and {name: n for name, n in counts.items() if n >= TOKEN_BUDGET} == {}
 
 
 def test_library_composes_through_one_kernel():

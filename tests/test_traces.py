@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brute import image_chase_commutator
+from brute import image_chase_commutator, save_generator_file
 from permdeg import catalog
 from permdeg.groups import conjugation_closure
 from permdeg.perm import Permutation, parse_cycles
@@ -235,7 +235,7 @@ def test_jordan_psl2_13_degenerate_shift():
 
 
 def test_traces_on_file_loaded_group(tmp_path):
-    from permdeg.catalog import load_generator_file, save_generator_file
+    from permdeg.catalog import load_generator_file
 
     path = tmp_path / "m11.perm"
     save_generator_file(catalog.builtin("mathieu", 11), path)

@@ -12,7 +12,6 @@ from permdeg.verify import (
     CLAUSES,
     CountCheck,
     PreconditionError,
-    ProductAction,
     TraceReport,
     _base_frame,
     _clause_counts,
@@ -28,14 +27,14 @@ from permdeg.verify import (
     commutator_law_suite,
     conjugate_orbit_count_checks,
     count_identity_suite,
-    distinct_pair_action,
-    invariant_relation_counts,
     mathieu_bound_table,
     relation_balance_checks,
 )
 
-from brute import (clause_shares, count_identity_suite_by_configuration, image_chase_commutator,
-                   mulclose, pair_orbits)
+from brute import (DOUBLY_TRANSITIVE, ProductAction, clause_shares,
+                   count_identity_suite_by_configuration, distinct_pair_action,
+                   image_chase_commutator, invariant_relation_counts, mulclose, pair_orbits,
+                   pair_relation_oracle, relabelled)
 
 perms8 = st.permutations(range(8)).map(Permutation)
 
@@ -250,6 +249,15 @@ def test_relation_balance_checks():
     assert all(c.passed for c in checks)
     with pytest.raises(PreconditionError):
         relation_balance_checks(catalog.builtin("cyclic", 5))
+
+
+@pytest.mark.parametrize("name", DOUBLY_TRANSITIVE)
+def test_relation_balance_checks_match_the_general_api(name):
+    # the direct count gives the checks, observed and formula values of the
+    # general invariant-relation counts over the induced pair action
+    group = catalog.parse_group_name(name)
+    for copy in (group, relabelled(group)):
+        assert relation_balance_checks(copy) == pair_relation_oracle(copy)
 
 
 def test_commutator_laws_exhaustive_sym5():
