@@ -26,7 +26,7 @@ import random
 from math import factorial, prod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .perm import DegreeMismatchError, Permutation, compose
+from .perm import Permutation, _check_degree, _check_points, compose
 
 if TYPE_CHECKING:
     from .mindeg import MinDegResult
@@ -81,8 +81,7 @@ class StabilizerChain:
         when the residue is the identity.  The sift is the walk from ``p``
         onto the chain's own base points, which sifts p^-1 (see ``_walk``),
         and p^-1 lies in the group exactly when p does."""
-        if p.degree != self.degree:
-            raise DegreeMismatchError(f"degree mismatch: {p.degree} vs {self.degree}")
+        _check_degree((p,), self.degree)
         return _walk(self.levels, self.base, p.images) == tuple(range(self.degree))
 
     def elements(self) -> Iterator[Permutation]:
@@ -136,12 +135,10 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     to equal would cut the chain short unseen, so ``order`` must come from a
     verified chain, never from an expected value.
     """
-    gens = []
-    for g in generators:
-        if g.degree != degree:
-            raise DegreeMismatchError(f"generator degree {g.degree}, expected {degree}")
-        if not g.is_identity():
-            gens.append(g)
+    generators = tuple(generators)
+    _check_degree(generators, degree)
+    _check_points(base_prefix, degree)
+    gens = [g for g in generators if not g.is_identity()]
 
     mul, wrap, tail = _width(degree)
     ident = wrap(range(degree))
@@ -160,8 +157,6 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         inverses.append({pt: ident_table})
 
     for pt in base_prefix:
-        if not 0 <= pt < degree:
-            raise ValueError(f"base point {pt} outside 0..{degree - 1}")
         if pt not in base:
             add_level(pt)
 
@@ -272,9 +267,7 @@ class PermutationGroup:
             degree = gens[0].degree
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        for g in gens:
-            if g.degree != degree:
-                raise DegreeMismatchError(f"generator degree {g.degree}, expected {degree}")
+        _check_degree(gens, degree)
         self.degree = degree
         self.generators = gens
         self.label = label
@@ -316,8 +309,7 @@ class PermutationGroup:
         return _random_product(self.chain().levels, self.degree, rng)
 
     def orbit(self, point: int) -> frozenset[int]:
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} outside 0..{self.degree - 1}")
+        _check_points((point,), self.degree)
         seen = {point}
         queue = [point]
         qi = 0
@@ -348,9 +340,7 @@ class PermutationGroup:
         pts = tuple(sorted(set(points)))
         if not pts:
             return self
-        for pt in pts:
-            if not 0 <= pt < self.degree:
-                raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
+        _check_points(pts, self.degree)
         chain = self.chain(pts)
         sub = [g for g in chain.strong_gens
                if all(g.images[p] == p for p in pts)]
@@ -383,9 +373,7 @@ class PermutationGroup:
         caller's rng is ever read.
         """
         pts = tuple(sorted(set(points)))
-        for pt in pts:
-            if not 0 <= pt < self.degree:
-                raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
+        _check_points(pts, self.degree)
         carried = self._carry_base(pts)
         if carried is None:
             return self.pointwise_stabilizer(pts).generators
@@ -434,9 +422,7 @@ class PermutationGroup:
             raise ValueError("transporter tuples must have equal length")
         if len(set(src)) != len(src) or len(set(dst)) != len(dst):
             raise ValueError("transporter tuples must have distinct entries")
-        for pt in (*src, *dst):
-            if not 0 <= pt < self.degree:
-                raise ValueError(f"point {pt} outside 0..{self.degree - 1}")
+        _check_points(src + dst, self.degree)
         g = _walk(self.chain(src).levels, dst, tuple(range(self.degree)))
         return None if g is None else Permutation._trusted(g)
 
@@ -527,9 +513,7 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
     tuples above): x padded to a table is shared by every generator, g^-1
     read through it gives x[g^-1[b]], and g's padded table maps that to y.
     """
-    for g in gens:
-        if g.degree != seed.degree:
-            raise DegreeMismatchError(f"degree mismatch: {g.degree} vs {seed.degree}")
+    _check_degree(gens, seed.degree)
     if cap < 1:
         # the seed alone already exceeds the cap
         raise CapExceeded(f"conjugation orbit exceeds cap {cap}")

@@ -18,6 +18,11 @@ the public constructor checks that the entries are integers forming a
 bijection of 0..n-1.  Products, inverses, conjugates and powers of
 validated permutations are bijections by construction, so they wrap their
 image tuples without repeating that check.
+
+Everything else takes points of 0..n-1 and operands of one degree n.
+``_check_points`` and ``_check_degree`` are that contract's only checks:
+a point outside the range raises ValueError, and an operand of another
+degree raises DegreeMismatchError, also a ValueError.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import operator
 import re
 from math import lcm
 from operator import itemgetter
+from typing import Iterable
 
 
 class CycleParseError(ValueError):
@@ -44,8 +50,18 @@ def compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
     return itemgetter(*first)(then)
 
 
-def _mismatch(p: tuple, q: tuple) -> DegreeMismatchError:
-    return DegreeMismatchError(f"degree mismatch: {len(p)} vs {len(q)}")
+def _check_points(points: Iterable[int], degree: int) -> None:
+    """Raise ValueError at the first point not in range(degree)."""
+    for pt in points:
+        if not 0 <= pt < degree:
+            raise ValueError(f"point {pt} outside 0..{degree - 1}")
+
+
+def _check_degree(perms: Iterable[Permutation], degree: int) -> None:
+    """Raise DegreeMismatchError at the first permutation not of ``degree``."""
+    for p in perms:
+        if p.degree != degree:
+            raise DegreeMismatchError(f"degree mismatch: {p.degree} vs {degree}")
 
 
 class Permutation:
@@ -84,11 +100,8 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right product: apply ``self`` first, then ``other``."""
-        s = self.images
-        o = other.images
-        if len(s) != len(o):
-            raise _mismatch(s, o)
-        return Permutation._trusted(compose(s, o))
+        _check_degree((self,), other.degree)
+        return Permutation._trusted(compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         imgs = [0] * len(self.images)
@@ -98,10 +111,9 @@ class Permutation:
 
     def conjugate(self, g: "Permutation") -> "Permutation":
         """Return g^-1 * self * g; the support is carried along g."""
+        _check_degree((self,), g.degree)
         gi = g.images
         si = self.images
-        if len(si) != len(gi):
-            raise _mismatch(si, gi)
         imgs = [0] * len(si)
         for a in range(len(si)):
             imgs[gi[a]] = gi[si[a]]

@@ -32,7 +32,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .groups import DEFAULT_CAP, PermutationGroup, conjugation_closure
 from .mindeg import minimal_degree
-from .perm import DegreeMismatchError, Permutation, compose, format_cycles, prime_order_witness
+from .perm import (Permutation, _check_degree, _check_points, compose, format_cycles,
+                   prime_order_witness)
 
 
 class PreconditionError(ValueError):
@@ -46,9 +47,9 @@ CountCheck = namedtuple("CountCheck",
                         defaults=(False,))
 
 
-def _eq(label: str, observed: int, formula, informational: bool = False) -> CountCheck:
+def _eq(label: str, observed: int, formula) -> CountCheck:
     value = Fraction(formula)
-    return CountCheck(label, "=", observed, value, Fraction(observed) == value, informational)
+    return CountCheck(label, "=", observed, value, Fraction(observed) == value)
 
 
 def _le(label: str, observed: int, bound) -> CountCheck:
@@ -162,8 +163,7 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
     supp(u) also moved by v u v^-1.  Violated hypotheses raise
     PreconditionError rather than producing a failed check.
     """
-    if u.degree != v.degree:
-        raise DegreeMismatchError(f"degree mismatch: {u.degree} vs {v.degree}")
+    _check_degree((u,), v.degree)
     fixed_overlap = frozenset(fixed_overlap)
     shifted_overlap = frozenset(shifted_overlap)
     facts = _law_facts(u.images, v.images)
@@ -224,17 +224,17 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
 
 
 def _check_configuration(group: PermutationGroup, u: Permutation, dset: frozenset[int],
-                         draws: Iterable[tuple[int, int | None]]) -> None:
+                         draws: Sequence[tuple[int, int | None]]) -> None:
     """Raise unless delta consists of moved points of u, every (gamma,
     second) draw lies outside delta and inside the point range, and u is a
     member of the group; u and delta are checked once for all the draws."""
-    n = group.degree
     if not dset <= u.support():
         raise PreconditionError("delta must consist of moved points of u")
+    _check_points([pt for draw in draws for pt in draw if pt is not None], group.degree)
     for gamma, second in draws:
-        if gamma in dset or not 0 <= gamma < n:
-            raise ValueError("gamma must lie outside delta and inside the point range")
-        if second is not None and (second in dset or second == gamma or not 0 <= second < n):
+        if gamma in dset:
+            raise ValueError("gamma must lie outside delta")
+        if second is not None and (second in dset or second == gamma):
             raise ValueError("second must be distinct from gamma and lie outside delta")
     if not group.contains(u):
         raise PreconditionError("u is not a member of the group")
@@ -432,14 +432,13 @@ class TraceReport:
     __slots__ = ("name", "group_label", "n", "t", "m", "applicable", "degenerate",
                  "witnesses", "sizes", "derived", "checks", "conclusion_holds")
 
-    def __init__(self, name: str, group_label: str, n: int, t: int, m: int | None,
-                 applicable: bool):
+    def __init__(self, name: str, group_label: str, n: int, t: int):
         self.name = name
         self.group_label = group_label
         self.n = n
         self.t = t
-        self.m = m
-        self.applicable = applicable
+        self.m = None
+        self.applicable = False
         self.degenerate = None
         # fresh containers per report: the builders fill them in place
         self.witnesses = {}
@@ -480,7 +479,7 @@ def _counting_setup(name: str, group: PermutationGroup, rng, min_t: int,
     supp(u) ascending and alpha a point of it.  u and alpha are None when
     the trace does not apply."""
     t = group.transitivity_degree()
-    report = TraceReport(name, group.label, group.degree, t, None, False)
+    report = TraceReport(name, group.label, group.degree, t)
     if (group.order <= 1 or t < min_t
             or (avoid_alternating and group.contains_alternating())):
         return report, None, [], None
@@ -558,7 +557,7 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     """
     n = group.degree
     t = group.transitivity_degree()
-    report = TraceReport("jordan", group.label, n, t, None, False)
+    report = TraceReport("jordan", group.label, n, t)
     report.sizes = {"pinned": 0, "pinned_extended": 0}
     report.derived = dict.fromkeys(("prime", "pinned_cycles", "remainder", "case"))
     if group.order <= 1 or t < 2:
@@ -864,7 +863,8 @@ def mathieu_bound_table() -> list[DegreeBoundRow]:
 
     The quadruply-transitive bound max(6, ceil((n-3)/2)) is tabulated against
     the computed minimal degree; a mismatch with the pinned expected minimal
-    degree raises.
+    degree is a fault in the computation, not in any input, and raises
+    RuntimeError.
     """
     from . import catalog
 
@@ -875,8 +875,8 @@ def mathieu_bound_table() -> list[DegreeBoundRow]:
         bound = max(6, (g.degree - 2) // 2)
         expected = catalog.MATHIEU_MINIMAL_DEGREE[k]
         if result.m != expected:
-            raise ValueError(f"{g.label}: computed minimal degree {result.m}, "
-                             f"expected {expected}")
+            raise RuntimeError(f"{g.label}: computed minimal degree {result.m}, "
+                               f"expected {expected}")
         rows.append(DegreeBoundRow(g.label, g.degree, g.transitivity_degree(),
                                    result.m, bound, result.m >= bound))
     return rows

@@ -166,6 +166,45 @@ def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, message, name)
         main(["trace", f"catalog:{name}", "jordan", "--seed", "1"])
 
 
+# a minimal degree one above the true m, with the same witness: every
+# trace reads m off the witness, and _trace_witness raises before any check
+# reads it (the quadruple trace needs a 4-transitive group, which PGL2_13
+# is not); the pinned Mathieu values catch it in the table
+def _wrong_minimal_degree(monkeypatch):
+    exact = verify.minimal_degree
+
+    def faulty(group):
+        result = exact(group)
+        return result._replace(m=result.m + 1)
+
+    monkeypatch.setattr(verify, "minimal_degree", faulty)
+
+
+@pytest.mark.parametrize("name, theorem", [
+    (name, theorem) for name in ("M11", "M12", "M24", "PGL2_13")
+    for theorem in sorted(verify.TRACES) if (name, theorem) != ("PGL2_13", "quadruple")])
+def test_traces_raise_on_a_wrong_minimal_degree(monkeypatch, name, theorem):
+    group = catalog.parse_group_name(name)
+    m = verify.minimal_degree(group).m
+    _wrong_minimal_degree(monkeypatch)
+    message = f"^{group.label}: prime-order witness moves {m} points, expected {m + 1}$"
+    with pytest.raises(RuntimeError, match=message):
+        verify.TRACES[theorem](group, rng=random.Random(1))
+    with pytest.raises(RuntimeError, match=message):
+        main(["trace", f"catalog:{name}", theorem, "--seed", "1"])
+
+
+def test_table_raises_on_a_wrong_minimal_degree(monkeypatch):
+    # a pinned value that the computation misses is a fault, not a usage
+    # error, so the CLI must not map it to exit 2
+    _wrong_minimal_degree(monkeypatch)
+    message = "^M11: computed minimal degree 9, expected 8$"
+    with pytest.raises(RuntimeError, match=message):
+        verify.mathieu_bound_table()
+    with pytest.raises(RuntimeError, match=message):
+        main(["table"])
+
+
 # a membership sift that rejects every element: the commutator [u,v] of two
 # group elements then reads as lying outside the group (M11 and PSL2_13 stop
 # at the shifted-image exit before they build it)
@@ -208,7 +247,8 @@ def test_non_conjugate_breaks_the_structure_checks(monkeypatch, name, theorem):
 # reason; a conclusion of the theorem can fail only if the theorem is false
 _SLACK = "inequality with slack that one element more or less in E does not cross"
 _NO_RAISE = "dropping cannot raise it; the added product fails to commute"
-_FROM_N_M = "theorem step, from n and m alone"
+_FROM_N_M = ("theorem step from n and m alone; a wrong m raises in _trace_witness "
+             "before any check reads it")
 _ANY_PAIR = "holds for every pair of permutations; only a fault in the split rule flips it"
 NO_FAULT = {
     ("jordan", "witness-support-exceeds-transitivity"):

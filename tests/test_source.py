@@ -91,6 +91,19 @@ def test_itemgetter_lives_only_in_perm():
     assert SOURCES and found == []
 
 
+def test_point_and_degree_checks_live_only_in_perm():
+    # perm._check_points and perm._check_degree state the input contract
+    # once; either message anywhere else is an inline copy of a check
+    messages = ("outside 0..", "degree mismatch")
+    found = [f"{path.name}:{lineno}"
+             for path in SOURCES if path.name != "perm.py"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if any(message in line for message in messages)]
+    perm_text = (Path(permdeg.__file__).parent / "perm.py").read_text(encoding="utf-8")
+    assert SOURCES and found == []
+    assert [perm_text.count(message) for message in messages] == [1, 1]
+
+
 def test_benchmark_tracer_installs(tmp_path):
     # the traced benchmark run rebinds library names by getattr and measures
     # their arguments and results (the closure's generator count, a chain's

@@ -584,7 +584,8 @@ def test_record_types_are_fixed_and_reports_own_their_containers():
     for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
-    first, second = (TraceReport("double", "S5", 5, 5, None, False) for _ in range(2))
+    first, second = (TraceReport("double", "S5", 5, 5) for _ in range(2))
+    assert first.m is None and first.applicable is False
     for name in ("checks", "sizes", "witnesses", "derived"):
         assert getattr(first, name) is not getattr(second, name), name
         assert not getattr(first, name), name
