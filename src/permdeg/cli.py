@@ -1,7 +1,9 @@
 """Command-line front end: info, verify, trace, mindeg and table reports.
 
 Exit codes: 0 all applicable checks pass, 1 a check failed, 2 usage or input
-error, 3 a resource cap was exceeded.  JSON reports are canonical: for a
+error, 3 a resource cap was exceeded, 4 a fault in the computation itself
+(a ``RuntimeError``, such as a guaranteed trace step that fails or a
+Mathieu minimal degree that misses its pinned value).  JSON reports are canonical: for a
 fixed group, suite, seed and version they are byte-identical across runs and
 across --jobs settings (the elapsed_ms field is pinned to 0 for that reason;
 wall-clock timing goes to stderr).
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_FAULT = 4
 
 
 def resolve_group(spec: str) -> PermutationGroup:
@@ -320,6 +323,10 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except RuntimeError as exc:
+        # after CapExceeded, which is a RuntimeError too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAULT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

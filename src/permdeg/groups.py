@@ -11,18 +11,21 @@ reproducible for a given generating sequence.  Once a group's order is
 verified, later chains of the group stop as soon as their orbit lengths
 multiply to it, and come out the same as a full build.
 
-Schreier-Sims and the conjugation closure compose through one width
-switch, ``_width``: byte strings that ``bytes.translate`` composes in C up
-to 256 points, image tuples through ``perm.compose`` above, with one body
-either way.  A finished chain holds image tuples, and a closure returns its
-orbit as image tuples, which is all their readers scan.  Every other
-product goes through ``perm.compose``: random draws and the one transversal
-walk that both membership sifts and transporters take.
+Every product here goes through one width switch, ``_width``: byte
+strings that ``bytes.translate`` composes in C up to 256 points, image
+tuples through ``perm.compose`` above, with one body either way.  That
+operand is the one representation inside the module: a finished chain's
+transversal representatives and a closure's orbit elements are operands,
+and so are the products of the chain readers (the transversal walk that
+membership sifts and transporters take, random draws and element
+enumeration).  A ``Permutation`` always holds an image tuple, so a reader
+calls ``tuple`` once, where it wraps its result.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import factorial, prod
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -48,13 +51,14 @@ class CapExceeded(RuntimeError):
 
 
 class ChainLevel:
-    """One level: its base point, the transversal (orbit point b -> the image
-    tuple of an element carrying the base point to b) and the orbit in
+    """One level: its base point, the transversal (orbit point b -> an
+    element carrying the base point to b, as the operand ``_width`` picks:
+    a byte string up to 256 points, an image tuple above) and the orbit in
     ascending order."""
 
     __slots__ = ("point", "transversal", "orbit")
 
-    def __init__(self, point: int, transversal: dict[int, tuple[int, ...]],
+    def __init__(self, point: int, transversal: dict[int, Sequence[int]],
                  orbit: tuple[int, ...]):
         self.point = point
         self.transversal = transversal
@@ -82,21 +86,24 @@ class StabilizerChain:
         onto the chain's own base points, which sifts p^-1 (see ``_walk``),
         and p^-1 lies in the group exactly when p does."""
         _check_degree((p,), self.degree)
-        return _walk(self.levels, self.base, p.images) == tuple(range(self.degree))
+        _, wrap, ident, _ = _width(self.degree)
+        return _walk(self.levels, self.base, wrap(p.images)) == ident
 
     def elements(self) -> Iterator[Permutation]:
         """Yield each group element exactly once, one transversal choice per level."""
         levels = self.levels
+        mul, _, ident, tail = _width(self.degree)
 
-        def walk(i: int, right: tuple[int, ...]) -> Iterator[Permutation]:
+        def walk(i: int, right: Sequence[int]) -> Iterator[Permutation]:
             if i == len(levels):
-                yield Permutation._trusted(right)
+                yield Permutation._trusted(tuple(right))
                 return
             transversal = levels[i].transversal
+            table = right + tail
             for point in levels[i].orbit:
-                yield from walk(i + 1, compose(transversal[point], right))
+                yield from walk(i + 1, mul(transversal[point], table))
 
-        return walk(0, tuple(range(self.degree)))
+        return walk(0, ident)
 
 
 def build_chain(generators: Iterable[Permutation], degree: int,
@@ -120,8 +127,9 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     Above 256 points the padding is empty.  While the construction runs,
     each level keeps the inverse of every transversal representative, built
     in the same breadth-first pass, so stripping never inverts a
-    permutation; the finished chain keeps only the representatives, as
-    image tuples.
+    permutation; the finished chain keeps only the representatives, as the
+    plain operands the pass built, and every base point maps to the one
+    identity operand of the degree.
 
     With ``order``, the construction stops as soon as the orbit lengths
     multiply to it.  Each level's group lies inside the true stabilizer of
@@ -140,8 +148,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     _check_points(base_prefix, degree)
     gens = [g for g in generators if not g.is_identity()]
 
-    mul, wrap, tail = _width(degree)
-    ident = wrap(range(degree))
+    mul, wrap, ident, tail = _width(degree)
     ident_table = ident + tail
     base: list[int] = []
     # per level: (padded generator, plain inverse) of its strong generators
@@ -240,13 +247,8 @@ def build_chain(generators: Iterable[Permutation], degree: int,
         for j in range(i + 1):
             rebuild_orbit(j)
 
-    # one identity tuple, shared by every level's base point
-    ident_images = tuple(ident)
-    levels = []
-    for pt, table in zip(base, transversals):
-        transversal = {b: tuple(rep) for b, rep in table.items()}
-        transversal[pt] = ident_images
-        levels.append(ChainLevel(pt, transversal, tuple(sorted(transversal))))
+    levels = [ChainLevel(pt, table, tuple(sorted(table)))
+              for pt, table in zip(base, transversals)]
     return StabilizerChain(degree, levels, tuple(strong))
 
 
@@ -305,7 +307,7 @@ class PermutationGroup:
 
     def random_element(self, rng) -> Permutation:
         """A uniform random element, from one transversal choice per level;
-        the product is composed on image tuples and wrapped once."""
+        see ``_random_product``."""
         return _random_product(self.chain().levels, self.degree, rng)
 
     def orbit(self, point: int) -> frozenset[int]:
@@ -385,8 +387,9 @@ class PermutationGroup:
         chain's transversals from its first k = len(pts) base points b to
         ``pts``, and gens generate G_(b), so G_(pts) = g^-1 G_(b) g.  None
         when the walk fails, because the group does not carry b to ``pts``."""
-        g = _walk(self.chain().levels, pts, tuple(range(self.degree)))
-        return None if g is None else (Permutation._trusted(g), self._level_pair(len(pts)))
+        g = _walk(self.chain().levels, pts, _width(self.degree)[2])
+        return None if g is None else (Permutation._trusted(tuple(g)),
+                                       self._level_pair(len(pts)))
 
     def _level_pair(self, k: int) -> tuple[Permutation, ...]:
         """Generators of the ``()`` chain's level-k stabilizer: the first
@@ -423,8 +426,8 @@ class PermutationGroup:
         if len(set(src)) != len(src) or len(set(dst)) != len(dst):
             raise ValueError("transporter tuples must have distinct entries")
         _check_points(src + dst, self.degree)
-        g = _walk(self.chain(src).levels, dst, tuple(range(self.degree)))
-        return None if g is None else Permutation._trusted(g)
+        g = _walk(self.chain(src).levels, dst, _width(self.degree)[2])
+        return None if g is None else Permutation._trusted(tuple(g))
 
     def transitivity_degree(self) -> int:
         """Largest t with the group transitive on ordered t-tuples of distinct
@@ -454,25 +457,29 @@ class PermutationGroup:
         return self.contains(probe)
 
 
-def _width(degree: int) -> tuple[Callable, type, Sequence[int]]:
-    """(mul, wrap, tail) for products on ``degree`` points: byte strings
-    that ``bytes.translate`` composes up to 256 points, image tuples through
-    ``perm.compose`` above.  ``mul(first, table)`` acts with ``first``
-    first, ``wrap`` turns image tuples into operands, and ``tail`` pads a
-    right operand to a 256-byte ``translate`` table (empty above 256)."""
+@cache
+def _width(degree: int) -> tuple[Callable, type, Sequence[int], Sequence[int]]:
+    """(mul, wrap, ident, tail) for products on ``degree`` points: byte
+    strings that ``bytes.translate`` composes up to 256 points, image tuples
+    through ``perm.compose`` above.  ``mul(first, table)`` acts with
+    ``first`` first, ``wrap`` turns image tuples into operands, ``ident`` is
+    the identity operand and ``tail`` pads a right operand to a 256-byte
+    ``translate`` table (empty above 256).  Each degree's four are built
+    once: a draw needs them once per element, and every chain of the degree
+    shares the one ``ident``."""
     if degree <= 256:
-        return bytes.translate, bytes, bytes(range(degree, 256))
-    return compose, tuple, ()
+        return bytes.translate, bytes, bytes(range(degree)), bytes(range(degree, 256))
+    return compose, tuple, tuple(range(degree)), ()
 
 
 def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
-          start: tuple[int, ...]) -> tuple[int, ...] | None:
-    """rep_k * ... * rep_1 * start as an image tuple, where rep_i is the
-    representative of levels[i] whose product with the walk so far carries
-    that level's base point to targets[i]; None when some level's orbit
-    misses its target or there are fewer levels than targets.  From the
-    identity, the result carries the base point of levels[i] to targets[i]
-    for every i.
+          start: Sequence[int]) -> Sequence[int] | None:
+    """rep_k * ... * rep_1 * start, where start and the result are operands
+    of the chain's width (see ``_width``) and rep_i is the representative
+    of levels[i] whose product with the walk so far carries that level's
+    base point to targets[i]; None when some level's orbit misses its
+    target or there are fewer levels than targets.  From the identity, the
+    result carries the base point of levels[i] to targets[i] for every i.
 
     As a sift, acc is the inverse of the residue r of start^-1, so no
     representative is ever inverted: the next one must carry its base
@@ -481,43 +488,46 @@ def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
     """
     if len(levels) < len(targets):
         return None
+    mul, _, _, tail = _width(len(start))
     acc = start
     for level, target in zip(levels, targets):
         rep = level.transversal.get(acc.index(target))
         if rep is None:
             return None
-        acc = compose(rep, acc)
+        acc = mul(rep, acc + tail)
     return acc
 
 
 def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Permutation:
     """A uniform random element of the group the chain ``levels`` describe,
-    from one transversal choice per level, composed on image tuples."""
-    g = tuple(range(degree))
+    from one transversal choice per level.  The product is composed on the
+    operands ``_width`` picks and turned into an image tuple once."""
+    mul, _, g, tail = _width(degree)
     for level in levels:
         rep = level.transversal[rng.choice(level.orbit)]
-        g = compose(rep, g)
-    return Permutation._trusted(g)
+        g = mul(rep, g + tail)
+    return Permutation._trusted(tuple(g))
 
 
 def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
-                        cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
+                        cap: int = DEFAULT_CAP) -> tuple[Sequence[int], ...]:
     """The orbit of ``seed`` under conjugation by the group the given
-    generators generate, as image tuples in breadth-first order, starting
-    with ``seed.images``.
+    generators generate, in breadth-first order, starting with the seed.
+    Each element is the operand ``_width`` picks, which the readers index
+    as they would an image tuple: a byte string up to 256 points, an image
+    tuple above.
 
     Raises CapExceeded when the orbit would exceed ``cap`` elements.
 
-    g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]].  The pass runs
-    on the operands ``_width`` picks (byte strings up to 256 points, image
-    tuples above): x padded to a table is shared by every generator, g^-1
-    read through it gives x[g^-1[b]], and g's padded table maps that to y.
+    g^-1 x g maps g(a) to g(x(a)), i.e. b to g[x[g^-1[b]]].  x padded to
+    a table is shared by every generator, g^-1 read through it gives
+    x[g^-1[b]], and g's padded table maps that to y.
     """
     _check_degree(gens, seed.degree)
     if cap < 1:
         # the seed alone already exceeds the cap
         raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
-    mul, wrap, tail = _width(seed.degree)
+    mul, wrap, _, tail = _width(seed.degree)
     pairs = [(wrap(g.inverse().images), wrap(g.images) + tail) for g in gens]
     out = [wrap(seed.images)]
     seen = set(out)
@@ -530,7 +540,5 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
                     raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
                 seen.add(y)
                 out.append(y)
-    # the set's table is freed before the tuples are built, lowering the peak
-    seen = None
-    return tuple(map(tuple, out))
+    return tuple(out)
 

@@ -67,7 +67,8 @@ def _ge(label: str, observed: int, bound) -> CountCheck:
 
 
 def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
-    """supp([u,x]) in ascending order, from image tuples.
+    """supp([u,x]) in ascending order, from image tuples (x may be an
+    element of a closure, read by index the same way).
 
     [u,x] = (u x)(x u)^-1 fixes a exactly when u x and x u agree at a, so
     two products and no inverse decide the support.
@@ -78,7 +79,8 @@ def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
 
 
 def _commute(u: tuple[int, ...], x: tuple[int, ...], support: Iterable[int]) -> bool:
-    """Whether u and x commute, from image tuples and supp(u).
+    """Whether u and x commute, from image tuples (or closure elements) and
+    supp(u).
 
     u x and x u agree everywhere once they agree on supp(u): x then maps
     supp(u) into, hence onto, itself, and so the fixed points of u onto
@@ -191,7 +193,7 @@ CLAUSES = ("fixes-gamma", "moves-gamma", "fixes-gamma-moves-second",
 def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
                                  delta: Iterable[int], gamma: int,
                                  second: int | None = None, *,
-                                 orbit: Sequence[tuple[int, ...]] | None = None,
+                                 orbit: Sequence[Sequence[int]] | None = None,
                                  transitivity: int | None = None,
                                  cap: int = DEFAULT_CAP) -> list[ClauseResult]:
     """Exact counts over E = {g^-1 u g : g fixing delta pointwise}.
@@ -208,7 +210,8 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
     Inapplicable clauses are reported as such, never as failures.  This is
     the enumeration route: it builds E, bounded by ``cap``, and reports the
     observed counts.  A caller that already holds E passes it as ``orbit``,
-    the image tuples ``conjugation_closure`` returns.
+    as ``conjugation_closure`` returns it: byte strings up to 256 points,
+    image tuples above, read by index either way.
     ``count_identity_suite`` tests the same clauses without building E.
     """
     dset = frozenset(delta)
@@ -501,9 +504,9 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     close the result under the pointwise stabilizer H of the pair.
 
     v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
-    (h, v, E), E the conjugates of v under H as image tuples.  Both traces
-    that call it need a doubly transitive group, so h exists for any two
-    pairs of distinct points.  E is closed over ``group.stabilizer_generators(pair)``, which
+    (h, v, E), E the conjugates of v under H as ``conjugation_closure``
+    returns them.  Both traces that call it need a doubly transitive group,
+    so h exists for any two pairs of distinct points.  E is closed over ``group.stabilizer_generators(pair)``, which
     builds no chain based on the pair and reads no rng.  With an rng, h is
     first multiplied on the left by a random element of H, which moves v
     within E; it is drawn from ``pointwise_stabilizer(pair)``, whose

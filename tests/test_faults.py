@@ -1,13 +1,15 @@
 """Seeded faults injected into the verifier: each must flip the checks that
 read the corrupted value, and the CLI must then exit 1.  A fault in a
-construction step that the argument guarantees must raise instead."""
+construction step that the argument guarantees must raise RuntimeError
+instead, which the CLI reports as a fault, exit 4."""
 
 import random
+import re
 
 import pytest
 
 from permdeg import catalog, verify
-from permdeg.cli import main
+from permdeg.cli import EXIT_FAULT, main
 from permdeg.groups import PermutationGroup, StabilizerChain
 from permdeg.perm import compose
 
@@ -144,6 +146,17 @@ def test_traces_fail_on_a_non_conjugate(monkeypatch, name, theorem):
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 
 
+def _assert_fault(capsys, argv, message):
+    # the CLI reports a RuntimeError as a fault: its message on stderr,
+    # nothing on stdout, and exit 4, not 1 (a failed check) or 2 (bad input)
+    capsys.readouterr()
+    assert main(argv) == EXIT_FAULT == 4
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    assert out == "" and line.startswith("error: ")
+    assert re.search(message, line[len("error: "):])
+
+
 # a transporter that misses its target, or finds none, where t-transitivity
 # guarantees one: the jordan trace must raise rather than report a
 # degenerate construction (M11 and PSL2_13 stop at the shifted-image exit
@@ -157,13 +170,12 @@ TRANSPORTER_FAULTS = {
 
 @pytest.mark.parametrize("message", TRANSPORTER_FAULTS)
 @pytest.mark.parametrize("name", ["M12", "M24", "PGL2_13"])
-def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, message, name):
+def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, capsys, message, name):
     monkeypatch.setattr(PermutationGroup, "transporter",
                         TRANSPORTER_FAULTS[message](PermutationGroup.transporter))
     with pytest.raises(RuntimeError, match=message):
         verify.jordan_bound_trace(catalog.parse_group_name(name), rng=random.Random(1))
-    with pytest.raises(RuntimeError, match=message):
-        main(["trace", f"catalog:{name}", "jordan", "--seed", "1"])
+    _assert_fault(capsys, ["trace", f"catalog:{name}", "jordan", "--seed", "1"], message)
 
 
 # a minimal degree one above the true m, with the same witness: every
@@ -183,26 +195,24 @@ def _wrong_minimal_degree(monkeypatch):
 @pytest.mark.parametrize("name, theorem", [
     (name, theorem) for name in ("M11", "M12", "M24", "PGL2_13")
     for theorem in sorted(verify.TRACES) if (name, theorem) != ("PGL2_13", "quadruple")])
-def test_traces_raise_on_a_wrong_minimal_degree(monkeypatch, name, theorem):
+def test_traces_raise_on_a_wrong_minimal_degree(monkeypatch, capsys, name, theorem):
     group = catalog.parse_group_name(name)
     m = verify.minimal_degree(group).m
     _wrong_minimal_degree(monkeypatch)
     message = f"^{group.label}: prime-order witness moves {m} points, expected {m + 1}$"
     with pytest.raises(RuntimeError, match=message):
         verify.TRACES[theorem](group, rng=random.Random(1))
-    with pytest.raises(RuntimeError, match=message):
-        main(["trace", f"catalog:{name}", theorem, "--seed", "1"])
+    _assert_fault(capsys, ["trace", f"catalog:{name}", theorem, "--seed", "1"], message)
 
 
-def test_table_raises_on_a_wrong_minimal_degree(monkeypatch):
+def test_table_raises_on_a_wrong_minimal_degree(monkeypatch, capsys):
     # a pinned value that the computation misses is a fault, not a usage
     # error, so the CLI must not map it to exit 2
     _wrong_minimal_degree(monkeypatch)
     message = "^M11: computed minimal degree 9, expected 8$"
     with pytest.raises(RuntimeError, match=message):
         verify.mathieu_bound_table()
-    with pytest.raises(RuntimeError, match=message):
-        main(["table"])
+    _assert_fault(capsys, ["table"], message)
 
 
 # a membership sift that rejects every element: the commutator [u,v] of two

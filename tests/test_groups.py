@@ -1,6 +1,6 @@
 import pickle
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -12,6 +12,7 @@ from permdeg.groups import (
 )
 from permdeg.perm import DegreeMismatchError, Permutation, parse_cycles
 from permdeg import catalog, groups
+from permdeg.mindeg import minimal_degree
 from permdeg.verify import double_transitive_trace
 
 from brute import (all_tuples, build_chain_tuples, conjugation_bfs, mulclose,
@@ -24,6 +25,34 @@ def sym4():
 
 def cyclic(n):
     return PermutationGroup([parse_cycles("(" + ",".join(map(str, range(1, n + 1))) + ")", n)], n, f"C{n}")
+
+
+def operand_type(degree):
+    # chains and closures hold byte strings up to 256 points, image tuples above
+    return bytes if degree <= 256 else tuple
+
+
+def images_of(orbit):
+    # a closure's elements as image tuples, in order
+    return tuple(map(tuple, orbit))
+
+
+def assert_chain_equals(got, expected):
+    """A library chain against ``build_chain_tuples``: the same base and
+    strong generators, and per level the same point, orbit and
+    representatives in the same transversal insertion order, which random
+    draws and the golden digests read; every representative is an operand
+    of the chain's width."""
+    kind = operand_type(got.degree)
+    assert got.degree == expected.degree
+    assert got.base == expected.base
+    assert got.strong_gens == expected.strong_gens
+    assert len(got.levels) == len(expected.levels)
+    for level, twin in zip(got.levels, expected.levels):
+        assert level.point == twin.point and level.orbit == twin.orbit
+        assert ([(b, tuple(rep)) for b, rep in level.transversal.items()]
+                == list(twin.transversal.items()))
+        assert all(type(rep) is kind for rep in level.transversal.values())
 
 
 def test_chain_order_s4():
@@ -236,7 +265,7 @@ def test_degree_one_queries_return_tuples(make):
     group = make()
     ident = Permutation([0])
     chain = build_chain([], 1, (0,))
-    assert chain.base == (0,) and chain.levels[0].transversal == {0: (0,)}
+    assert chain.base == (0,) and chain.levels[0].transversal == {0: b"\x00"}
     assert chain.contains(ident) and group.chain((0,)).contains(ident)
     assert group.contains(ident)
     assert [p.images for p in chain.elements()] == [(0,)]
@@ -245,8 +274,8 @@ def test_degree_one_queries_return_tuples(make):
     assert groups._random_product(chain.levels, 1, random.Random(0)).images == (0,)
     assert group.transporter((0,), (0,)).images == (0,)
     orbit = conjugation_closure(group.generators, ident)
-    assert orbit == ((0,),)
-    assert conjugation_closure([ident], ident) == (ident.images,)
+    assert orbit == (b"\x00",)
+    assert conjugation_closure([ident], ident) == (b"\x00",)
 
 
 def test_conjugate_orbit_four_cycles():
@@ -254,11 +283,11 @@ def test_conjugate_orbit_four_cycles():
     stab = g.pointwise_stabilizer([0])
     u = parse_cycles("(1,2,3,4)", 4)
     orbit = conjugation_closure(stab.generators, u)
-    assert type(orbit) is tuple and all(type(x) is tuple for x in orbit)
-    assert orbit[0] == u.images
+    assert type(orbit) is tuple and all(type(x) is bytes for x in orbit)
+    assert tuple(orbit[0]) == u.images
     # oracle: conjugate by each of the six stabilizer elements
     expected = {u.conjugate(h).images for h in stab.elements()}
-    assert set(orbit) == expected
+    assert set(images_of(orbit)) == expected
     assert len(orbit) == 6
 
 
@@ -277,7 +306,7 @@ def test_conjugate_orbit_three_cycles_through_point():
 def test_conjugate_orbit_trivial_stabilizer():
     g = PermutationGroup([], 5)
     u = parse_cycles("(1,2,3)", 5)
-    assert conjugation_closure(g.generators, u) == (u.images,)
+    assert conjugation_closure(g.generators, u) == (bytes(u.images),)
 
 
 def test_conjugation_closure_cap():
@@ -336,8 +365,10 @@ def test_conjugation_closure_matches_plain_bfs(case):
     gens, seed = CLOSURE_CASES[case]()
     expected = conjugation_bfs(gens, seed)
     assert expected[0] == seed.images
-    assert conjugation_closure(gens, seed) == expected
-    assert conjugation_closure(gens, seed, cap=len(expected)) == expected
+    orbit = conjugation_closure(gens, seed)
+    assert images_of(orbit) == expected
+    assert all(type(x) is operand_type(seed.degree) for x in orbit)
+    assert conjugation_closure(gens, seed, cap=len(expected)) == orbit
     for cap in (0, len(expected) - 1):
         with pytest.raises(CapExceeded):
             conjugation_closure(gens, seed, cap=cap)
@@ -352,7 +383,7 @@ def test_conjugate_orbit_matches_full_stabilizer_enumeration():
             u = g.random_element(rng)
         delta = rng.sample(sorted(u.support()), 1)
         stab = g.pointwise_stabilizer(delta)
-        closure = set(conjugation_closure(stab.generators, u))
+        closure = set(images_of(conjugation_closure(stab.generators, u)))
         enumerated = {u.conjugate(h).images for h in stab.elements()}
         assert closure == enumerated
 
@@ -369,7 +400,7 @@ def test_conjugate_orbit_invariants_seeded():
         stab = g.pointwise_stabilizer(delta)
         orbit = conjugation_closure(stab.generators, u)
         m = u.moved_count()
-        assert u.images in set(orbit)
+        assert u.images in set(images_of(orbit))
         for x in map(Permutation, orbit):
             assert x.moved_count() == m
             assert delta <= x.support()
@@ -395,7 +426,7 @@ def test_chain_invariants_and_immutability(name):
         for level in chain.levels:
             assert level.orbit == tuple(sorted(level.transversal))
             for point, rep in level.transversal.items():
-                assert type(rep) is tuple and rep[level.point] == point
+                assert type(rep) is bytes and rep[level.point] == point
         assert chain.order() == g.order
         # membership, transporters and draws read the chain and never change it
         before = pickle.dumps(chain)
@@ -480,14 +511,13 @@ def test_known_order_chain_equals_full_build(name):
 @pytest.mark.parametrize("name", ["S7", "M11", "M12", "M23", "M24", "PGL2_13"])
 def test_chain_matches_the_image_tuple_construction(name):
     # composing on byte strings keeps every base, strong generator and
-    # representative, and the insertion order of every transversal, which
-    # random draws and the golden digests read
+    # representative, and the insertion order of every transversal
     g = catalog.parse_group_name(name)
     for prefix in ((), (5,), (4, 0, 2)):
         for order in (None, g.order):
             expected = build_chain_tuples(g.generators, g.degree, prefix, order=order)
-            got = build_chain(g.generators, g.degree, prefix, order=order)
-            assert pickle.dumps(got) == pickle.dumps(expected), (prefix, order)
+            assert_chain_equals(build_chain(g.generators, g.degree, prefix, order=order),
+                                expected)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 256, 257, 300])
@@ -504,8 +534,8 @@ def test_chain_on_either_side_of_256_points(degree):
     for prefix in ((), (degree - 1,), (moved[-1], 0, moved[0])):
         for known in (None, order):
             expected = build_chain_tuples(group.generators, degree, prefix, order=known)
-            got = build_chain(group.generators, degree, prefix, order=known)
-            assert pickle.dumps(got) == pickle.dumps(expected), (prefix, known)
+            assert_chain_equals(build_chain(group.generators, degree, prefix, order=known),
+                                expected)
     assert group.order == order
     assert group.transitivity_degree() == t
     rng = random.Random(degree)
@@ -525,6 +555,45 @@ def test_chain_on_either_side_of_256_points(degree):
             swap = list(range(degree))
             swap[a], swap[b] = b, a
             assert not group.contains(Permutation(swap))
+
+
+def _boundary_permutations(group, rng):
+    """Every kind of Permutation the chain readers hand out: draws,
+    transporters, enumerated elements, stabilizer generators (carried and
+    rebased) with the element that carries the base, strong generators and
+    the minimal-degree witness."""
+    n = group.degree
+    moved = sorted({a for g in group.generators for a in g.support()}) or [0]
+    found = [group.random_element(rng) for _ in range(3)]
+    found += [group.transporter(moved[:2], tuple(x.images[a] for a in moved[:2]))
+              for x in found]
+    found += list(islice(group.elements(), 20))
+    for points in ([moved[0]], moved[:2], [n - 1], [0]):
+        found += group.stabilizer_generators(points)
+        found += group.pointwise_stabilizer(points).generators
+        carried = group._carry_base(sorted(points))
+        found += carried[:1] if carried else ()
+    found += group.chain().strong_gens
+    if group.order > 1:
+        found.append(minimal_degree(group).witness)
+    return found
+
+
+@pytest.mark.parametrize("degree", [1, 2, 24, 256, 257, 300])
+def test_readers_hand_out_image_tuples(degree):
+    # chains hold byte strings up to 256 points, but every Permutation that
+    # leaves them holds an image tuple of ints, equal to its validated twin
+    if degree <= 2:
+        group = catalog.builtin("symmetric", degree)
+    elif degree == 24:
+        group = catalog.builtin("mathieu", 24)
+    else:
+        group = PermutationGroup(_m11_on_top(degree)[0], degree)
+    for p in _boundary_permutations(group, random.Random(degree)):
+        assert type(p.images) is tuple and {type(a) for a in p.images} == {int}
+        twin = Permutation(p.images)
+        assert p == twin and hash(p) == hash(twin) and p.degree == degree
+        assert group.contains(p)
 
 
 @pytest.mark.parametrize("name", ["S7", "M11"])
@@ -574,7 +643,7 @@ def test_stabilizer_generators_close_the_same_orbits(name, k):
         stab = g.pointwise_stabilizer(delta)
         gens = g.stabilizer_generators(delta)
         assert PermutationGroup(gens, g.degree).order == stab.order
-        assert (set(conjugation_closure(gens, u))
+        assert (set(images_of(conjugation_closure(gens, u)))
                 == {u.conjugate(h).images for h in stab.elements()})
 
 

@@ -69,15 +69,27 @@ def test_library_modules_stay_below_the_token_budget():
 
 
 def test_library_composes_through_one_kernel():
-    # image tuples are composed by perm.compose, and Schreier-Sims and the
-    # conjugation closure compose byte strings by bytes.translate up to 256
-    # points and call perm.compose above; a comprehension product beside
-    # them is a second, slower path
+    # image tuples are composed by perm.compose, and groups composes byte
+    # strings by bytes.translate up to 256 points and calls perm.compose
+    # above; a comprehension product beside them is a second, slower path
     found = {f"{path.name}:{node.lineno}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if _is_image_product(node)}
     assert SOURCES and found == set()
+
+
+def test_groups_reads_compose_only_through_the_width_switch():
+    # groups composes on the operand _width picks, byte strings up to 256
+    # points; perm.compose called on a byte string boxes every entry, so a
+    # chain reader that calls it directly falls back to the slower path
+    tree = ast.parse((Path(permdeg.__file__).parent / "groups.py").read_text(encoding="utf-8"))
+    (width,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_width"]
+    inside = {id(node) for node in ast.walk(width)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "compose"]
+    assert uses and [node.lineno for node in uses if id(node) not in inside] == []
 
 
 def test_itemgetter_lives_only_in_perm():
