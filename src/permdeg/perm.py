@@ -32,7 +32,7 @@ import operator
 import re
 from math import lcm
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class CycleParseError(ValueError):
@@ -43,9 +43,12 @@ class DegreeMismatchError(ValueError):
     """Operands act on different numbers of points."""
 
 
-def compose(first: tuple[int, ...], then: tuple[int, ...]) -> tuple[int, ...]:
-    """The image tuple of ``first`` followed by ``then``: ``then[first[a]]``
-    at each point a.  Both must have the same length, at least 1."""
+def compose(first: Sequence[int], then: Sequence[int]) -> tuple[int, ...]:
+    """``then[first[a]]`` for each index a of ``first``, as a tuple: the
+    image tuple of ``first`` followed by ``then`` when both are image
+    tuples of one degree.  ``first`` is any nonempty sequence of points of
+    ``then``, so it also carries a few points, such as a set delta, along
+    ``then``."""
     if len(first) == 1:
         return (then[first[0]],)
     return itemgetter(*first)(then)

@@ -5,7 +5,8 @@ rational values, set containments by membership.  In
 ``conjugate_orbit_count_checks`` and the traces, a check with relation "="
 passes only when the count taken over the enumerated orbit equals the
 formula value exactly, which in particular forces that value to be an
-integer.
+integer; the oracle counts each clause by its definition, the members x
+of E whose images x[gamma] (and x[second]) satisfy it.
 
 The trace builders replay the counting arguments that bound the minimal
 degree m of a t-transitive group of degree n: the classical 2t-2 bound, and
@@ -70,12 +71,11 @@ def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
     """supp([u,x]) in ascending order, from image tuples (x may be an
     element of a closure, read by index the same way).
 
-    [u,x] = (u x)(x u)^-1 fixes a exactly when u x and x u agree at a, so
-    two products and no inverse decide the support.
+    [u,x] = (u x)(x u)^-1 fixes a exactly when a^(u x) = x[u[a]] and
+    a^(x u) = u[x[a]] agree, so the operands decide the support with no
+    product and no inverse.
     """
-    ux = compose(u, x)
-    xu = compose(x, u)
-    return [a for a in range(len(u)) if ux[a] != xu[a]]
+    return [a for a in range(len(u)) if x[u[a]] != u[x[a]]]
 
 
 def _commute(u: tuple[int, ...], x: tuple[int, ...], support: Iterable[int]) -> bool:
@@ -198,20 +198,14 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
                                  cap: int = DEFAULT_CAP) -> list[ClauseResult]:
     """Exact counts over E = {g^-1 u g : g fixing delta pointwise}.
 
-    With n the degree, m = |supp(u)|, d = |delta| and t the transitivity
-    degree of the ambient group, the applicable clauses are:
-
-      fixes-gamma              (d <= t-1)          |E| (n-m) / (n-d)
-      moves-gamma              (d <= t-1)          |E| (m-d) / (n-d)
-      fixes-gamma-moves-second (d <= t-2)          |E| (n-m)(m-d) / ((n-d)(n-d-1))
-      gamma-into-delta         (d == 1)            |E| / (n-1)
-      gamma-to-second          (d == 1, t >= 3)    |E| (m-2) / ((n-1)(n-2))
-
-    Inapplicable clauses are reported as such, never as failures.  This is
-    the enumeration route: it builds E, bounded by ``cap``, and reports the
-    observed counts.  A caller that already holds E passes it as ``orbit``,
-    as ``conjugation_closure`` returns it: byte strings up to 256 points,
-    image tuples above, read by index either way.
+    Each clause (see ``_clause_plan``) counts the x in E whose images
+    x[gamma], and x[second] where it reads a second point, satisfy its
+    definition, against |E| times its share.  Inapplicable clauses,
+    including those that need a second point when ``second`` is None, are
+    reported as such, never as failures.  This is the enumeration route:
+    it builds E, bounded by ``cap``.  A caller that already holds E passes
+    it as ``orbit``, as ``conjugation_closure`` returns it: byte strings up
+    to 256 points, image tuples above, read by index either way.
     ``count_identity_suite`` tests the same clauses without building E.
     """
     dset = frozenset(delta)
@@ -219,11 +213,20 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
     t = group.transitivity_degree() if transitivity is None else transitivity
     if orbit is None:
         orbit = conjugation_closure(group.stabilizer_generators(dset), u, cap)
-    plan = _clause_plan(group.degree, u.moved_count(), len(dset), t, len(orbit))
-    counts = _clause_counts(plan, _orbit_columns(orbit, group.degree), dset, gamma, second)
-    return [ClauseResult(name, False, None) if observed is None
-            else ClauseResult(name, True, _eq(name, observed, formula))
-            for (name, _, _, formula), observed in zip(plan, counts)]
+    shares = _clause_plan(group.degree, u.moved_count(), len(dset), t)
+    if second is None:
+        # the two clauses that read second^x or compare with second
+        shares[2] = shares[4] = None
+    holds = (
+        lambda x: x[gamma] == gamma,
+        lambda x: x[gamma] != gamma,
+        lambda x: x[gamma] == gamma and x[second] != second,
+        lambda x: x[gamma] in dset,
+        lambda x: x[gamma] == second,
+    )
+    return [ClauseResult(name, False, None) if share is None
+            else ClauseResult(name, True, _eq(name, sum(map(clause, orbit)), len(orbit) * share))
+            for name, share, clause in zip(CLAUSES, shares, holds)]
 
 
 def _check_configuration(group: PermutationGroup, u: Permutation, dset: frozenset[int],
@@ -243,46 +246,33 @@ def _check_configuration(group: PermutationGroup, u: Permutation, dset: frozense
         raise PreconditionError("u is not a member of the group")
 
 
-_ClausePlan = tuple[tuple[str, bool, bool, Fraction | None], ...]
+def _clause_plan(n: int, m: int, d: int, t: int) -> list[Fraction | None]:
+    """Each clause's share of E for one (u, delta) configuration, in
+    ``CLAUSES`` order; None where the clause does not apply.
 
+    With n the degree, m = |supp(u)|, d = |delta| and t the transitivity
+    degree of the ambient group, a clause states that the x in E meeting
+    its definition number |E| times its share:
 
-def _clause_plan(n: int, m: int, d: int, t: int, size: int) -> _ClausePlan:
-    """Per clause of one (u, delta) configuration: its name, whether it
-    applies, whether it also needs a second point, and its exact value
-    (None where it does not apply)."""
+      clause                   x in E with        applies when    share
+      fixes-gamma              gamma^x = gamma    d <= t-1        (n-m) / (n-d)
+      moves-gamma              gamma^x != gamma   d <= t-1        (m-d) / (n-d)
+      fixes-gamma-moves-second gamma^x = gamma,   d <= t-2        (n-m)(m-d) / ((n-d)(n-d-1))
+                               second^x != second
+      gamma-into-delta         gamma^x in delta   d == 1          1 / (n-1)
+      gamma-to-second          gamma^x = second   d == 1, t >= 3  (m-2) / ((n-1)(n-2))
+    """
 
-    def clause(name, applies, needs_second, numerator, denominator):
-        return name, applies, needs_second, Fraction(numerator, denominator) if applies else None
+    def share(applies, numerator, denominator):
+        return Fraction(numerator, denominator) if applies else None
 
-    return (
-        clause("fixes-gamma", d <= t - 1, False, size * (n - m), n - d),
-        clause("moves-gamma", d <= t - 1, False, size * (m - d), n - d),
-        clause("fixes-gamma-moves-second", d <= t - 2, True,
-               size * (n - m) * (m - d), (n - d) * (n - d - 1)),
-        clause("gamma-into-delta", d == 1, False, size, n - 1),
-        clause("gamma-to-second", d == 1 and t >= 3, True, size * (m - 2), (n - 1) * (n - 2)),
-    )
-
-
-def _orbit_columns(orbit: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """E transposed: entry a lists a^x for every x in E, in orbit order."""
-    return list(zip(*orbit)) if orbit else [()] * n
-
-
-def _clause_counts(plan: _ClausePlan, cols: list[tuple[int, ...]], dset: frozenset[int],
-                   gamma: int, second: int | None) -> list[int | None]:
-    """The observed count of each clause over E for one (gamma, second)
-    draw, read off the columns of E; None where the clause does not apply."""
-    col = cols[gamma]
-    counters = (
-        lambda: col.count(gamma),
-        lambda: len(col) - col.count(gamma),
-        lambda: sum(1 for a, b in zip(col, cols[second]) if a == gamma and b != second),
-        lambda: sum(map(col.count, dset)),
-        lambda: col.count(second),
-    )
-    return [count() if applies and (second is not None or not needs_second) else None
-            for (_, applies, needs_second, _), count in zip(plan, counters)]
+    return [
+        share(d <= t - 1, n - m, n - d),
+        share(d <= t - 1, m - d, n - d),
+        share(d <= t - 2, (n - m) * (m - d), (n - d) * (n - d - 1)),
+        share(d == 1, 1, n - 1),
+        share(d == 1 and t >= 3, m - 2, (n - 1) * (n - 2)),
+    ]
 
 
 class _PairOrbits(NamedTuple):
@@ -335,13 +325,10 @@ def _pair_tallies(label: list[int], size: list[int], u: tuple[int, ...]) -> _Pai
     return _PairOrbits(n, label, size, arrows, fixed)
 
 
-def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: Iterable[int],
-                   gamma: int, second: int,
-                   arrow_shares: dict[int, Fraction]) -> list[Fraction | None]:
+def _clause_shares(plan: list[Fraction | None], orbits: _PairOrbits, dset: Iterable[int],
+                   gamma: int, second: int) -> list[Fraction | None]:
     """Each clause's count over E divided by |E|, for one (gamma, second)
-    draw, read off the pair orbits of H; None where the clause does not
-    apply.  ``arrow_shares`` keeps each orbit's arrows(O) / |O| once it is
-    built, for the other draws of the same u.
+    draw, read off the pair orbits of H; None where ``plan`` has none.
 
     x = u^h maps gamma to b exactly when (gamma, b)^(h^-1) is an arrow
     (a, a^u) of u, and each pair of the orbit O of (gamma, b) is reached by
@@ -353,29 +340,23 @@ def _clause_shares(plan: _ClausePlan, orbits: _PairOrbits, dset: Iterable[int],
     degree, label, size, arrows, fixed = orbits
     row = gamma * degree
 
-    def arrow_share(b: int) -> Fraction:
+    def share(tally: list[int], b: int) -> Fraction:
         k = label[row + b]
-        value = arrow_shares.get(k)
-        if value is None:
-            value = arrow_shares[k] = Fraction(arrows[k], size[k])
-        return value
+        return Fraction(tally[k], size[k])
 
-    def fixed_share() -> Fraction:
-        k = label[row + second]
-        return Fraction(fixed[k], size[k])
-
+    stays = share(arrows, gamma)
     counters = (
-        lambda: arrow_share(gamma),
-        lambda: 1 - arrow_share(gamma),
-        lambda: arrow_share(gamma) - fixed_share(),
-        lambda: sum(map(arrow_share, dset)),
-        lambda: arrow_share(second),
+        lambda: stays,
+        lambda: 1 - stays,
+        lambda: stays - share(fixed, second),
+        lambda: sum(share(arrows, b) for b in dset),
+        lambda: share(arrows, second),
     )
-    return [share_of() if applies else None
-            for (_, applies, _, _), share_of in zip(plan, counters)]
+    return [None if formula is None else share_of()
+            for formula, share_of in zip(plan, counters)]
 
 
-def _draw_tallies(plan: _ClausePlan, orbits: _PairOrbits, dset: Sequence[int],
+def _draw_tallies(plan: list[Fraction | None], orbits: _PairOrbits, dset: Sequence[int],
                   draws: Iterable[tuple[int, int]], totals: list[list[int]]) -> None:
     """Add to ``totals``, per clause, [applied, failed] over the (gamma,
     second) draws of one configuration.
@@ -391,17 +372,17 @@ def _draw_tallies(plan: _ClausePlan, orbits: _PairOrbits, dset: Sequence[int],
         row = gamma * degree
         key = (label[row + gamma], label[row + second])
         keyed.setdefault(key, [gamma, second, 0])[2] += 1
-    arrow_shares: dict[int, Fraction] = {}
     for gamma, second, count in keyed.values():
-        shares = _clause_shares(plan, orbits, dset, gamma, second, arrow_shares)
-        for (_, _, _, formula), share, total in zip(plan, shares, totals):
-            if share is not None:
+        shares = _clause_shares(plan, orbits, dset, gamma, second)
+        for formula, share, total in zip(plan, shares, totals):
+            if formula is not None:
                 total[0] += count
                 total[1] += count * (share != formula)
 
 
 def _base_frame(group: PermutationGroup, u: Permutation, delta: Sequence[int]
-                ) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:
+                ) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...],
+                           tuple[int, ...]]:
     """Carry the configuration (u, delta) into the frame of the ``()``
     chain's first k = |delta| base points b.
 
@@ -409,16 +390,16 @@ def _base_frame(group: PermutationGroup, u: Permutation, delta: Sequence[int]
     H = G_(delta) = g^-1 G_(b) g, so (a, c) and (a', c') share an H-orbit
     exactly when their images under g^-1 share a G_(b)-orbit, and u's
     arrow (a, a^u) goes to the arrow of u' = g u g^-1 at a^(g^-1).  Returns
-    the generators of G_(b), then g^-1 and u' as image tuples.  Raises
-    RuntimeError when the group does not carry b to delta, which the suite
-    never meets: there |delta| <= t - 1.
+    the generators of G_(b), then g^-1, u' and delta carried by g^-1 as
+    image tuples.  Raises RuntimeError when the group does not carry b to
+    delta, which the suite never meets: there |delta| <= t - 1.
     """
     carried = group._carry_base(tuple(sorted(delta)))
     if carried is None:
         raise RuntimeError(f"{group.label} does not carry its base to {sorted(delta)}")
     g, pair = carried
     g_inv = g.inverse().images
-    return pair, g_inv, compose(compose(g.images, u.images), g_inv)
+    return pair, g_inv, compose(compose(g.images, u.images), g_inv), compose(delta, g_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +461,12 @@ def _counting_setup(name: str, group: PermutationGroup, rng, min_t: int,
     to a nontrivial, at least ``min_t``-transitive group (avoiding the
     alternating group if asked) and then names the witness u; support is
     supp(u) ascending and alpha a point of it.  u and alpha are None when
-    the trace does not apply."""
+    the trace does not apply.
+
+    min_t >= 2 makes the group primitive, and a primitive group with a
+    transposition or a 3-cycle contains the alternating group (Jordan), so
+    m <= 3 where the group avoids it is a fault and raises RuntimeError.
+    """
     t = group.transitivity_degree()
     report = TraceReport(name, group.label, group.degree, t)
     if (group.order <= 1 or t < min_t
@@ -489,6 +475,9 @@ def _counting_setup(name: str, group: PermutationGroup, rng, min_t: int,
     report.applicable = True
     u = _trace_witness(group, rng)
     report.m = u.moved_count()
+    if report.m <= 3 and not group.contains_alternating():
+        raise RuntimeError(f"{group.label}: the witness moves {report.m} points, but the "
+                           "group reportedly avoids the alternating group")
     report.witnesses["u"] = format_cycles(u)
     support = sorted(u.support())
     return report, u, support, _pick(rng, support)
@@ -506,11 +495,12 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
     (h, v, E), E the conjugates of v under H as ``conjugation_closure``
     returns them.  Both traces that call it need a doubly transitive group,
-    so h exists for any two pairs of distinct points.  E is closed over ``group.stabilizer_generators(pair)``, which
-    builds no chain based on the pair and reads no rng.  With an rng, h is
-    first multiplied on the left by a random element of H, which moves v
-    within E; it is drawn from ``pointwise_stabilizer(pair)``, whose
-    rebased chain fixes the element each seeded draw picks.
+    so h exists for any two pairs of distinct points.  E is closed over
+    ``group.stabilizer_generators(pair)``, which builds no chain based on
+    the pair and reads no rng.  With an rng, h is first multiplied on the
+    left by a random element of H, which moves v within E; it is drawn
+    from ``pointwise_stabilizer(pair)``, whose rebased chain fixes the
+    element each seeded draw picks.
     """
     h = group.transporter(pair, targets)
     if h is None:
@@ -529,13 +519,11 @@ def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[Co
     report.derived["contains_alternating"] = alt
     if alt:
         return
+    # m > 3 here: _counting_setup raises otherwise
     n, m = report.n, report.m
-    if m > 3:
-        conclusion = [_le("degree-bound", n, k * m + Fraction(slack, m - 3))]
-        if n >= threshold:
-            conclusion.append(_ge(label, k * m, n))
-    else:
-        conclusion = [CountCheck("degree-bound", "<=", n, Fraction(0), False)]
+    conclusion = [_le("degree-bound", n, k * m + Fraction(slack, m - 3))]
+    if n >= threshold:
+        conclusion.append(_ge(label, k * m, n))
     checks.extend(conclusion)
     report.conclusion_holds = all(c.passed for c in conclusion)
 
@@ -972,13 +960,13 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
             # |delta| <= n - 2 leaves gamma another point outside delta
             draws.append((gamma, rng.choice(rest[:i] + rest[i + 1:])))
         _check_configuration(group, u, frozenset(delta), draws)
-        pair, g_inv, u_carried = _base_frame(group, u, delta)
+        pair, g_inv, u_carried, delta_carried = _base_frame(group, u, delta)
         table = labels.get(dsize)
         if table is None:
             table = labels[dsize] = _pair_labels([h.images for h in pair], n)
         orbits = _pair_tallies(*table, u_carried)
-        plan = _clause_plan(n, u.moved_count(), dsize, t, 1)
-        _draw_tallies(plan, orbits, compose(delta, g_inv),
+        plan = _clause_plan(n, u.moved_count(), dsize, t)
+        _draw_tallies(plan, orbits, delta_carried,
                       [(g_inv[gamma], g_inv[second]) for gamma, second in draws], totals)
 
     checks = []

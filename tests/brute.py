@@ -424,8 +424,10 @@ def clause_shares(plan, orbits, dset, gamma, second):
         lambda: sum(share(arrows, b) for b in dset),
         lambda: share(arrows, second),
     )
-    return [share_of() if applies and (second is not None or not needs_second) else None
-            for (_, applies, needs_second, _), share_of in zip(plan, counters)]
+    # fixes-gamma-moves-second and gamma-to-second read a second point
+    needs_second = (False, False, True, False, True)
+    return [share_of() if formula is not None and (second is not None or not needs) else None
+            for formula, needs, share_of in zip(plan, needs_second, counters)]
 
 
 def count_identity_suite_by_configuration(group, samples, seed):
@@ -464,10 +466,10 @@ def count_identity_suite_by_configuration(group, samples, seed):
         _check_configuration(group, u, dset, draws)
         orbits = pair_orbits([g.images for g in group.stabilizer_generators(delta)],
                              u.images)
-        plan = _clause_plan(n, u.moved_count(), len(dset), t, 1)
+        plan = _clause_plan(n, u.moved_count(), len(dset), t)
         for gamma, second in draws:
             shares = clause_shares(plan, orbits, dset, gamma, second)
-            for (_, _, _, formula), share, tally in zip(plan, shares, totals):
+            for formula, share, tally in zip(plan, shares, totals):
                 if share is not None:
                     tally[0] += 1
                     if share != formula:

@@ -215,6 +215,22 @@ def test_table_raises_on_a_wrong_minimal_degree(monkeypatch, capsys):
     _assert_fault(capsys, ["table"], message)
 
 
+# an alternating-group probe that misses A_n in S7 and A7: their witnesses
+# move 2 and 3 points, and a primitive group with a transposition or a
+# 3-cycle contains A_n (Jordan), so the counting traces must raise before
+# they close a bound on m - 3 or pick a third support point
+@pytest.mark.parametrize("theorem", ["double", "triple", "quadruple"])
+@pytest.mark.parametrize("name, m", [("S7", 2), ("A7", 3)])
+def test_counting_traces_raise_on_a_missed_alternating_group(monkeypatch, capsys, name, m,
+                                                             theorem):
+    monkeypatch.setattr(PermutationGroup, "contains_alternating", lambda self: False)
+    message = (f"^{name}: the witness moves {m} points, but the group reportedly avoids "
+               "the alternating group$")
+    with pytest.raises(RuntimeError, match=message):
+        verify.TRACES[theorem](catalog.parse_group_name(name))
+    _assert_fault(capsys, ["trace", f"catalog:{name}", theorem], message)
+
+
 # a membership sift that rejects every element: the commutator [u,v] of two
 # group elements then reads as lying outside the group (M11 and PSL2_13 stop
 # at the shifted-image exit before they build it)

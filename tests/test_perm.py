@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from permdeg.perm import (
     CycleParseError,
@@ -102,11 +102,19 @@ def test_compose_degree_one():
     assert (Permutation([0]) * Permutation([0])).images == (0,)
 
 
-@given(st.integers(1, 30).flatmap(lambda n: st.tuples(st.permutations(range(n)),
-                                                      st.permutations(range(n)))))
-def test_compose_chases_images(pair):
-    p, q = map(tuple, pair)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.permutations(range(n)),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=n))))
+@example(([0], [0], [0]))
+@example(([1, 0], [1, 0], [1]))
+def test_compose_chases_images(case):
+    # first is any nonempty sequence of points of then, of length 1 to n,
+    # as the carried delta of verify._base_frame is; one point takes the
+    # degree-1 path
+    p, q, first = case
+    p, q = tuple(p), tuple(q)
     assert compose(p, q) == tuple(q[a] for a in p)
+    assert compose(first, q) == tuple(q[a] for a in first)
 
 
 def test_compose_identity_and_inverse():

@@ -92,6 +92,20 @@ def test_groups_reads_compose_only_through_the_width_switch():
     assert uses and [node.lineno for node in uses if id(node) not in inside] == []
 
 
+def test_verify_calls_compose_only_to_carry_a_configuration():
+    # verify reads its laws and traces straight off the operands, byte
+    # strings from a closure among them; perm.compose boxes every entry of
+    # a byte string, so only _base_frame, which carries the counts suite's
+    # image tuples, may call it
+    tree = ast.parse((Path(permdeg.__file__).parent / "verify.py").read_text(encoding="utf-8"))
+    (frame,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_base_frame"]
+    inside = {id(node) for node in ast.walk(frame)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "compose"]
+    assert uses and [node.lineno for node in uses if id(node) not in inside] == []
+
+
 def test_itemgetter_lives_only_in_perm():
     # perm.compose is the one getter kernel; an itemgetter imported or read
     # anywhere else is a second product path beside it

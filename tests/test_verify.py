@@ -14,13 +14,11 @@ from permdeg.verify import (
     PreconditionError,
     TraceReport,
     _base_frame,
-    _clause_counts,
     _clause_plan,
     _clause_shares,
     _draw_tallies,
     _law_check,
     _law_facts,
-    _orbit_columns,
     _pair_labels,
     _pair_tallies,
     commutator_cancellation_bound,
@@ -189,6 +187,36 @@ def test_conjugate_orbit_counts_degree_two():
         "fixes-gamma", "moves-gamma", "gamma-into-delta"]
     assert [r.check.observed for r in results if r.applicable] == [0, 1, 1]
     assert all(r.check.passed for r in results if r.applicable)
+
+
+@pytest.mark.parametrize("name", ["S4", "M11"])
+def test_conjugate_orbit_counts_without_a_second_point(name):
+    # t = 4 makes all five clauses apply at |delta| = 1 once a second point
+    # is drawn; without it the two clauses that read one are inapplicable,
+    # and the other three still count E by their definitions
+    g = catalog.parse_group_name(name)
+    n = g.degree
+    assert g.transitivity_degree() == 4
+    rng = random.Random(name)
+    for _ in range(4):
+        u = g.random_element(rng)
+        while u.is_identity():
+            u = g.random_element(rng)
+        delta = {rng.choice(sorted(u.support()))}
+        gamma, second = rng.sample([a for a in range(n) if a not in delta], 2)
+        orbit = conjugation_closure(g.stabilizer_generators(delta), u)
+        alone = {r.clause: r for r in conjugate_orbit_count_checks(g, u, delta, gamma)}
+        paired = {r.clause: r for r in conjugate_orbit_count_checks(g, u, delta, gamma, second)}
+        assert list(alone) == list(CLAUSES)
+        assert [c for c, r in alone.items() if not r.applicable] == [
+            "fixes-gamma-moves-second", "gamma-to-second"]
+        assert all(r.applicable for r in paired.values())
+        direct = {"fixes-gamma": sum(1 for x in orbit if x[gamma] == gamma),
+                  "moves-gamma": sum(1 for x in orbit if x[gamma] != gamma),
+                  "gamma-into-delta": sum(1 for x in orbit if x[gamma] in delta)}
+        for clause, observed in direct.items():
+            assert alone[clause].check == paired[clause].check
+            assert alone[clause].check.observed == observed and alone[clause].check.passed
 
 
 def test_conjugate_orbit_counts_validation():
@@ -372,7 +400,9 @@ def test_law_kernel_matches_set_arithmetic(u, v, fixed_draw, shifted_draw):
 @pytest.mark.parametrize("name,param", [("symmetric", 6), ("mathieu", 11), ("pgl2", 7)])
 def test_clause_columns_match_direct_scans(name, param):
     # E built by brute force: every element fixing delta, by closure of the
-    # whole group, conjugating u; the column counts must match direct scans
+    # whole group, conjugating u; the oracle's counts over columns gamma and
+    # second of the closure (x[gamma], x[second] for x in E) must match
+    # direct scans
     g = catalog.builtin(name, param)
     n = g.degree
     t = g.transitivity_degree()
@@ -386,9 +416,6 @@ def test_clause_columns_match_direct_scans(name, param):
         orbit = conjugation_closure(g.pointwise_stabilizer(delta).generators, u)
         assert {Permutation(x) for x in orbit} == orbit_set
         assert len(orbit) == len(orbit_set)
-        cols = _orbit_columns(orbit, n)
-        # transitivity n makes every clause apply at |delta| = 1
-        plan = _clause_plan(n, u.moved_count(), len(delta), n, len(orbit))
         rest = [a for a in range(n) if a not in delta]
         for _ in range(5):
             gamma, second = rng.sample(rest, 2)
@@ -400,7 +427,10 @@ def test_clause_columns_match_direct_scans(name, param):
                 sum(1 for x in orbit_set if x.images[gamma] in delta),
                 sum(1 for x in orbit_set if x.images[gamma] == second),
             ]
-            counts = _clause_counts(plan, cols, delta, gamma, second)
+            # transitivity n makes every clause apply at |delta| = 1
+            counts = [res.check.observed if res.applicable else None
+                      for res in conjugate_orbit_count_checks(g, u, delta, gamma, second,
+                                                              orbit=orbit, transitivity=n)]
             assert sum(c is not None for c in counts) == (5 if len(delta) == 1 else 3)
             assert [c for c in counts if c is not None] == [
                 d for c, d in zip(counts, direct) if c is not None]
@@ -438,7 +468,7 @@ def test_pair_orbit_shares_match_closure_counts(name, param):
         stab_gens = g.pointwise_stabilizer(delta).generators
         rest = [a for a in range(n) if a not in delta]
         # transitivity n makes every clause apply, whatever the group
-        plan = _clause_plan(n, u.moved_count(), len(delta), n, 1)
+        plan = _clause_plan(n, u.moved_count(), len(delta), n)
         for gens in (stab_gens, _proper_subgroup_gens(stab_gens, n)):
             orbit = conjugation_closure(gens, u)
             orbits = _pair_tallies(*_pair_labels([h.images for h in gens], n), u.images)
@@ -447,10 +477,10 @@ def test_pair_orbit_shares_match_closure_counts(name, param):
             assert sum(orbits.fixed) == (n - u.moved_count()) ** 2
             for _ in range(5):
                 gamma, second = rng.sample(rest, 2)
-                shares = _clause_shares(plan, orbits, delta, gamma, second, {})
+                shares = _clause_shares(plan, orbits, delta, gamma, second)
                 results = conjugate_orbit_count_checks(g, u, delta, gamma, second,
                                                        orbit=orbit, transitivity=n)
-                for res, share, (_, _, _, formula) in zip(results, shares, plan):
+                for res, share, formula in zip(results, shares, plan):
                     assert res.applicable == (share is not None)
                     if share is None:
                         continue
@@ -489,12 +519,12 @@ def test_draw_tallies_match_per_draw_verdicts_where_formulas_fail(name):
         images = [h.images for h in gens]
         rest = [a for a in range(n) if a not in delta]
         draws = [tuple(rng.sample(rest, 2)) for _ in range(40)]
-        plan = _clause_plan(n, u.moved_count(), len(delta), n, 1)
+        plan = _clause_plan(n, u.moved_count(), len(delta), n)
         direct = pair_orbits(images, u.images)
         expected = [[0, 0] for _ in plan]
         for gamma, second in draws:
             shares = clause_shares(plan, direct, delta, gamma, second)
-            for (_, _, _, formula), share, tally in zip(plan, shares, expected):
+            for formula, share, tally in zip(plan, shares, expected):
                 if share is not None:
                     tally[0] += 1
                     tally[1] += share != formula
@@ -517,7 +547,8 @@ def test_carried_pair_labels_match_the_stabilizer_orbits(name, k):
         while u.is_identity():
             u = g.random_element(rng)
         delta = sorted(rng.sample(sorted(u.support()), k))
-        pair, g_inv, u_carried = _base_frame(g, u, delta)
+        pair, g_inv, u_carried, delta_carried = _base_frame(g, u, delta)
+        assert delta_carried == g.chain().base[:k]
         carried = _pair_tallies(*_pair_labels([h.images for h in pair], n), u_carried)
         direct = pair_orbits([h.images for h in g.pointwise_stabilizer(delta).generators],
                              u.images)
@@ -571,9 +602,9 @@ def test_base_frame_raises_where_the_walk_fails():
     assert g.stabilizer_generators([2]) == g.pointwise_stabilizer([2]).generators
     with pytest.raises(RuntimeError):
         _base_frame(g, u, [2])
-    pair, g_inv, u_carried = _base_frame(g, u, [1])
+    pair, g_inv, u_carried, delta_carried = _base_frame(g, u, [1])
     assert pair == g._level_pair(1)
-    assert g_inv[1] == 0 and u_carried == u.images
+    assert g_inv[1] == 0 and u_carried == u.images and delta_carried == (0,)
 
 
 def test_record_types_are_fixed_and_reports_own_their_containers():
