@@ -16,7 +16,8 @@ conjugation-orbit closures of the ``double``, ``triple`` and ``quadruple``
 traces, and ``mindeg --method exhaustive``.  It bounds element counts, not
 memory or time, never selects an algorithm, and is accepted but unused by
 ``info``, ``verify`` and ``table``; a value below 1 is a usage error.
-``--jobs`` is accepted for compatibility and has no effect.
+``--jobs`` is accepted for compatibility and has no effect; a value below 1
+is a usage error too.
 
 ``verify`` and ``fractions`` are imported inside the handlers that use them,
 so ``info`` and ``mindeg`` load neither.
@@ -140,7 +141,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", metavar="PATH", default=None)
     parser.add_argument("--samples", type=_positive_int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="accepted (at least 1); has no effect")
     parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="element bound (at least 1) for trace orbit closures "
                              "and mindeg --method exhaustive; unused elsewhere")

@@ -20,13 +20,20 @@ and so are the products of the chain readers (the transversal walk that
 membership sifts and transporters take, random draws and element
 enumeration).  A ``Permutation`` always holds an image tuple, so a reader
 calls ``tuple`` once, where it wraps its result.
+
+``_Columns`` reads a closure's orbit E one point at a time: E joined into
+one flat operand and sliced with step n, and each per-point predicate one
+int with a lane per member, so the traces tally E with a few bitwise
+operations and ``int.bit_count``, with no Python loop over its members.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import cache
 from math import factorial, prod
+from operator import ne
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .perm import Permutation, _check_degree, _check_points, compose
@@ -470,6 +477,92 @@ def _width(degree: int) -> tuple[Callable, type, Sequence[int], Sequence[int]]:
     if degree <= 256:
         return bytes.translate, bytes, bytes(range(degree)), bytes(range(degree, 256))
     return compose, tuple, tuple(range(degree)), ()
+
+
+# zero bytes to 0 and the rest to 1: a lanewise XOR to 0/1 lanes
+_NONZERO = bytes(1) + bytes([1]) * 255
+
+
+class _Columns:
+    """The operands of one degree in a list E (as ``conjugation_closure``
+    returns it), read one point at a time.
+
+    Column a holds x[a] for each x in E: E joined into one flat operand
+    (``b"".join`` up to 256 points, a flat tuple above) and sliced with step
+    n.  A predicate of the members at one point is one int with a lane per
+    member, E[i] in the lane at byte w i, each lane 0 or 1.  A lane is w
+    bytes wide, 1 up to 256 points and enough that n - 1 fits above, so a
+    sum of up to n - 1 such ints never carries from one lane into the next.
+    A tally over E is then the ``int.bit_count`` of a few ANDs, ORs and
+    XORs of these ints, with no per-member work in Python.
+    """
+
+    __slots__ = ("size", "degree", "_flat", "_columns", "_lane", "_ones")
+
+    def __init__(self, members: Sequence[Sequence[int]], degree: int):
+        self.size = k = len(members)
+        self.degree = degree
+        narrow = degree <= 256
+        self._flat = b"".join(members) if narrow else tuple(itertools.chain.from_iterable(members))
+        self._columns = [self._flat[a::degree] for a in range(degree)]
+        self._lane = w = max(1, ((degree - 1).bit_length() + 7) // 8)
+        self._ones = int.from_bytes((b"\1" + bytes(w - 1)) * k, "little")
+
+    def _lanes(self, flags: bytes) -> int:
+        """The lane int of one 0/1 byte per member."""
+        w = self._lane
+        if w > 1:
+            spread = bytearray(len(flags) * w)
+            spread[::w] = flags
+            flags = spread
+        return int.from_bytes(flags, "little")
+
+    def _differ(self, first: Sequence[int], second: Sequence[int]) -> int:
+        """Lanes 1 where two columns differ: byte strings XORed as ints,
+        image tuples compared entry by entry."""
+        if isinstance(first, bytes):
+            xor = int.from_bytes(first, "little") ^ int.from_bytes(second, "little")
+            return int.from_bytes(xor.to_bytes(self.size, "little").translate(_NONZERO), "little")
+        return self._lanes(bytes(map(ne, first, second)))
+
+    def moves(self, a: int) -> int:
+        """Lanes 1 where x[a] != a."""
+        return self._differ(self._columns[a], _width(self.degree)[1]((a,)) * self.size)
+
+    def maps_into(self, a: int, points: Iterable[int]) -> int:
+        """Lanes 1 where x[a] lies in ``points``."""
+        if not self.size:
+            # above 256 points mul is perm.compose, which needs a nonempty first
+            return 0
+        mul, wrap, _, tail = _width(self.degree)
+        flags = bytearray(self.degree)
+        for b in points:
+            flags[b] = 1
+        return self._lanes(bytes(mul(self._columns[a], wrap(flags) + tail)))
+
+    def commutator_moves(self, u: Sequence[int]) -> list[int]:
+        """For each point a, lanes 1 where [u,x] moves a, read off the
+        operands as x[u[a]] != u[x[a]]; u is an image tuple."""
+        n = self.degree
+        if not self.size:
+            return [0] * n
+        mul, wrap, _, tail = _width(n)
+        after = mul(self._flat, wrap(u) + tail)
+        return [self._differ(self._columns[u[a]], after[a::n]) for a in range(n)]
+
+    def below(self, lanes: int, bound: int) -> int:
+        """Lanes 1 where ``lanes``, a sum of lane ints, is below ``bound``.
+
+        The top bit of each lane is set where its value reaches 2^(8w-1),
+        or where its low bits plus the bias 2^(8w-1) - bound do, which
+        never carries out of the lane; ``bound`` must lie in 0..2^(8w-1).
+        """
+        top = 1 << (8 * self._lane - 1)
+        if not 0 <= bound <= top:
+            raise ValueError(f"lane bound {bound} exceeds {top} or is negative")
+        tops = self._ones * top
+        reached = ((lanes & (tops - self._ones)) + (top - bound) * self._ones | lanes) & tops
+        return (tops ^ reached) >> (8 * self._lane - 1)
 
 
 def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],

@@ -11,7 +11,10 @@ of E whose images x[gamma] (and x[second]) satisfy it.
 The trace builders replay the counting arguments that bound the minimal
 degree m of a t-transitive group of degree n: the classical 2t-2 bound, and
 the three bounds for doubly, triply and quadruply transitive groups that
-close with n <= 4m + 6/(m-3), n <= 3m + 4/(m-3) and n - 3 <= 2m.
+close with n <= 4m + 6/(m-3), n <= 3m + 4/(m-3) and n - 3 <= 2m.  The three
+counting traces tally their orbit E by column (``groups._Columns``): each
+per-point predicate over E is one int with a lane per member, and each
+tally the ``int.bit_count`` of a few ANDs, ORs and XORs of those ints.
 
 The sampled suites run on image tuples.  A laws sample computes u v, v u,
 supp([u,v]) and the cancellation pools once, and every law reads them.  A
@@ -29,9 +32,11 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import DEFAULT_CAP, PermutationGroup, conjugation_closure
+from .groups import DEFAULT_CAP, PermutationGroup, _Columns, conjugation_closure
 from .mindeg import minimal_degree
 from .perm import (Permutation, _check_degree, _check_points, compose, format_cycles,
                    prime_order_witness)
@@ -76,17 +81,6 @@ def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
     product and no inverse.
     """
     return [a for a in range(len(u)) if x[u[a]] != u[x[a]]]
-
-
-def _commute(u: tuple[int, ...], x: tuple[int, ...], support: Iterable[int]) -> bool:
-    """Whether u and x commute, from image tuples (or closure elements) and
-    supp(u).
-
-    u x and x u agree everywhere once they agree on supp(u): x then maps
-    supp(u) into, hence onto, itself, and so the fixed points of u onto
-    themselves.  The scan stops at the first point where they differ.
-    """
-    return all(x[u[a]] == u[x[a]] for a in support)
 
 
 # (label, relation, informational) of each law, in the order _LawFacts.laws
@@ -625,6 +619,78 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     return finish()
 
 
+def _double_tallies(ui: Sequence[int], beta: int, orbit: Sequence[Sequence[int]]):
+    """(fixing, commuting, thin, pair_total, movers) over the members x of
+    ``orbit`` that fix beta, for the witness with image tuple ``ui``: how
+    many there are, commute with u, and move fewer than m/3 points of
+    supp(u), their overlaps with supp(u) summed, and per point of supp(u)
+    how many move it (0 at the fixed points of u)."""
+    n = len(ui)
+    fixers = _Columns([x for x in orbit if x[beta] == beta], n)
+    moved = [fixers.moves(a) if ui[a] != a else 0 for a in range(n)]
+    movers = [lanes.bit_count() for lanes in moved]
+    m = sum(1 for a in range(n) if ui[a] != a)
+    # each fixer fixes beta, a point of supp(u), so its overlap is at most n - 1
+    thin = fixers.below(sum(moved), -(-m // 3)).bit_count()
+    noncommuting = reduce(or_, fixers.commutator_moves(ui), 0)
+    return fixers.size, fixers.size - noncommuting.bit_count(), thin, sum(movers), movers
+
+
+def _triple_tallies(ui: Sequence[int], alpha: int, beta: int, orbit: Sequence[Sequence[int]]):
+    """(misplaced, commuting, commutator_total, overlap_total, doubled_total,
+    movers) over the members x of ``orbit``: the x that do not map alpha to
+    beta, the x that commute with u, |supp([u,x])| summed, |supp(u) &
+    supp(x)| summed, the points a of those overlaps whose preimage under u
+    x also moves, and per point of supp(u) the x that move it (0 at the
+    fixed points of u)."""
+    n = len(ui)
+    members = _Columns(orbit, n)
+    moved = [members.moves(a) if ui[a] != a else 0 for a in range(n)]
+    movers = [lanes.bit_count() for lanes in moved]
+    commutators = members.commutator_moves(ui)
+    return (members.size - members.maps_into(alpha, (beta,)).bit_count(),
+            members.size - reduce(or_, commutators, 0).bit_count(),
+            sum(lanes.bit_count() for lanes in commutators),
+            sum(movers),
+            # each doubled point a counted at its preimage c, which u permutes
+            # within supp(u): x moves c and c^u = a
+            sum((lanes & moved[a]).bit_count() for lanes, a in zip(moved, ui)),
+            movers)
+
+
+def _quadruple_tallies(ui: Sequence[int], alpha: int, beta: int,
+                       orbit: Sequence[Sequence[int]]):
+    """(structure_violations, commuting, commutator_total, overlap_total,
+    carried_total, arrows_total, containment_violations) over the members x
+    of ``orbit``.
+
+    Each point a splits as an overlap point (u and x move it), a carried
+    fixed point (u fixes a, and x carries it into supp(u)) or an arrow (x
+    fixes a in supp(u) and moves a^u); [u,x] must move only split points.
+    """
+    n = len(ui)
+    members = _Columns(orbit, n)
+    moved = [members.moves(a) for a in range(n)]
+    commutators = members.commutator_moves(ui)
+    support = [a for a in range(n) if ui[a] != a]
+    overlap_total = carried_total = arrows_total = containment_violations = 0
+    for a, c in enumerate(ui):
+        if c == a:
+            # x[a] in supp(u) already puts x[a] != a
+            split = members.maps_into(a, support)
+            carried_total += split.bit_count()
+        else:
+            arrows = moved[c] & ~moved[a]
+            overlap_total += moved[a].bit_count()
+            arrows_total += arrows.bit_count()
+            split = moved[a] | arrows
+        containment_violations += (commutators[a] & ~split).bit_count()
+    return (members.size - (moved[beta] & ~moved[alpha]).bit_count(),
+            members.size - reduce(or_, commutators, 0).bit_count(),
+            sum(lanes.bit_count() for lanes in commutators),
+            overlap_total, carried_total, arrows_total, containment_violations)
+
+
 def double_transitive_trace(group: PermutationGroup, *, rng=None,
                             cap: int = DEFAULT_CAP) -> TraceReport:
     """Counting trace for doubly transitive groups.
@@ -643,21 +709,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     beta = ui[alpha]
     orbit = conjugation_closure(group.stabilizer_generators([alpha]), u, cap)
     size = len(orbit)
-
-    fixing = commuting = thin = pair_total = 0
-    movers = [0] * n     # per point: the fixers that move it
-    for xi in orbit:
-        if xi[beta] != beta:
-            continue
-        fixing += 1
-        commuting += _commute(ui, xi, support)
-        overlap = 0
-        for a in support:
-            if xi[a] != a:
-                overlap += 1
-                movers[a] += 1
-        thin += 3 * overlap < m
-        pair_total += overlap
+    fixing, commuting, thin, pair_total, movers = _double_tallies(ui, beta, orbit)
     middle = [a for a in support if a != alpha and a != beta]
 
     checks = [
@@ -701,21 +753,8 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (alpha, ui[alpha]), rng, cap)
     size = len(orbit)
     u_inv = u.inverse().images
-
-    misplaced = commuting = commutator_total = overlap_total = doubled_total = 0
-    movers = [0] * n     # per point: the conjugates that move it
-    for xi in orbit:
-        misplaced += xi[alpha] != beta
-        commutator_size = len(_commutator_support(ui, xi))
-        commuting += commutator_size == 0
-        commutator_total += commutator_size
-        for a in support:
-            if xi[a] != a:
-                overlap_total += 1
-                movers[a] += 1
-                b = u_inv[a]
-                if xi[b] != b:
-                    doubled_total += 1
+    (misplaced, commuting, commutator_total, overlap_total, doubled_total,
+     movers) = _triple_tallies(ui, alpha, beta, orbit)
 
     edge_formula = Fraction(size * (m - 2), n - 2)
     checks = [
@@ -770,28 +809,8 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
     n, m = report.n, report.m
     size = len(orbit)
 
-    structure_violations = commuting = commutator_total = 0
-    overlap_total = carried_total = arrows_total = containment_violations = 0
-    for xi in orbit:
-        structure_violations += xi[alpha] != alpha or xi[beta] == beta
-        commutator_size = 0
-        for a in range(n):
-            b, c = xi[a], ui[a]
-            # split: a is an overlap point, a carried fixed point or an arrow
-            if c == a:
-                split = b != a and ui[b] != b
-                carried_total += split
-            elif b != a:
-                split = True
-                overlap_total += 1
-            else:
-                split = xi[c] != c
-                arrows_total += split
-            if xi[c] != ui[b]:      # a^(u x) != a^(x u): [u,x] moves a
-                commutator_size += 1
-                containment_violations += not split
-        commuting += commutator_size == 0
-        commutator_total += commutator_size
+    (structure_violations, commuting, commutator_total, overlap_total, carried_total,
+     arrows_total, containment_violations) = _quadruple_tallies(ui, alpha, beta, orbit)
 
     checks = [
         _eq("orbit-stabilizer-structure", structure_violations, 0),

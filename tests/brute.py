@@ -484,3 +484,83 @@ def count_identity_suite_by_configuration(group, samples, seed):
         checks.append(CountCheck(f"{clause} [{applied}/{total_draws} applicable]",
                                  "=", failed, Fraction(0), failed == 0))
     return _sorted_checks(checks), inapplicable
+
+
+def commute(u, x, support):
+    """Whether u and x commute, from image tuples (or closure elements) and
+    supp(u).
+
+    u x and x u agree everywhere once they agree on supp(u): x then maps
+    supp(u) into, hence onto, itself, and so the fixed points of u onto
+    themselves.  The scan stops at the first point where they differ.
+    """
+    return all(x[u[a]] == u[x[a]] for a in support)
+
+
+def trace_tallies_by_element(theorem, ui, alpha, beta, orbit):
+    """The tallies the ``double``, ``triple`` or ``quadruple`` trace reads
+    off its orbit, by one loop over the members and, per member, over the
+    points: the same tuple as ``verify._double_tallies`` (which takes no
+    alpha), ``verify._triple_tallies`` or ``verify._quadruple_tallies``."""
+    n = len(ui)
+    support = [a for a in range(n) if ui[a] != a]
+    m = len(support)
+    if theorem == "double":
+        fixing = commuting = thin = pair_total = 0
+        movers = [0] * n     # per point: the fixers that move it
+        for xi in orbit:
+            if xi[beta] != beta:
+                continue
+            fixing += 1
+            commuting += commute(ui, xi, support)
+            overlap = 0
+            for a in support:
+                if xi[a] != a:
+                    overlap += 1
+                    movers[a] += 1
+            thin += 3 * overlap < m
+            pair_total += overlap
+        return fixing, commuting, thin, pair_total, movers
+    if theorem == "triple":
+        u_inv = [0] * n
+        for a, b in enumerate(ui):
+            u_inv[b] = a
+        misplaced = commuting = commutator_total = overlap_total = doubled_total = 0
+        movers = [0] * n     # per point: the conjugates that move it
+        for xi in orbit:
+            misplaced += xi[alpha] != beta
+            commutator_size = sum(1 for a in range(n) if xi[ui[a]] != ui[xi[a]])
+            commuting += commutator_size == 0
+            commutator_total += commutator_size
+            for a in support:
+                if xi[a] != a:
+                    overlap_total += 1
+                    movers[a] += 1
+                    b = u_inv[a]
+                    if xi[b] != b:
+                        doubled_total += 1
+        return misplaced, commuting, commutator_total, overlap_total, doubled_total, movers
+    structure_violations = commuting = commutator_total = 0
+    overlap_total = carried_total = arrows_total = containment_violations = 0
+    for xi in orbit:
+        structure_violations += xi[alpha] != alpha or xi[beta] == beta
+        commutator_size = 0
+        for a in range(n):
+            b, c = xi[a], ui[a]
+            # split: a is an overlap point, a carried fixed point or an arrow
+            if c == a:
+                split = b != a and ui[b] != b
+                carried_total += split
+            elif b != a:
+                split = True
+                overlap_total += 1
+            else:
+                split = xi[c] != c
+                arrows_total += split
+            if xi[c] != ui[b]:      # a^(u x) != a^(x u): [u,x] moves a
+                commutator_size += 1
+                containment_violations += not split
+        commuting += commutator_size == 0
+        commutator_total += commutator_size
+    return (structure_violations, commuting, commutator_total, overlap_total, carried_total,
+            arrows_total, containment_violations)

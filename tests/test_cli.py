@@ -147,6 +147,22 @@ def test_cap_below_one_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "catalog:S6", "all", "--samples", "10", "--jobs", "0"),
+    ("verify", "catalog:M11", "laws", "--jobs", "-3"),
+    ("trace", "catalog:M11", "double", "--jobs", "0"),
+    ("info", "catalog:S5", "--jobs", "-1"),
+])
+def test_jobs_below_one_is_a_usage_error(capsys, argv):
+    # --jobs has no effect, but it is still an input: below 1 it exits 2,
+    # as --samples and --cap do
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "argument --jobs: must be at least 1" in err
+
+
 def test_mindeg_unknown_method_rejected(capsys):
     code, _ = run(capsys, "mindeg", "catalog:C4", "--method", "guess")
     assert code == 2

@@ -125,24 +125,55 @@ def test_traces_fail_on_a_dropped_conjugate(monkeypatch, name, theorem):
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 
 
-# a product of two adjacent elements of E that moves a different number of
-# points from the seed, so it is conjugate to no element of E; at seed 1 no
-# such product exists in the PGL2_13 triple trace's E
-@pytest.mark.parametrize("name, theorem", [
-    (name, theorem) for name in ("M11", "M12", "PGL2_13") for theorem in E_IDENTITIES
-    if name != "PGL2_13" or theorem == "double"])
-def test_traces_fail_on_a_non_conjugate(monkeypatch, name, theorem):
+def _add_non_conjugate(monkeypatch):
+    # a product of two adjacent elements of E that moves a different number
+    # of points from the seed, so it is conjugate to no element of E; it is
+    # appended as the operand type of E (a byte string up to 256 points)
     closure = verify.conjugation_closure
 
     def faulty(gens, seed, *args):
         orbit = closure(gens, seed, *args)
         m = seed.moved_count()
         products = (compose(x, y) for x, y in zip(orbit, orbit[1:]))
-        return orbit + (next(z for z in products
-                             if sum(a != b for a, b in enumerate(z)) != m),)
+        return orbit + (type(orbit[0])(next(z for z in products
+                                            if sum(a != b for a, b in enumerate(z)) != m)),)
 
     monkeypatch.setattr(verify, "conjugation_closure", faulty)
+
+
+# at seed 1 no such product exists in the PGL2_13 triple trace's E
+@pytest.mark.parametrize("name, theorem", [
+    (name, theorem) for name in ("M11", "M12", "PGL2_13") for theorem in E_IDENTITIES
+    if name != "PGL2_13" or theorem == "double"])
+def test_traces_fail_on_a_non_conjugate(monkeypatch, name, theorem):
+    _add_non_conjugate(monkeypatch)
     assert E_IDENTITIES[theorem] <= _failed_trace_checks(name, theorem)
+    assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
+
+
+# the identity added to E, as E's operand type: it fixes every point, so it
+# commutes with the witness, shares no support with it, and fixes both
+# points of the quadruple trace's stabilizer; it breaks the checks that
+# read each member of E, and the identities over E
+IDENTITY_ADDED = {
+    "double": {"fixer-noncommuting", "overlap-lower-third", "overlap-pairs-partition"},
+    "triple": {"orbit-noncommuting"},
+    "quadruple": {"orbit-noncommuting", "orbit-stabilizer-structure"},
+}
+
+
+@pytest.mark.parametrize("name, theorem", [
+    (name, theorem) for name in ("M11", "M12", "M23", "M24", "PGL2_13")
+    for theorem in IDENTITY_ADDED if (name, theorem) != ("PGL2_13", "quadruple")])
+def test_traces_fail_on_an_added_identity(monkeypatch, name, theorem):
+    closure = verify.conjugation_closure
+
+    def faulty(gens, seed, *args):
+        orbit = closure(gens, seed, *args)
+        return orbit + (type(orbit[0])(range(seed.degree)),)
+
+    monkeypatch.setattr(verify, "conjugation_closure", faulty)
+    assert IDENTITY_ADDED[theorem] <= _failed_trace_checks(name, theorem)
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 
 
@@ -256,23 +287,13 @@ NON_CONJUGATE_ALSO = {
 @pytest.mark.parametrize("name, theorem", [
     (name, theorem) for name in ("M11", "M12") for theorem in NON_CONJUGATE_ALSO])
 def test_non_conjugate_breaks_the_structure_checks(monkeypatch, name, theorem):
-    closure = verify.conjugation_closure
-
-    def faulty(gens, seed, *args):
-        orbit = closure(gens, seed, *args)
-        m = seed.moved_count()
-        products = (compose(x, y) for x, y in zip(orbit, orbit[1:]))
-        return orbit + (next(z for z in products
-                             if sum(a != b for a, b in enumerate(z)) != m),)
-
-    monkeypatch.setattr(verify, "conjugation_closure", faulty)
+    _add_non_conjugate(monkeypatch)
     assert NON_CONJUGATE_ALSO[theorem] <= _failed_trace_checks(name, theorem)
 
 
 # the checks no seeded fault flips, keyed by (suite, label), each with the
 # reason; a conclusion of the theorem can fail only if the theorem is false
 _SLACK = "inequality with slack that one element more or less in E does not cross"
-_NO_RAISE = "dropping cannot raise it; the added product fails to commute"
 _FROM_N_M = ("theorem step from n and m alone; a wrong m raises in _trace_witness "
              "before any check reads it")
 _ANY_PAIR = "holds for every pair of permutations; only a fault in the split rule flips it"
@@ -288,21 +309,12 @@ NO_FAULT = {
         "m is the least support of a nonidentity element, which [u,v] is",
     ("jordan", "jordan-bound"): "theorem conclusion m >= 2t - 2, from m and t alone",
     ("double", "degree-bound"): _FROM_N_M,
-    ("double", "fixer-noncommuting"): _NO_RAISE,
-    ("double", "overlap-lower-third"):
-        "dropping cannot raise it; the added product shares m/3 points with u",
-    ("double", "overlap-pairs-partition"):
-        "holds while every fixer in E moves alpha, which both E faults keep at seed 1",
     ("double", "overlap-pairs-lower"): _SLACK,
     ("double", "overlap-pairs-upper"): _SLACK,
     ("triple", "degree-bound"): _FROM_N_M,
-    ("triple", "orbit-noncommuting"): _NO_RAISE,
     ("triple", "commutator-pairs-lower"): _SLACK,
     ("triple", "commutator-pairs-upper"): _SLACK,
     ("triple", "doubled-overlap-lower"): _SLACK,
-    ("quadruple", "orbit-stabilizer-structure"):
-        "a product of elements fixing alpha fixes alpha, and seed 1's moves beta",
-    ("quadruple", "orbit-noncommuting"): _NO_RAISE,
     ("quadruple", "support-split-containment"): _ANY_PAIR,
     ("quadruple", "pair-count-split"): _ANY_PAIR,
     ("quadruple", "commutator-pairs-lower"): _SLACK,
@@ -322,7 +334,7 @@ def test_every_check_is_flipped_or_listed_unreachable():
     # pair-relation suite, is flipped by a seeded fault above or named in
     # NO_FAULT, so a check that can never fire cannot be added unseen
     faulted = {(theorem, label)
-               for table in (E_IDENTITIES, MEMBERSHIP, NON_CONJUGATE_ALSO)
+               for table in (E_IDENTITIES, MEMBERSHIP, NON_CONJUGATE_ALSO, IDENTITY_ADDED)
                for theorem, labels in table.items() for label in labels}
     group = catalog.parse_group_name("M12")
     found = {("pair-relation", c.label) for c in verify.relation_balance_checks(group)}

@@ -705,3 +705,25 @@ def test_validation_reads_one_chain(monkeypatch):
     g = catalog.builtin("mathieu", 24)
     assert g.transitivity_degree() == 5
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("n, top", [(5, 128), (256, 128), (257, 1 << 15), (300, 1 << 15)])
+def test_column_lanes_compare_sums_below_a_bound(n, top):
+    # lanes of w bytes: 1 up to 256 points, 2 above; below() reads the
+    # lanes of a sum that lie under the bound, for bounds up to the top bit
+    # of a lane, and refuses a bound past it, where the bias would borrow
+    rng = random.Random(n)
+    wrap = groups._width(n)[1]
+    members = [wrap(rng.sample(range(n), n)) for _ in range(40)]
+    columns = groups._Columns(members, n)
+    # a sum of n - 1 indicators, the most a lane holds without carrying
+    total = sum(columns.moves(a) for a in range(n - 1))
+    moved = [sum(x[a] != a for a in range(n - 1)) for x in members]
+    for bound in sorted(b for b in {0, 1, n // 3, n - 1, n, top} if b <= top):
+        lanes = columns.below(total, bound)
+        assert [(lanes >> (8 * (top.bit_length() // 8) * i)) & 1 for i in range(40)] == [
+            int(k < bound) for k in moved], bound
+    with pytest.raises(ValueError, match="lane bound"):
+        columns.below(total, top + 1)
+    with pytest.raises(ValueError, match="lane bound"):
+        columns.below(total, -1)

@@ -106,6 +106,17 @@ def test_verify_calls_compose_only_to_carry_a_configuration():
     assert uses and [node.lineno for node in uses if id(node) not in inside] == []
 
 
+def test_verify_has_no_loop_statement_over_an_orbit():
+    # the traces tally a closure's orbit E by column, one lane int per point
+    # (groups._Columns), not by a Python loop over its members: such a loop
+    # costs a bytecode round per member and per point
+    tree = ast.parse((Path(permdeg.__file__).parent / "verify.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+             and node.iter.id == "orbit"]
+    assert found == []
+
+
 def test_itemgetter_lives_only_in_perm():
     # perm.compose is the one getter kernel; an itemgetter imported or read
     # anywhere else is a second product path beside it

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from brute import image_chase_commutator, save_generator_file
-from permdeg import catalog
-from permdeg.groups import conjugation_closure
+from brute import commute, image_chase_commutator, save_generator_file, trace_tallies_by_element
+from permdeg import catalog, verify
+from permdeg.groups import _width, conjugation_closure
 from permdeg.perm import Permutation, parse_cycles
 from permdeg.verify import (
-    _commute,
     all_pass,
     double_transitive_trace,
     jordan_bound_trace,
@@ -322,6 +321,68 @@ def test_commute_reads_only_the_support_of_u():
         support = sorted(u.support())
         for x in elements:
             expected = image_chase_commutator(u, x).is_identity()
-            assert _commute(u.images, x.images, support) == expected, (u, x)
+            assert commute(u.images, x.images, support) == expected, (u, x)
             commuting += expected
     assert 0 < commuting < len(elements) ** 2
+
+
+def _member_list(rng, u, alpha, beta):
+    """Members for the column tallies that are no conjugation orbit: the
+    identity, u and its square (all commuting with u), random permutations,
+    random ones fixing beta or alpha, and cycles on the first s points of
+    supp(u) other than beta, for s around m/3, around 128 + m/3 (where the
+    top bit of a one-byte lane is set) and across its range, so that every
+    count the traces compare with 0 is nonzero on some member."""
+    n = len(u)
+    support = [a for a in range(n) if u[a] != a and a != beta]
+    members = [tuple(range(n)), u, tuple(u[b] for b in u)]
+    for fixing in (None, beta, alpha, None):
+        for _ in range(12):
+            x = list(range(n))
+            rng.shuffle(x)
+            if fixing is not None:
+                i = x.index(fixing)
+                x[i], x[fixing] = x[fixing], fixing
+            members.append(tuple(x))
+    third = -(-(len(support) + 1) // 3)
+    for s in {2, third - 1, third, third + 1, 128, 127 + third, len(support) // 2,
+              len(support)}:
+        if 2 <= s <= len(support):
+            x = list(range(n))
+            cycle = support[:s]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                x[a] = b
+            members.append(tuple(x))
+    return members
+
+
+@pytest.mark.parametrize("theorem", ["double", "triple", "quadruple"])
+@pytest.mark.parametrize("n", [5, 24, 256, 257, 300])
+def test_column_tallies_match_the_loop_over_members(theorem, n):
+    # random witnesses u with a fixed point, each against a member list with
+    # repeats, in the operand type of the degree; the double trace reads
+    # beta = alpha^u, the triple trace a fixed point of u as beta
+    rng = random.Random(n)
+    wrap = _width(n)[1]
+    seen = set()
+    for _ in range(4):
+        u = list(range(n))
+        rng.shuffle(u)
+        fixed = rng.randrange(n)
+        i = u.index(fixed)
+        u[i], u[fixed] = u[fixed], fixed
+        u = tuple(u)
+        alpha = rng.choice([a for a in range(n) if u[a] != a])
+        beta = fixed if theorem == "triple" else u[alpha]
+        members = [wrap(x) for x in _member_list(rng, u, alpha, beta)]
+        members += members[:3]
+        expected = trace_tallies_by_element(theorem, u, alpha, beta, members)
+        tally = getattr(verify, f"_{theorem}_tallies")
+        args = (beta,) if theorem == "double" else (alpha, beta)
+        assert tally(u, *args, members) == expected, (theorem, n)
+        seen |= {i for i, value in enumerate(expected) if value}
+        # no members at all
+        assert tally(u, *args, []) == trace_tallies_by_element(theorem, u, alpha, beta, [])
+    # every tally is nonzero somewhere, but the split containment, which
+    # holds for every pair of permutations
+    assert seen == set(range(len(expected))) - ({6} if theorem == "quadruple" else set())
