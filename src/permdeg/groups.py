@@ -19,7 +19,10 @@ transversal representatives and a closure's orbit elements are operands,
 and so are the products of the chain readers (the transversal walk that
 membership sifts and transporters take, random draws and element
 enumeration).  A ``Permutation`` always holds an image tuple, so a reader
-calls ``tuple`` once, where it wraps its result.
+calls ``tuple`` once, where it wraps its result; a caller that reads a
+random draw as an operand, as the laws suite does, wraps none.
+``_flags`` and ``_inverse`` give per-point flag bytes and inverses of
+operands of either width.
 
 ``_Columns`` reads a closure's orbit E one point at a time: E joined into
 one flat operand and sliced with step n, and each per-point predicate one
@@ -314,8 +317,8 @@ class PermutationGroup:
 
     def random_element(self, rng) -> Permutation:
         """A uniform random element, from one transversal choice per level;
-        see ``_random_product``."""
-        return _random_product(self.chain().levels, self.degree, rng)
+        see ``_random_product``, whose operand it turns into an image tuple."""
+        return Permutation._trusted(tuple(_random_product(self.chain().levels, self.degree, rng)))
 
     def orbit(self, point: int) -> frozenset[int]:
         _check_points((point,), self.degree)
@@ -408,7 +411,8 @@ class PermutationGroup:
             order = prod(len(level.orbit) for level in levels)
             rng = random.Random(0)
             for _ in range(_PAIR_DRAWS):
-                pair = tuple(_random_product(levels, self.degree, rng) for _ in range(2))
+                pair = tuple(Permutation._trusted(tuple(_random_product(levels, self.degree, rng)))
+                             for _ in range(2))
                 if build_chain(pair, self.degree, order=order).order() == order:
                     break
             else:
@@ -483,6 +487,29 @@ def _width(degree: int) -> tuple[Callable, type, Sequence[int], Sequence[int]]:
 _NONZERO = bytes(1) + bytes([1]) * 255
 
 
+def _flags(first: Sequence[int], second: Sequence[int]) -> bytes:
+    """One byte per index a of two operands of one width, 1 where
+    first[a] != second[a] and 0 elsewhere: byte strings XORed as ints,
+    image tuples compared entry by entry."""
+    if isinstance(first, bytes):
+        xor = int.from_bytes(first, "little") ^ int.from_bytes(second, "little")
+        return xor.to_bytes(len(first), "little").translate(_NONZERO)
+    return bytes(map(ne, first, second))
+
+
+def _inverse(x: Sequence[int]) -> Sequence[int]:
+    """The inverse of the operand x, in x's width.  For a byte string it is
+    ``bytes.maketrans(x, ident)``, the table that sends x[a] to a, cut to
+    the degree."""
+    n = len(x)
+    if isinstance(x, bytes):
+        return bytes.maketrans(x, _width(n)[2])[:n]
+    inverse = [0] * n
+    for a, b in enumerate(x):
+        inverse[b] = a
+    return tuple(inverse)
+
+
 class _Columns:
     """The operands of one degree in a list E (as ``conjugation_closure``
     returns it), read one point at a time.
@@ -518,12 +545,8 @@ class _Columns:
         return int.from_bytes(flags, "little")
 
     def _differ(self, first: Sequence[int], second: Sequence[int]) -> int:
-        """Lanes 1 where two columns differ: byte strings XORed as ints,
-        image tuples compared entry by entry."""
-        if isinstance(first, bytes):
-            xor = int.from_bytes(first, "little") ^ int.from_bytes(second, "little")
-            return int.from_bytes(xor.to_bytes(self.size, "little").translate(_NONZERO), "little")
-        return self._lanes(bytes(map(ne, first, second)))
+        """Lanes 1 where two columns differ (see ``_flags``)."""
+        return self._lanes(_flags(first, second))
 
     def moves(self, a: int) -> int:
         """Lanes 1 where x[a] != a."""
@@ -591,15 +614,16 @@ def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
     return acc
 
 
-def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Permutation:
+def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Sequence[int]:
     """A uniform random element of the group the chain ``levels`` describe,
-    from one transversal choice per level.  The product is composed on the
-    operands ``_width`` picks and turned into an image tuple once."""
+    from one ``rng.choice`` of a transversal point per level, in level
+    order.  It is the operand ``_width`` picks, a byte string up to 256
+    points and an image tuple above, composed with no ``Permutation``."""
     mul, _, g, tail = _width(degree)
     for level in levels:
         rep = level.transversal[rng.choice(level.orbit)]
         g = mul(rep, g + tail)
-    return Permutation._trusted(tuple(g))
+    return g
 
 
 def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,

@@ -16,9 +16,14 @@ counting traces tally their orbit E by column (``groups._Columns``): each
 per-point predicate over E is one int with a lane per member, and each
 tally the ``int.bit_count`` of a few ANDs, ORs and XORs of those ints.
 
-The sampled suites run on image tuples.  A laws sample computes u v, v u,
-supp([u,v]) and the cancellation pools once, and every law reads them.  A
-counts configuration (u, delta) is checked once and never enumerates its
+A laws sample draws u and v as chain operands (byte strings up to 256
+points, image tuples above) and reads every law off a few per-point
+flag ints: supp(u), supp(v), supp([u,v]), D = supp(u) & supp(v), the
+points u and v carry into D, and the forward images of D, each one int
+with a byte per point, and each fact the ``int.bit_count`` of their ANDs
+and ORs; the cancellation pools are the points of two such ints, in
+ascending order.  The counts suite runs on image tuples.  A counts
+configuration (u, delta) is checked once and never enumerates its
 orbit E.  One breadth-first pass per k = |delta| in a suite call labels
 the ordered pairs of points with their orbits under the stabilizer of the
 first k base points; each configuration is carried onto those base points
@@ -33,10 +38,12 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .groups import DEFAULT_CAP, PermutationGroup, _Columns, conjugation_closure
+from .groups import (DEFAULT_CAP, PermutationGroup, _Columns, _flags, _inverse, _random_product,
+                     _width, conjugation_closure)
 from .mindeg import minimal_degree
 from .perm import (Permutation, _check_degree, _check_points, compose, format_cycles,
                    prime_order_witness)
@@ -72,15 +79,16 @@ def _ge(label: str, observed: int, bound) -> CountCheck:
 # commutator support laws
 
 
-def _commutator_support(u: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
-    """supp([u,x]) in ascending order, from image tuples (x may be an
-    element of a closure, read by index the same way).
+def _commutator_flags(u: Sequence[int], v: Sequence[int]) -> int:
+    """supp([u,v]) as one int with a byte per point a, 1 where [u,v] moves
+    a, for two operands of one width (see ``groups._width``).
 
-    [u,x] = (u x)(x u)^-1 fixes a exactly when a^(u x) = x[u[a]] and
-    a^(x u) = u[x[a]] agree, so the operands decide the support with no
-    product and no inverse.
+    [u,v] = (u v)(v u)^-1 fixes a exactly when a^(u v) = v[u[a]] and
+    a^(v u) = u[v[a]] agree, so two gathers decide the support with no
+    inverse.
     """
-    return [a for a in range(len(u)) if x[u[a]] != u[x[a]]]
+    mul, _, _, tail = _width(len(u))
+    return int.from_bytes(_flags(mul(u, v + tail), mul(v, u + tail)), "little")
 
 
 # (label, relation, informational) of each law, in the order _LawFacts.laws
@@ -117,30 +125,43 @@ class _LawFacts(NamedTuple):
                 (k, 2 * self.support_size - fixed_count - shifted_count)]
 
 
-def _law_facts(u: tuple[int, ...], v: tuple[int, ...]) -> _LawFacts:
-    """The commutator laws' inputs for one pair of image tuples, each
-    computed once.  With D = supp(u) & supp(v), supp([u,v]) is checked
-    against D with the points u or v carries into D, against D with the
-    fixed points of one factor carried into D by the other, and against D
-    with its forward images D^u and D^v."""
-    support = [a for a in range(len(u)) if u[a] != a]
-    comm = _commutator_support(u, v)
-    comm_set = set(comm)
-    delta = {a for a in support if v[a] != a}
-    outside = [a for a in comm if a not in delta]
-    forward = delta.union({u[d] for d in delta}, {v[d] for d in delta})
+def _law_facts(u: Sequence[int], v: Sequence[int]) -> _LawFacts:
+    """The commutator laws' inputs for one pair of operands of one width
+    (see ``groups._width``), each computed once.  With D = supp(u) &
+    supp(v), supp([u,v]) is checked against D with the points u or v
+    carries into D, against D with the fixed points of one factor carried
+    into D by the other, and against D with its forward images D^u and D^v.
+
+    Each per-point predicate is one int with a byte per point, 1 where it
+    holds, and each fact the ``int.bit_count`` of a few ANDs and ORs of
+    them, with no Python loop over the points.  A predicate read at the
+    images of an operand x is a gather: x composed with the predicate's
+    bytes as a table, so D at x^-1 marks the forward image D^x."""
+    n = len(u)
+    mul, wrap, ident, tail = _width(n)
+    moved_u = int.from_bytes(_flags(u, ident), "little")
+    moved_v = int.from_bytes(_flags(v, ident), "little")
+    comm = _commutator_flags(u, v)
+    delta = moved_u & moved_v
+    table = wrap(delta.to_bytes(n, "little")) + tail
+    into_u = int.from_bytes(mul(u, table), "little")
+    into_v = int.from_bytes(mul(v, table), "little")
+    forward = (delta | int.from_bytes(mul(_inverse(u), table), "little")
+               | int.from_bytes(mul(_inverse(v), table), "little"))
+    # v u v^-1 moves a exactly when u moves a^v
+    moved_at_v = mul(v, wrap(moved_u.to_bytes(n, "little")) + tail)
+    shifted = moved_u & int.from_bytes(moved_at_v, "little")
+    outside = comm & ~delta
+    points = range(n)
     return _LawFacts(
-        len(support),
-        len(comm),
-        (sum(1 for a in outside if u[a] not in delta and v[a] not in delta),
-         sum(1 for a in outside
-             if not (u[a] == a and v[a] in delta) and not (v[a] == a and u[a] in delta)),
-         sum(1 for a in outside if a not in forward)),
-        3 * len(delta) - sum(1 for d in delta if u[d] in delta)
-        - sum(1 for d in delta if v[d] in delta),
-        [a for a in support if a not in comm_set],
-        # v u v^-1 moves a exactly when u moves a^v
-        [a for a in support if u[v[a]] != v[a]],
+        moved_u.bit_count(),
+        comm.bit_count(),
+        ((outside & ~(into_u | into_v)).bit_count(),
+         (outside & ~(into_v & ~moved_u | into_u & ~moved_v)).bit_count(),
+         (outside & ~forward).bit_count()),
+        3 * delta.bit_count() - (delta & into_u).bit_count() - (delta & into_v).bit_count(),
+        list(compress(points, (moved_u & ~comm).to_bytes(n, "little"))),
+        list(compress(points, shifted.to_bytes(n, "little"))),
     )
 
 
@@ -162,7 +183,8 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
     _check_degree((u,), v.degree)
     fixed_overlap = frozenset(fixed_overlap)
     shifted_overlap = frozenset(shifted_overlap)
-    facts = _law_facts(u.images, v.images)
+    wrap = _width(v.degree)[1]
+    facts = _law_facts(wrap(u.images), wrap(v.images))
     bad = sorted(fixed_overlap.difference(facts.fixed_pool))
     if bad:
         raise PreconditionError(f"points {bad} are not commutator-fixed points of supp(u)")
@@ -901,15 +923,19 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
     """Aggregate the commutator support laws over seeded random pairs.
 
     Returns one check per law counting failing samples; the forward-image
-    containment is tallied but stays informational.
+    containment is tallied but stays informational.  u and v are drawn as
+    the operands of the group's degree, with the rng calls
+    ``group.random_element`` makes.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
+    levels = group.chain().levels
+    n = group.degree
     failures = [0] * len(_LAWS)
     for _ in range(samples):
-        u = group.random_element(rng).images
-        v = group.random_element(rng).images
+        u = _random_product(levels, n, rng)
+        v = _random_product(levels, n, rng)
         facts = _law_facts(u, v)
         # the cancellation bound reads only |F| and |S|, but F and S are
         # still drawn so that the seeded stream stays the same

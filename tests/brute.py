@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 from permdeg.groups import ChainLevel, PermutationGroup, StabilizerChain
 from permdeg.perm import DegreeMismatchError, Permutation, compose, format_cycles
-from permdeg.verify import (CLAUSES, CountCheck, PreconditionError, _check_configuration,
-                            _clause_plan, _eq, _sorted_checks)
+from permdeg.verify import (_LAWS, CLAUSES, CountCheck, PreconditionError, _LawFacts,
+                            _check_configuration, _clause_plan, _eq, _sorted_checks)
 
 # the catalog groups with t >= 2: S_n for 2 <= n <= 9, A_n for 4 <= n <= 9,
 # C2, D3, PGL2_q and PSL2_q for each odd prime q <= 31, and the Mathieu groups
@@ -564,3 +564,70 @@ def trace_tallies_by_element(theorem, ui, alpha, beta, orbit):
         commutator_total += commutator_size
     return (structure_violations, commuting, commutator_total, overlap_total, carried_total,
             arrows_total, containment_violations)
+
+
+def mobius_group(q):
+    """PGL(2, q) for a prime q, on the projective line 0..q-1 with q
+    standing for infinity: generated by x -> x + 1, x -> r x for a
+    primitive root r, and x -> 1/x."""
+    root = next(r for r in range(2, q) if len({pow(r, k, q) for k in range(1, q)}) == q - 1)
+    shift = [(x + 1) % q for x in range(q)] + [q]
+    scale = [root * x % q for x in range(q)] + [q]
+    flip = [q] + [pow(x, -1, q) for x in range(1, q)] + [0]
+    return PermutationGroup([Permutation(g) for g in (shift, scale, flip)], q + 1,
+                            f"PGL2_{q}")
+
+
+def commutator_support(u, x):
+    """supp([u,x]) in ascending order, from image tuples (x may be an
+    element of a closure, read by index the same way).
+
+    [u,x] = (u x)(x u)^-1 fixes a exactly when a^(u x) = x[u[a]] and
+    a^(x u) = u[x[a]] agree, so the operands decide the support with no
+    product and no inverse.
+    """
+    return [a for a in range(len(u)) if x[u[a]] != u[x[a]]]
+
+
+def law_facts(u, v):
+    """``verify._law_facts`` by one Python pass per predicate over the
+    points of two image tuples, with sets for D and its forward images."""
+    support = [a for a in range(len(u)) if u[a] != a]
+    comm = commutator_support(u, v)
+    comm_set = set(comm)
+    delta = {a for a in support if v[a] != a}
+    outside = [a for a in comm if a not in delta]
+    forward = delta.union({u[d] for d in delta}, {v[d] for d in delta})
+    return _LawFacts(
+        len(support),
+        len(comm),
+        (sum(1 for a in outside if u[a] not in delta and v[a] not in delta),
+         sum(1 for a in outside
+             if not (u[a] == a and v[a] in delta) and not (v[a] == a and u[a] in delta)),
+         sum(1 for a in outside if a not in forward)),
+        3 * len(delta) - sum(1 for d in delta if u[d] in delta)
+        - sum(1 for d in delta if v[d] in delta),
+        [a for a in support if a not in comm_set],
+        # v u v^-1 moves a exactly when u moves a^v
+        [a for a in support if u[v[a]] != v[a]],
+    )
+
+
+def commutator_law_suite_by_tuples(group, samples, seed):
+    """``verify.commutator_law_suite`` on image tuples: the same seeded
+    draws, through ``group.random_element``, with each pair's facts from
+    ``law_facts``."""
+    rng = random.Random(seed)
+    failures = [0] * len(_LAWS)
+    for _ in range(samples):
+        u = group.random_element(rng).images
+        v = group.random_element(rng).images
+        facts = law_facts(u, v)
+        fixed = len(rng.sample(facts.fixed_pool, rng.randint(0, len(facts.fixed_pool))))
+        shifted = len(rng.sample(facts.shifted_pool,
+                                 rng.randint(0, len(facts.shifted_pool))))
+        for i, (observed, limit) in enumerate(facts.laws(fixed, shifted)):
+            failures[i] += observed > limit
+    return _sorted_checks([CountCheck(f"{label} [{samples} samples]", "=", failed, Fraction(0),
+                                      failed == 0, informational)
+                           for (label, _, informational), failed in zip(_LAWS, failures)])

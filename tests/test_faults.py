@@ -79,13 +79,14 @@ EXTRA_FIXED_POINT = {"commutator-support-containment",
 @pytest.mark.parametrize("name, tight", [
     ("S5", True), ("S8", True), ("M11", False), ("M12", True), ("M24", False)])
 def test_laws_suite_fails_on_an_extra_fixed_point(monkeypatch, name, tight):
-    support = verify._commutator_support
+    flags = verify._commutator_flags
 
     def faulty(u, x):
+        # the flag byte of point a is bit 8a of the int
         both_fixed = [a for a in range(len(u)) if u[a] == a and x[a] == a]
-        return support(u, x) + both_fixed[:1]
+        return flags(u, x) | sum(1 << 8 * a for a in both_fixed[:1])
 
-    monkeypatch.setattr(verify, "_commutator_support", faulty)
+    monkeypatch.setattr(verify, "_commutator_flags", faulty)
     checks = verify.commutator_law_suite(catalog.parse_group_name(name), 300, seed=1)
     failed = {c.label.split(" [")[0] for c in checks
               if not c.passed and not c.informational}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permdeg import catalog
-from permdeg.groups import PermutationGroup, conjugation_closure
+from permdeg.groups import PermutationGroup, _width, conjugation_closure
 from permdeg.mindeg import minimal_degree
 from permdeg.perm import Permutation, parse_cycles
 from permdeg.verify import (
@@ -30,9 +30,10 @@ from permdeg.verify import (
 )
 
 from brute import (DOUBLY_TRANSITIVE, ProductAction, clause_shares,
-                   count_identity_suite_by_configuration, distinct_pair_action,
-                   image_chase_commutator, invariant_relation_counts, mulclose, pair_orbits,
-                   pair_relation_oracle, relabelled)
+                   commutator_law_suite_by_tuples, count_identity_suite_by_configuration,
+                   distinct_pair_action, image_chase_commutator, invariant_relation_counts,
+                   law_facts, mulclose, mobius_group, pair_orbits, pair_relation_oracle,
+                   relabelled)
 
 perms8 = st.permutations(range(8)).map(Permutation)
 
@@ -41,11 +42,17 @@ def by_label(checks):
     return {c.label: c for c in checks}
 
 
+def operand_facts(u, v):
+    """The suite's law facts of two permutations, as operands of their degree."""
+    wrap = _width(u.degree)[1]
+    return _law_facts(wrap(u.images), wrap(v.images))
+
+
 def commutator_law_checks(u, v):
     """The four support laws of one pair (u, v), read through the suite's
     own kernel: containment, size bound, fixed crossings and the
     informational forward-images containment."""
-    laws = _law_facts(u.images, v.images).laws(0, 0)
+    laws = operand_facts(u, v).laws(0, 0)
     return [_law_check(i, *laws[i]) for i in range(4)]
 
 
@@ -392,9 +399,64 @@ def test_law_kernel_matches_set_arithmetic(u, v, fixed_draw, shifted_draw):
         supp_c <= delta | img_u | img_v,
         len(supp_c) <= 2 * len(supp_u) - f - s,
     ]
-    facts = _law_facts(u.images, v.images)
+    facts = operand_facts(u, v)
     assert (facts.fixed_pool, facts.shifted_pool) == (fixed_pool, shifted_pool)
     assert [observed <= limit for observed, limit in facts.laws(f, s)] == expected
+
+
+def _law_pairs(rng, n):
+    """Pairs of image tuples for the law facts: random permutations, the
+    identity, u with itself and with u^-1, and permutations of random
+    point sets of several sizes, whose supports overlap in part, so that
+    the fixed and shifted pools and the forward-images misses are nonempty
+    on some pair."""
+
+    def on(size):
+        points = rng.sample(range(n), size)
+        images = list(range(n))
+        for a, b in zip(points, rng.sample(points, size)):
+            images[a] = b
+        return tuple(images)
+
+    ident = tuple(range(n))
+    pairs = []
+    for size in sorted({2, 3, n // 3, n // 2, n}):
+        for _ in range(6):
+            u, v = on(size), on(rng.choice([2, 3, size, n]))
+            inverse = [0] * n
+            for a, b in enumerate(u):
+                inverse[b] = a
+            pairs += [(u, v), (v, u), (u, u), (u, tuple(inverse)), (u, ident), (ident, u)]
+    return pairs
+
+
+@pytest.mark.parametrize("n", [5, 24, 256, 257, 300])
+def test_law_facts_match_the_loop_over_points(n):
+    # byte strings up to 256 points, image tuples above; the containment
+    # and fixed-crossings laws hold for every pair of permutations, so
+    # their misses stay 0, and every other fact is nonzero on some pair
+    rng = random.Random(n)
+    wrap = _width(n)[1]
+    seen = set()
+    for u, v in _law_pairs(rng, n):
+        facts = _law_facts(wrap(u), wrap(v))
+        assert facts == law_facts(u, v), (n, u, v)
+        values = (facts.support_size, facts.commutator_size, *facts.missing,
+                  facts.size_bound, facts.fixed_pool, facts.shifted_pool)
+        seen |= {i for i, value in enumerate(values) if value}
+    assert seen == {0, 1, 4, 5, 6, 7}
+
+
+@pytest.mark.parametrize("name", ["S8", "M11", "M12", "M23", "M24", "PSL2_31", "PGL2_257"])
+def test_commutator_law_suite_matches_the_tuple_oracle(name):
+    # the same seeded draws, the oracle's through group.random_element
+    group = mobius_group(257) if name == "PGL2_257" else catalog.parse_group_name(name)
+    if name == "PGL2_257":
+        assert (group.degree, group.order) == (258, 257 * (257 ** 2 - 1))
+    samples = 100 if group.degree > 256 else 500
+    for seed in (0, 1, 7):
+        assert (commutator_law_suite(group, samples, seed)
+                == commutator_law_suite_by_tuples(group, samples, seed)), (name, seed)
 
 
 @pytest.mark.parametrize("name,param", [("symmetric", 6), ("mathieu", 11), ("pgl2", 7)])
