@@ -544,13 +544,9 @@ class _Columns:
             flags = spread
         return int.from_bytes(flags, "little")
 
-    def _differ(self, first: Sequence[int], second: Sequence[int]) -> int:
-        """Lanes 1 where two columns differ (see ``_flags``)."""
-        return self._lanes(_flags(first, second))
-
     def moves(self, a: int) -> int:
         """Lanes 1 where x[a] != a."""
-        return self._differ(self._columns[a], _width(self.degree)[1]((a,)) * self.size)
+        return self._lanes(_flags(self._columns[a], _width(self.degree)[1]((a,)) * self.size))
 
     def maps_into(self, a: int, points: Iterable[int]) -> int:
         """Lanes 1 where x[a] lies in ``points``."""
@@ -571,7 +567,7 @@ class _Columns:
             return [0] * n
         mul, wrap, _, tail = _width(n)
         after = mul(self._flat, wrap(u) + tail)
-        return [self._differ(self._columns[u[a]], after[a::n]) for a in range(n)]
+        return [self._lanes(_flags(self._columns[u[a]], after[a::n])) for a in range(n)]
 
     def below(self, lanes: int, bound: int) -> int:
         """Lanes 1 where ``lanes``, a sum of lane ints, is below ``bound``.
