@@ -2,7 +2,8 @@
 
 Exit codes: 0 all applicable checks pass, 1 a check failed, 2 usage or input
 error, 3 a resource cap was exceeded, 4 a fault in the computation itself
-(a ``RuntimeError``, such as a guaranteed trace step that fails or a
+(a ``RuntimeError``, such as a guaranteed trace step that fails, a
+configuration the counts suite drew that fails the suite's own check, or a
 Mathieu minimal degree that misses its pinned value).  JSON reports are canonical: for a
 fixed group, suite, seed and version they are byte-identical across runs and
 across --jobs settings (the elapsed_ms field is pinned to 0 for that reason;

@@ -16,9 +16,9 @@ so a degree-1 product is made into a 1-tuple by hand.
 
 A permutation is validated once, when it is constructed from outside data:
 the public constructor checks that the entries are integers forming a
-bijection of 0..n-1.  Products, inverses, conjugates and powers of
-validated permutations are bijections by construction, so they wrap their
-image tuples without repeating that check.
+bijection of 0..n-1 for some n >= 1.  Products, inverses, conjugates and
+powers of validated permutations are bijections by construction, so they
+wrap their image tuples without repeating that check.
 
 Everything else takes points of 0..n-1 and operands of one degree n.
 ``_check_points`` and ``_check_degree`` are that contract's only checks:
@@ -79,6 +79,8 @@ class Permutation:
             imgs = tuple(map(operator.index, imgs))
         except TypeError:
             raise ValueError("image entries must be integers") from None
+        if not imgs:
+            raise ValueError("degree must be at least 1")
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError("image sequence is not a bijection of 0..n-1")
         self.images = imgs

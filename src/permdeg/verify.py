@@ -21,15 +21,15 @@ points, image tuples above) and reads every law off a few per-point
 flag ints: supp(u), supp(v), supp([u,v]), D = supp(u) & supp(v), the
 points u and v carry into D, and the forward images of D, each one int
 with a byte per point, and each fact the ``int.bit_count`` of their ANDs
-and ORs; the cancellation pools are the points of two such ints, in
-ascending order.  The counts suite runs on image tuples.  A counts
-configuration (u, delta) is checked once and never enumerates its
-orbit E.  One breadth-first pass per k = |delta| in a suite call labels
-the ordered pairs of points with their orbits under the stabilizer of the
-first k base points; each configuration is carried onto those base points
-by conjugation in O(n), and each clause of a (gamma, second) draw is an
-exact ratio read off one or two pair orbits, judged once per distinct
-orbit key.
+and ORs; the two cancellation pools are two more such ints, of which a
+sample reads only the ``int.bit_count``.  The counts suite runs on image
+tuples.  A counts configuration (u, delta) is checked once and never
+enumerates its orbit E.  One breadth-first pass per k = |delta| in a
+suite call labels the ordered pairs of points with their orbits under the
+stabilizer of the first k base points; each configuration is carried onto
+those base points by conjugation in O(n), and each clause of a (gamma,
+second) draw is an exact ratio read off one or two pair orbits, judged
+once per distinct orbit key.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -91,10 +90,10 @@ def _commutator_flags(u: Sequence[int], v: Sequence[int]) -> int:
     return int.from_bytes(_flags(mul(u, v + tail), mul(v, u + tail)), "little")
 
 
-# (label, relation, informational) of each law, in the order _LawFacts.laws
-# lists them; the last is the cancellation bound.  The forward-images
-# containment belongs to the opposite composition order, so it is reported
-# but never asserted
+# (label, relation, informational) of each law, in the order of the rows
+# _law_facts returns; the last is the cancellation bound.  The
+# forward-images containment belongs to the opposite composition order, so
+# it is reported but never asserted
 _LAWS = (
     ("commutator-support-containment", "subset", False),
     ("commutator-support-size-bound", "<=", False),
@@ -104,39 +103,24 @@ _LAWS = (
 )
 
 
-class _LawFacts(NamedTuple):
-    """What the commutator laws read off one pair (u, v)."""
+def _law_facts(u: Sequence[int], v: Sequence[int]) -> tuple[list[tuple[int, int]], int, int]:
+    """(rows, fixed_pool, shifted_pool) for one pair of operands of one
+    width (see ``groups._width``), each fact computed once.  rows holds an
+    (observed, limit) pair per entry of _LAWS, and a law holds exactly when
+    observed <= limit; the cancellation row is taken at F = S = {}, so its
+    limit is 2|supp(u)|, less |F| + |S| for the caller's sets.  The pools
+    are the points F and S are taken from: supp(u) fixed by [u,v], and
+    supp(u) moved by v u v^-1.
 
-    support_size: int                # |supp(u)|
-    commutator_size: int             # |supp([u,v])|
-    # points of supp([u,v]) outside the containment sets of the
-    # containment, fixed-crossings and forward-images laws
-    missing: tuple[int, int, int]
-    size_bound: int                  # 3|D| - |D & D^u| - |D & D^v|
-    fixed_pool: list[int]            # supp(u) fixed by [u,v], ascending
-    shifted_pool: list[int]          # supp(u) moved by v u v^-1, ascending
-
-    def laws(self, fixed_count: int, shifted_count: int) -> list[tuple[int, int]]:
-        """(observed, limit) per entry of _LAWS, for cancellation sets F and S
-        of the given sizes; a law holds exactly when observed <= limit."""
-        containment, crossings, forward = self.missing
-        k = self.commutator_size
-        return [(containment, 0), (k, self.size_bound), (crossings, 0), (forward, 0),
-                (k, 2 * self.support_size - fixed_count - shifted_count)]
-
-
-def _law_facts(u: Sequence[int], v: Sequence[int]) -> _LawFacts:
-    """The commutator laws' inputs for one pair of operands of one width
-    (see ``groups._width``), each computed once.  With D = supp(u) &
-    supp(v), supp([u,v]) is checked against D with the points u or v
-    carries into D, against D with the fixed points of one factor carried
-    into D by the other, and against D with its forward images D^u and D^v.
-
-    Each per-point predicate is one int with a byte per point, 1 where it
-    holds, and each fact the ``int.bit_count`` of a few ANDs and ORs of
-    them, with no Python loop over the points.  A predicate read at the
-    images of an operand x is a gather: x composed with the predicate's
-    bytes as a table, so D at x^-1 marks the forward image D^x."""
+    With D = supp(u) & supp(v), supp([u,v]) is checked against D with the
+    points u or v carries into D, against D with the fixed points of one
+    factor carried into D by the other, and against D with its forward
+    images D^u and D^v.  Each per-point predicate, the two pools among
+    them, is one int with a byte per point, 1 where it holds, and each
+    fact the ``int.bit_count`` of a few ANDs and ORs of them, with no
+    Python loop over the points.  A predicate read at the images of an
+    operand x is a gather: x composed with the predicate's bytes as a
+    table, so D at x^-1 marks the forward image D^x."""
     n = len(u)
     mul, wrap, ident, tail = _width(n)
     moved_u = int.from_bytes(_flags(u, ident), "little")
@@ -150,19 +134,15 @@ def _law_facts(u: Sequence[int], v: Sequence[int]) -> _LawFacts:
                | int.from_bytes(mul(_inverse(v), table), "little"))
     # v u v^-1 moves a exactly when u moves a^v
     moved_at_v = mul(v, wrap(moved_u.to_bytes(n, "little")) + tail)
-    shifted = moved_u & int.from_bytes(moved_at_v, "little")
     outside = comm & ~delta
-    points = range(n)
-    return _LawFacts(
-        moved_u.bit_count(),
-        comm.bit_count(),
-        ((outside & ~(into_u | into_v)).bit_count(),
-         (outside & ~(into_v & ~moved_u | into_u & ~moved_v)).bit_count(),
-         (outside & ~forward).bit_count()),
-        3 * delta.bit_count() - (delta & into_u).bit_count() - (delta & into_v).bit_count(),
-        list(compress(points, (moved_u & ~comm).to_bytes(n, "little"))),
-        list(compress(points, shifted.to_bytes(n, "little"))),
-    )
+    size = comm.bit_count()
+    return ([((outside & ~(into_u | into_v)).bit_count(), 0),
+             (size, 3 * delta.bit_count() - (delta & into_u).bit_count()
+              - (delta & into_v).bit_count()),
+             ((outside & ~(into_v & ~moved_u | into_u & ~moved_v)).bit_count(), 0),
+             ((outside & ~forward).bit_count(), 0),
+             (size, 2 * moved_u.bit_count())],
+            moved_u & ~comm, moved_u & int.from_bytes(moved_at_v, "little"))
 
 
 def _law_check(index: int, observed: int, limit: int) -> CountCheck:
@@ -183,15 +163,18 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
     _check_degree((u,), v.degree)
     fixed_overlap = frozenset(fixed_overlap)
     shifted_overlap = frozenset(shifted_overlap)
+    _check_points(fixed_overlap | shifted_overlap, v.degree)
     wrap = _width(v.degree)[1]
-    facts = _law_facts(wrap(u.images), wrap(v.images))
-    bad = sorted(fixed_overlap.difference(facts.fixed_pool))
+    rows, fixed_pool, shifted_pool = _law_facts(wrap(u.images), wrap(v.images))
+    # the flag byte of point a is bit 8a of a pool
+    bad = sorted(a for a in fixed_overlap if not fixed_pool >> 8 * a & 1)
     if bad:
         raise PreconditionError(f"points {bad} are not commutator-fixed points of supp(u)")
-    bad = sorted(shifted_overlap.difference(facts.shifted_pool))
+    bad = sorted(a for a in shifted_overlap if not shifted_pool >> 8 * a & 1)
     if bad:
         raise PreconditionError(f"points {bad} are not shared support of u and its v-conjugate")
-    return _law_check(4, *facts.laws(len(fixed_overlap), len(shifted_overlap))[4])
+    observed, limit = rows[4]
+    return _law_check(4, observed, limit - len(fixed_overlap) - len(shifted_overlap))
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +908,9 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
     Returns one check per law counting failing samples; the forward-image
     containment is tallied but stays informational.  u and v are drawn as
     the operands of the group's degree, with the rng calls
-    ``group.random_element`` makes.
+    ``group.random_element`` makes, and F and S as random subsets of the
+    cancellation pools, with the rng calls ``random.sample`` makes on a
+    pool; only their sizes are kept.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -936,13 +921,17 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
     for _ in range(samples):
         u = _random_product(levels, n, rng)
         v = _random_product(levels, n, rng)
-        facts = _law_facts(u, v)
-        # the cancellation bound reads only |F| and |S|, but F and S are
-        # still drawn so that the seeded stream stays the same
-        fixed = len(rng.sample(facts.fixed_pool, rng.randint(0, len(facts.fixed_pool))))
-        shifted = len(rng.sample(facts.shifted_pool,
-                                 rng.randint(0, len(facts.shifted_pool))))
-        for i, (observed, limit) in enumerate(facts.laws(fixed, shifted)):
+        rows, *pools = _law_facts(u, v)
+        # the cancellation bound reads only |F| and |S|, but both are still
+        # drawn so that the seeded stream stays the same: sampling range(k)
+        # makes the rng calls that sampling a pool of k points would
+        drawn = 0
+        for pool in pools:
+            k = pool.bit_count()
+            drawn += len(rng.sample(range(k), rng.randint(0, k)))
+        observed, limit = rows[4]
+        rows[4] = observed, limit - drawn
+        for i, (observed, limit) in enumerate(rows):
             if observed > limit:
                 failures[i] += 1
     checks = [CountCheck(f"{label} [{samples} samples]", "=", failed, Fraction(0),
@@ -976,7 +965,9 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
     its image under g^-1.  A configuration then costs O(n + (n - m)^2) to
     tally u's arrows and pairs of fixed points per labelled orbit, and each
     clause is judged once per distinct orbit key of its draws.  Returns the
-    aggregated checks plus the clauses that were never applicable.
+    aggregated checks plus the clauses that were never applicable.  A
+    configuration the suite drew that fails its own check is a fault and
+    raises RuntimeError.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -1004,7 +995,10 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
             i = rest.index(gamma)
             # |delta| <= n - 2 leaves gamma another point outside delta
             draws.append((gamma, rng.choice(rest[:i] + rest[i + 1:])))
-        _check_configuration(group, u, frozenset(delta), draws)
+        try:
+            _check_configuration(group, u, frozenset(delta), draws)
+        except ValueError as exc:
+            raise RuntimeError(f"{group.label}: {exc}") from exc
         pair, g_inv, u_carried, delta_carried = _base_frame(group, u, delta)
         table = labels.get(dsize)
         if table is None:

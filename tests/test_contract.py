@@ -37,6 +37,12 @@ SITES = [
     ("commutator_cancellation_bound",
      lambda: verify.commutator_cancellation_bound(FIVE, FOUR, (), ()),
      DegreeMismatchError, "degree mismatch: 5 vs 4"),
+    ("commutator_cancellation_bound F",
+     lambda: verify.commutator_cancellation_bound(FIVE, FIVE, [7], ()), ValueError,
+     "point 7 outside 0..4"),
+    ("commutator_cancellation_bound S",
+     lambda: verify.commutator_cancellation_bound(FIVE, FIVE, (), [-1]), ValueError,
+     "point -1 outside 0..4"),
     ("build_chain base_prefix", lambda: build_chain([FIVE], 5, (0, 5)), ValueError,
      "point 5 outside 0..4"),
     ("PermutationGroup.orbit", lambda: s5().orbit(-1), ValueError, "point -1 outside 0..4"),

@@ -178,15 +178,33 @@ def test_traces_fail_on_an_added_identity(monkeypatch, name, theorem):
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 
 
-def _assert_fault(capsys, argv, message):
+def _assert_fault(capsys, argv, message, before=""):
     # the CLI reports a RuntimeError as a fault: its message on stderr,
-    # nothing on stdout, and exit 4, not 1 (a failed check) or 2 (bad input)
+    # nothing on stdout past ``before``, what the suites that finished
+    # first printed, and exit 4, not 1 (a failed check) or 2 (bad input)
     capsys.readouterr()
     assert main(argv) == EXIT_FAULT == 4
     out, err = capsys.readouterr()
     (line,) = err.splitlines()
-    assert out == "" and line.startswith("error: ")
+    assert out == before and line.startswith("error: ")
     assert re.search(message, line[len("error: "):])
+
+
+# a membership sift that rejects every element: the counts suite checks
+# the configurations it draws, so u outside the group is a fault of the
+# suite, not an input error (the laws suite never asks for membership)
+@pytest.mark.parametrize("name", ["M11", "PGL2_13"])
+def test_counts_suite_raises_on_a_faulty_membership_sift(monkeypatch, capsys, name):
+    monkeypatch.setattr(StabilizerChain, "contains", lambda self, p: False)
+    message = f"^{name}: u is not a member of the group$"
+    with pytest.raises(RuntimeError, match=message):
+        verify.count_identity_suite(catalog.parse_group_name(name), 20)
+    _assert_fault(capsys, ["verify", f"catalog:{name}", "counts", "--samples", "20"], message)
+    assert main(["verify", f"catalog:{name}", "laws", "--samples", "20"]) == 0
+    laws = capsys.readouterr().out
+    assert laws.startswith(f"suite laws on {name}:\n")
+    _assert_fault(capsys, ["verify", f"catalog:{name}", "all", "--samples", "20"], message,
+                  before=laws)
 
 
 # a transporter that misses its target, or finds none, where t-transitivity

@@ -82,6 +82,15 @@ def test_non_integer_entries_rejected():
         Permutation(["1", "0"])
 
 
+def test_degree_zero_rejected():
+    # compose has no image tuple of length 0 to return, so products of
+    # degree-0 permutations would fail; the constructor refuses them, with
+    # the message PermutationGroup and parse_cycles give for degree 0
+    for make in (lambda: Permutation([]), lambda: Permutation.identity(0)):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            make()
+
+
 def test_bool_entries_stored_as_int():
     p = Permutation([True, False])
     assert p.images == (1, 0)

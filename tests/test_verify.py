@@ -31,9 +31,9 @@ from permdeg.verify import (
 
 from brute import (DOUBLY_TRANSITIVE, ProductAction, clause_shares,
                    commutator_law_suite_by_tuples, count_identity_suite_by_configuration,
-                   distinct_pair_action, image_chase_commutator, invariant_relation_counts,
-                   law_facts, mulclose, mobius_group, pair_orbits, pair_relation_oracle,
-                   relabelled)
+                   distinct_pair_action, flag_int, image_chase_commutator,
+                   invariant_relation_counts, law_facts, mulclose, mobius_group, pair_orbits,
+                   pair_relation_oracle, relabelled)
 
 perms8 = st.permutations(range(8)).map(Permutation)
 
@@ -52,8 +52,8 @@ def commutator_law_checks(u, v):
     """The four support laws of one pair (u, v), read through the suite's
     own kernel: containment, size bound, fixed crossings and the
     informational forward-images containment."""
-    laws = operand_facts(u, v).laws(0, 0)
-    return [_law_check(i, *laws[i]) for i in range(4)]
+    rows = operand_facts(u, v)[0]
+    return [_law_check(i, *rows[i]) for i in range(4)]
 
 
 def test_commutator_laws_worked_example():
@@ -399,9 +399,11 @@ def test_law_kernel_matches_set_arithmetic(u, v, fixed_draw, shifted_draw):
         supp_c <= delta | img_u | img_v,
         len(supp_c) <= 2 * len(supp_u) - f - s,
     ]
-    facts = operand_facts(u, v)
-    assert (facts.fixed_pool, facts.shifted_pool) == (fixed_pool, shifted_pool)
-    assert [observed <= limit for observed, limit in facts.laws(f, s)] == expected
+    rows, fixed_flags, shifted_flags = operand_facts(u, v)
+    assert (fixed_flags, shifted_flags) == (flag_int(fixed_pool), flag_int(shifted_pool))
+    assert rows[4] == (len(supp_c), 2 * len(supp_u))
+    rows[4] = len(supp_c), 2 * len(supp_u) - f - s
+    assert [observed <= limit for observed, limit in rows] == expected
 
 
 def _law_pairs(rng, n):
@@ -441,8 +443,12 @@ def test_law_facts_match_the_loop_over_points(n):
     for u, v in _law_pairs(rng, n):
         facts = _law_facts(wrap(u), wrap(v))
         assert facts == law_facts(u, v), (n, u, v)
-        values = (facts.support_size, facts.commutator_size, *facts.missing,
-                  facts.size_bound, facts.fixed_pool, facts.shifted_pool)
+        rows, fixed_pool, shifted_pool = facts
+        # the three containments have limit 0, and both size bounds
+        # observe |supp([u,v])|
+        assert [rows[i][1] for i in (0, 2, 3)] == [0, 0, 0] and rows[1][0] == rows[4][0]
+        values = (rows[4][1], rows[4][0], rows[0][0], rows[2][0], rows[3][0], rows[1][1],
+                  fixed_pool, shifted_pool)
         seen |= {i for i, value in enumerate(values) if value}
     assert seen == {0, 1, 4, 5, 6, 7}
 
