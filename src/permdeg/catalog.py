@@ -55,8 +55,6 @@ def _validated(group: PermutationGroup, order: int, tdeg: int | None) -> Permuta
 
 
 def symmetric_group(n: int) -> PermutationGroup:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     gens = []
     if n >= 2:
         gens.append(parse_cycles("(1,2)", n))
@@ -66,22 +64,18 @@ def symmetric_group(n: int) -> PermutationGroup:
 
 
 def alternating_group(n: int) -> PermutationGroup:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     gens = []
     if n >= 3:
         gens.append(parse_cycles("(1,2,3)", n))
     if n >= 4:
         points = range(1, n + 1) if n % 2 == 1 else range(2, n + 1)
         gens.append(parse_cycles("(" + ",".join(map(str, points)) + ")", n))
-    order = max(1, factorial(n) // 2)
-    tdeg = n - 2 if n >= 3 else None
-    return _validated(PermutationGroup(gens, n, f"A{n}"), order, tdeg)
+    # the group checks the degree before factorial() sees a negative n
+    group = PermutationGroup(gens, n, f"A{n}")
+    return _validated(group, max(1, factorial(n) // 2), n - 2 if n >= 3 else None)
 
 
 def cyclic_group(n: int) -> PermutationGroup:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     gens = []
     if n >= 2:
         gens.append(parse_cycles("(" + ",".join(str(i) for i in range(1, n + 1)) + ")", n))

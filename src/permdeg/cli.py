@@ -16,7 +16,8 @@ the number of elements in the two places that still enumerate them: the
 conjugation-orbit closures of the ``double``, ``triple`` and ``quadruple``
 traces, and ``mindeg --method exhaustive``.  It bounds element counts, not
 memory or time, never selects an algorithm, and is accepted but unused by
-``info``, ``verify`` and ``table``; a value below 1 is a usage error.
+``info``, ``verify``, ``table``, ``trace … jordan`` and ``mindeg`` without
+``--method exhaustive``; a value below 1 is a usage error.
 ``--jobs`` is accepted for compatibility and has no effect; a value below 1
 is a usage error too.
 

@@ -37,13 +37,9 @@ import random
 from functools import cache
 from math import factorial, prod
 from operator import ne
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import Permutation, _check_degree, _check_points, compose
-
-if TYPE_CHECKING:
-    from .mindeg import MinDegResult
-
 
 # pairs drawn per stabilizer level before falling back to its strong
 # generators; the catalog groups' one- and two-point stabilizers need at
@@ -265,9 +261,9 @@ def build_chain(generators: Iterable[Permutation], degree: int,
 class PermutationGroup:
     """A permutation group given by generators, with cached chain-backed queries.
 
-    Instances are immutable after construction; chains, the order and
-    minimal-degree results are lazily computed and cached, and every query
-    is safe to share between readers.
+    Instances are immutable after construction; chains and the order are
+    lazily computed and cached, and every query is safe to share between
+    readers.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
@@ -286,7 +282,6 @@ class PermutationGroup:
         self._chains: dict[tuple[int, ...], StabilizerChain] = {}
         self._pairs: dict[int, tuple[Permutation, ...]] = {}
         self._order: int | None = None
-        self.mindeg: MinDegResult | None = None  # set by mindeg.minimal_degree
 
     def __repr__(self) -> str:
         return f"PermutationGroup({self.label!r}, degree={self.degree}, gens={len(self.generators)})"
@@ -501,13 +496,9 @@ def _inverse(x: Sequence[int]) -> Sequence[int]:
     """The inverse of the operand x, in x's width.  For a byte string it is
     ``bytes.maketrans(x, ident)``, the table that sends x[a] to a, cut to
     the degree."""
-    n = len(x)
     if isinstance(x, bytes):
-        return bytes.maketrans(x, _width(n)[2])[:n]
-    inverse = [0] * n
-    for a, b in enumerate(x):
-        inverse[b] = a
-    return tuple(inverse)
+        return bytes.maketrans(x, _width(len(x))[2])[:len(x)]
+    return Permutation._trusted(x).inverse().images
 
 
 class _Columns:

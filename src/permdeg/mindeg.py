@@ -5,10 +5,14 @@ The minimal degree of a nontrivial group is the least number of points moved
 by a nonidentity element, equivalently n minus the largest number of points
 such an element fixes.  ``minimal_degree`` always runs the backtrack; the
 exhaustive scan is called directly (tests, ``mindeg --method exhaustive``).
+``minimal_degree`` searches once per group and keeps the result only while
+the group lives, in a ``weakref.WeakKeyDictionary`` here, so ``groups``
+holds no minimal-degree state.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 
 from .groups import DEFAULT_CAP, CapExceeded, PermutationGroup
@@ -109,8 +113,13 @@ def minimal_degree_backtrack(group: PermutationGroup) -> MinDegResult:
     return MinDegResult(m, witness, "backtrack", visited, pruned)
 
 
+# group -> its backtrack result, dropped with the group
+_results: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def minimal_degree(group: PermutationGroup) -> MinDegResult:
-    """The backtrack result, cached on the group handle."""
-    if group.mindeg is None:
-        group.mindeg = minimal_degree_backtrack(group)
-    return group.mindeg
+    """The backtrack result, searched once per group."""
+    result = _results.get(group)
+    if result is None:
+        result = _results[group] = minimal_degree_backtrack(group)
+    return result

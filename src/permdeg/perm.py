@@ -22,8 +22,9 @@ wrap their image tuples without repeating that check.
 
 Everything else takes points of 0..n-1 and operands of one degree n.
 ``_check_points`` and ``_check_degree`` are that contract's only checks:
-a point outside the range raises ValueError, and an operand of another
-degree raises DegreeMismatchError, also a ValueError.
+a point that ``operator.index`` rejects or that lies outside the range
+raises ValueError, and an operand of another degree raises
+DegreeMismatchError, also a ValueError.
 """
 
 from __future__ import annotations
@@ -55,9 +56,15 @@ def compose(first: Sequence[int], then: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_points(points: Iterable[int], degree: int) -> None:
-    """Raise ValueError at the first point not in range(degree)."""
+    """Raise ValueError at the first point that ``operator.index`` rejects,
+    as ``Permutation`` does for its entries, or that lies outside
+    range(degree)."""
     for pt in points:
-        if not 0 <= pt < degree:
+        try:
+            inside = 0 <= operator.index(pt) < degree
+        except TypeError:
+            raise ValueError(f"point {pt!r} is not an integer") from None
+        if not inside:
             raise ValueError(f"point {pt} outside 0..{degree - 1}")
 
 

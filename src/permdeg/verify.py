@@ -59,9 +59,9 @@ CountCheck = namedtuple("CountCheck",
                         defaults=(False,))
 
 
-def _eq(label: str, observed: int, formula) -> CountCheck:
+def _eq(label: str, observed: int, formula, informational: bool = False) -> CountCheck:
     value = Fraction(formula)
-    return CountCheck(label, "=", observed, value, Fraction(observed) == value)
+    return CountCheck(label, "=", observed, value, Fraction(observed) == value, informational)
 
 
 def _le(label: str, observed: int, bound) -> CountCheck:
@@ -145,12 +145,6 @@ def _law_facts(u: Sequence[int], v: Sequence[int]) -> tuple[list[tuple[int, int]
             moved_u & ~comm, moved_u & int.from_bytes(moved_at_v, "little"))
 
 
-def _law_check(index: int, observed: int, limit: int) -> CountCheck:
-    label, relation, informational = _LAWS[index]
-    return CountCheck(label, relation, observed, Fraction(limit), observed <= limit,
-                      informational)
-
-
 def commutator_cancellation_bound(u: Permutation, v: Permutation,
                                   fixed_overlap: Iterable[int],
                                   shifted_overlap: Iterable[int]) -> CountCheck:
@@ -174,15 +168,11 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
     if bad:
         raise PreconditionError(f"points {bad} are not shared support of u and its v-conjugate")
     observed, limit = rows[4]
-    return _law_check(4, observed, limit - len(fixed_overlap) - len(shifted_overlap))
+    return _le(_LAWS[4][0], observed, limit - len(fixed_overlap) - len(shifted_overlap))
 
 
 # ---------------------------------------------------------------------------
 # conjugation-orbit counting identities
-
-
-# check is None when the clause is inapplicable
-ClauseResult = namedtuple("ClauseResult", "clause applicable check")
 
 
 CLAUSES = ("fixes-gamma", "moves-gamma", "fixes-gamma-moves-second",
@@ -194,17 +184,18 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
                                  second: int | None = None, *,
                                  orbit: Sequence[Sequence[int]] | None = None,
                                  transitivity: int | None = None,
-                                 cap: int = DEFAULT_CAP) -> list[ClauseResult]:
+                                 cap: int = DEFAULT_CAP) -> list[CountCheck | None]:
     """Exact counts over E = {g^-1 u g : g fixing delta pointwise}.
 
     Each clause (see ``_clause_plan``) counts the x in E whose images
     x[gamma], and x[second] where it reads a second point, satisfy its
-    definition, against |E| times its share.  Inapplicable clauses,
-    including those that need a second point when ``second`` is None, are
-    reported as such, never as failures.  This is the enumeration route:
-    it builds E, bounded by ``cap``.  A caller that already holds E passes
-    it as ``orbit``, as ``conjugation_closure`` returns it: byte strings up
-    to 256 points, image tuples above, read by index either way.
+    definition, against |E| times its share.  Returns one check per clause
+    in ``CLAUSES`` order, and None, never a failure, for an inapplicable
+    clause, including those that need a second point when ``second`` is
+    None.  This is the enumeration route: it builds E, bounded by ``cap``.
+    A caller that already holds E passes it as ``orbit``, as
+    ``conjugation_closure`` returns it: byte strings up to 256 points,
+    image tuples above, read by index either way.
     ``count_identity_suite`` tests the same clauses without building E.
     """
     dset = frozenset(delta)
@@ -223,8 +214,7 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
         lambda x: x[gamma] in dset,
         lambda x: x[gamma] == second,
     )
-    return [ClauseResult(name, False, None) if share is None
-            else ClauseResult(name, True, _eq(name, sum(map(clause, orbit)), len(orbit) * share))
+    return [None if share is None else _eq(name, sum(map(clause, orbit)), len(orbit) * share)
             for name, share, clause in zip(CLAUSES, shares, holds)]
 
 
@@ -510,6 +500,13 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     return h, v, conjugation_closure(group.stabilizer_generators(pair), v, cap)
 
 
+def _conclude(report: TraceReport, checks: list[CountCheck],
+              conclusion: list[CountCheck]) -> None:
+    """Append a trace's conclusion to its checks; it holds when all of it passed."""
+    checks.extend(conclusion)
+    report.conclusion_holds = all(c.passed for c in conclusion)
+
+
 def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[CountCheck],
                    k: int, slack: int, threshold: int, label: str) -> None:
     """The conclusion n <= k m + slack/(m - 3) of a trace, and k m >= n once
@@ -523,8 +520,7 @@ def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[Co
     conclusion = [_le("degree-bound", n, k * m + Fraction(slack, m - 3))]
     if n >= threshold:
         conclusion.append(_ge(label, k * m, n))
-    checks.extend(conclusion)
-    report.conclusion_holds = all(c.passed for c in conclusion)
+    _conclude(report, checks, conclusion)
 
 
 def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
@@ -566,9 +562,8 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
 
     def finish(reason: str | None = None) -> TraceReport:
         report.degenerate = reason
-        bound_check = _ge("jordan-bound", m, 2 * t - 2)
-        report.checks = _sorted_checks([*checks, bound_check])
-        report.conclusion_holds = bound_check.passed
+        _conclude(report, checks, [_ge("jordan-bound", m, 2 * t - 2)])
+        report.checks = _sorted_checks(checks)
         return report
 
     # every cycle has length p, so u has m/p cycles: at most N only if m < t
@@ -757,7 +752,6 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     ui = u.images
     h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (alpha, ui[alpha]), rng, cap)
     size = len(orbit)
-    u_inv = u.inverse().images
     (misplaced, commuting, commutator_total, overlap_total, doubled_total,
      movers) = _triple_tallies(ui, alpha, beta, orbit)
 
@@ -771,7 +765,7 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
             size + Fraction(size * (m - 1) * (m - 2), n - 2)),
         _eq("overlap-pairs-partition", overlap_total,
             size + sum(movers[g] for g in support if g != alpha)),
-        _eq("edge-mover-count-back", movers[u_inv[alpha]], edge_formula),
+        _eq("edge-mover-count-back", movers[ui.index(alpha)], edge_formula),
         _eq("edge-mover-count-forward", movers[ui[alpha]], edge_formula),
         _ge("doubled-overlap-lower", doubled_total, 2 * edge_formula),
     ]
@@ -845,12 +839,8 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
                       "vertex": Fraction(3 * (m_shift + 1) ** 2 - m_shift, 2 * m_shift),
                       "slack_poly": poly, "contains_alternating": False}
 
-    conclusion = [
-        _ge("minimal-degree-at-least-six", m, 6),
-        _le("degree-window", n - 3, 2 * m),
-    ]
-    checks.extend(conclusion)
-    report.conclusion_holds = all(c.passed for c in conclusion)
+    _conclude(report, checks, [_ge("minimal-degree-at-least-six", m, 6),
+                               _le("degree-window", n - 3, 2 * m)])
 
     report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
                             beta=str(beta + 1))
@@ -934,8 +924,7 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
         for i, (observed, limit) in enumerate(rows):
             if observed > limit:
                 failures[i] += 1
-    checks = [CountCheck(f"{label} [{samples} samples]", "=", failed, Fraction(0),
-                         failed == 0, informational)
+    checks = [_eq(f"{label} [{samples} samples]", failed, 0, informational)
               for (label, _, informational), failed in zip(_LAWS, failures)]
     return _sorted_checks(checks)
 
@@ -1014,8 +1003,7 @@ def count_identity_suite(group: PermutationGroup, samples: int = 1000,
         if applied == 0:
             inapplicable.append(clause)
             continue
-        checks.append(CountCheck(f"{clause} [{applied}/{samples} applicable]",
-                                 "=", failed, Fraction(0), failed == 0))
+        checks.append(_eq(f"{clause} [{applied}/{samples} applicable]", failed, 0))
     return _sorted_checks(checks), inapplicable
 
 

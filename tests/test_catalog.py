@@ -64,6 +64,15 @@ def test_builtin_errors():
         builtin("dihedral", 2)
 
 
+@pytest.mark.parametrize("family", ["symmetric", "alternating", "cyclic"])
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_families_below_one_point_raise_the_group_degree_error(family, n):
+    # PermutationGroup states the degree check once; a negative n must not
+    # reach factorial() first
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        builtin(family, n)
+
+
 def test_parse_group_name():
     assert parse_group_name("S5").order == 120
     assert parse_group_name("a6").order == 360

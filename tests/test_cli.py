@@ -46,6 +46,13 @@ def test_bad_group_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["S0", "A0", "C0"])
+def test_zero_point_family_is_a_usage_error(capsys, name):
+    code = main(["info", f"catalog:{name}"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: degree must be at least 1\n")
+
+
 def test_bad_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

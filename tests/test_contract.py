@@ -58,6 +58,25 @@ SITES = [
     ("_check_configuration second",
      lambda: verify.conjugate_orbit_count_checks(s5(), FIVE, [0], 1, 9), ValueError,
      "point 9 outside 0..4"),
+    # a point is what operator.index accepts, as for a Permutation's entries
+    ("PermutationGroup.orbit float", lambda: s5().orbit(1.5), ValueError,
+     "point 1.5 is not an integer"),
+    ("pointwise_stabilizer float", lambda: s5().pointwise_stabilizer([1.5]), ValueError,
+     "point 1.5 is not an integer"),
+    ("stabilizer_generators float", lambda: s5().stabilizer_generators([1.5]), ValueError,
+     "point 1.5 is not an integer"),
+    ("transporter float", lambda: s5().transporter((0,), (1.5,)), ValueError,
+     "point 1.5 is not an integer"),
+    ("build_chain base_prefix float", lambda: build_chain([FIVE], 5, [1.5]), ValueError,
+     "point 1.5 is not an integer"),
+    ("_check_configuration gamma float",
+     lambda: verify.conjugate_orbit_count_checks(s5(), FIVE, [0], gamma=1.5), ValueError,
+     "point 1.5 is not an integer"),
+    ("commutator_cancellation_bound F float",
+     lambda: verify.commutator_cancellation_bound(FIVE, FIVE, [1.5], []), ValueError,
+     "point 1.5 is not an integer"),
+    ("pointwise_stabilizer string", lambda: s5().pointwise_stabilizer(["1"]), ValueError,
+     "point '1' is not an integer"),
 ]
 
 
@@ -67,6 +86,14 @@ def test_every_site_raises_the_shared_contract_error(call, kind, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
         call()
     assert type(caught.value) is kind
+
+
+def test_points_that_operator_index_accepts_pass_the_contract():
+    # bool is an int to operator.index, as it is for a Permutation's entries
+    group = s5()
+    assert group.orbit(True) == group.orbit(1)
+    assert group.pointwise_stabilizer([False]).order == 24
+    assert group.transporter((False,), (True,)).apply(0) == 1
 
 
 @pytest.mark.parametrize("degree, message", [

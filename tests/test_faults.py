@@ -178,6 +178,30 @@ def test_traces_fail_on_an_added_identity(monkeypatch, name, theorem):
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 
 
+# one extra mover at an edge point of the triple trace, u^-1(alpha) for
+# "back" or u(alpha) for "forward": the edge count read there fails, the
+# other passes, and the partition over supp(u) - {alpha} fails with it.  The
+# two points differ only where u is no involution, as the 3-cycle witnesses
+# of the alternating groups are
+@pytest.mark.parametrize("edge", ["back", "forward"])
+@pytest.mark.parametrize("name", ["A5", "A6", "A7"])
+def test_triple_trace_reads_each_edge_count_at_its_own_point(monkeypatch, name, edge):
+    tallies = verify._triple_tallies
+
+    def faulty(ui, alpha, beta, orbit):
+        *counts, movers = tallies(ui, alpha, beta, orbit)
+        back = next(a for a in range(len(ui)) if ui[a] == alpha)
+        assert back != ui[alpha]
+        movers = list(movers)
+        movers[back if edge == "back" else ui[alpha]] += 1
+        return (*counts, movers)
+
+    monkeypatch.setattr(verify, "_triple_tallies", faulty)
+    assert _failed_trace_checks(name, "triple") == {f"edge-mover-count-{edge}",
+                                                    "overlap-pairs-partition"}
+    assert main(["trace", f"catalog:{name}", "triple", "--seed", "1"]) == 1
+
+
 def _assert_fault(capsys, argv, message, before=""):
     # the CLI reports a RuntimeError as a fault: its message on stderr,
     # nothing on stdout past ``before``, what the suites that finished

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from permdeg import catalog, mindeg
@@ -108,6 +111,25 @@ def test_auto_dispatch_and_cache():
     assert result.method == "backtrack"
     assert result.m == 16
     assert minimal_degree(m23) is result
+
+
+def test_minimal_degree_searches_once_and_keeps_no_dropped_group(monkeypatch):
+    searched = []
+
+    def backtrack(group):
+        searched.append(group.label)
+        return minimal_degree_backtrack(group)
+
+    monkeypatch.setattr(mindeg, "minimal_degree_backtrack", backtrack)
+    monkeypatch.setattr(mindeg, "_results", weakref.WeakKeyDictionary())
+    group = PermutationGroup(catalog.builtin("mathieu", 11).generators, 11, "M11copy")
+    result = minimal_degree(group)
+    assert minimal_degree(group) is result and result.m == 8
+    assert searched == ["M11copy"]
+    assert list(mindeg._results.items()) == [(group, result)]
+    del group
+    gc.collect()
+    assert len(mindeg._results) == 0
 
 
 def test_production_paths_never_enumerate_elements(monkeypatch, capsys):

@@ -130,15 +130,41 @@ def test_itemgetter_lives_only_in_perm():
 
 def test_point_and_degree_checks_live_only_in_perm():
     # perm._check_points and perm._check_degree state the input contract
-    # once; either message anywhere else is an inline copy of a check
-    messages = ("outside 0..", "degree mismatch")
+    # once; any of their messages anywhere else is an inline copy of a check
+    messages = ("outside 0..", "degree mismatch", "is not an integer")
     found = [f"{path.name}:{lineno}"
              for path in SOURCES if path.name != "perm.py"
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if any(message in line for message in messages)]
     perm_text = (Path(permdeg.__file__).parent / "perm.py").read_text(encoding="utf-8")
     assert SOURCES and found == []
-    assert [perm_text.count(message) for message in messages] == [1, 1]
+    assert [perm_text.count(message) for message in messages] == [1, 1, 1]
+
+
+def test_groups_imports_nothing_from_mindeg():
+    # mindeg keeps its own result cache, so the group type does not depend
+    # on the search built on it
+    tree = ast.parse((Path(permdeg.__file__).parent / "groups.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom) and "mindeg" in (node.module or ""))
+             or (isinstance(node, ast.Import)
+                 and any("mindeg" in alias.name for alias in node.names))
+             or (isinstance(node, (ast.Name, ast.Attribute))
+                 and "mindeg" in getattr(node, "id", getattr(node, "attr", "")))]
+    assert found == []
+
+
+def test_every_mutant_snippet_occurs_once_in_its_module():
+    # tests/mutants.py plants each mutant by replacing its snippet; a snippet
+    # that is gone or repeated would leave the catalogue testing nothing
+    from mutants import MUTANTS
+
+    library = Path(permdeg.__file__).parent
+    counts = {m.name: (library / m.module).read_text(encoding="utf-8").count(m.snippet)
+              for m in MUTANTS}
+    assert len(counts) == len(MUTANTS) >= 12
+    assert counts == dict.fromkeys(counts, 1)
+    assert all(m.replacement != m.snippet for m in MUTANTS)
 
 
 def test_benchmark_tracer_installs(tmp_path):

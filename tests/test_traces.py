@@ -8,6 +8,10 @@ from permdeg import catalog, verify
 from permdeg.groups import _width, conjugation_closure
 from permdeg.perm import Permutation, parse_cycles
 from permdeg.verify import (
+    TraceReport,
+    _conclude,
+    _ge,
+    _le,
     all_pass,
     double_transitive_trace,
     jordan_bound_trace,
@@ -86,6 +90,21 @@ def test_double_trace_m11_closing_bound():
     assert bound.observed == 11
     assert bound.formula == Fraction(166, 5)   # 4m + 6/(m-3) at m = 8
     assert report.conclusion_holds
+
+
+@pytest.mark.parametrize("outcomes", [(True,), (False,), (True, True), (True, False),
+                                      (False, True), (False, False)])
+def test_conclusion_holds_only_when_every_closing_check_passes(outcomes):
+    # the real traces pass every closing check, so a conclusion step that
+    # needed only one of them would go unseen there; a failed check made
+    # before the conclusion does not enter it
+    earlier = _ge("earlier", 0, 1)
+    report = TraceReport("double", "G", 5, 2)
+    checks = [earlier]
+    conclusion = [_le(f"closing-{i}", 0 if ok else 2, 1) for i, ok in enumerate(outcomes)]
+    _conclude(report, checks, conclusion)
+    assert checks == [earlier, *conclusion]
+    assert report.conclusion_holds is all(outcomes)
 
 
 def test_double_trace_symmetric_gates_conclusion():

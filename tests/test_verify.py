@@ -9,6 +9,7 @@ from permdeg.groups import PermutationGroup, _width, conjugation_closure
 from permdeg.mindeg import minimal_degree
 from permdeg.perm import Permutation, parse_cycles
 from permdeg.verify import (
+    _LAWS,
     CLAUSES,
     CountCheck,
     PreconditionError,
@@ -17,7 +18,6 @@ from permdeg.verify import (
     _clause_plan,
     _clause_shares,
     _draw_tallies,
-    _law_check,
     _law_facts,
     _pair_labels,
     _pair_tallies,
@@ -51,9 +51,12 @@ def operand_facts(u, v):
 def commutator_law_checks(u, v):
     """The four support laws of one pair (u, v), read through the suite's
     own kernel: containment, size bound, fixed crossings and the
-    informational forward-images containment."""
+    informational forward-images containment; each law holds exactly when
+    its observed value is at most its limit."""
     rows = operand_facts(u, v)[0]
-    return [_law_check(i, *rows[i]) for i in range(4)]
+    return [CountCheck(label, relation, observed, Fraction(limit), observed <= limit,
+                       informational)
+            for (label, relation, informational), (observed, limit) in zip(_LAWS, rows[:4])]
 
 
 def test_commutator_laws_worked_example():
@@ -154,16 +157,15 @@ def test_conjugate_orbit_counts_s4_worked_examples():
     g = catalog.builtin("symmetric", 4)
     u = parse_cycles("(1,2,3)", 4)
     # delta = {1}, gamma = 4, second = 2 in 1-based labels
-    results = {r.clause: r for r in
-               conjugate_orbit_count_checks(g, u, {0}, 3, 1)}
-    fixes = results["fixes-gamma"].check
+    results = dict(zip(CLAUSES, conjugate_orbit_count_checks(g, u, {0}, 3, 1)))
+    fixes = results["fixes-gamma"]
     assert fixes.observed == 2 and fixes.formula == Fraction(6 * 1, 3)
-    pair = results["fixes-gamma-moves-second"].check
+    pair = results["fixes-gamma-moves-second"]
     assert pair.observed == 2 and pair.passed
     # gamma = 2, second = 3: transported count is 1 = 6 (m-2) / ((n-1)(n-2))
-    transported = {r.clause: r for r in
-                   conjugate_orbit_count_checks(g, u, {0}, 1, 2)}["gamma-to-second"]
-    assert transported.check.observed == 1 and transported.check.passed
+    transported = dict(zip(CLAUSES, conjugate_orbit_count_checks(g, u, {0}, 1, 2)))[
+        "gamma-to-second"]
+    assert transported.observed == 1 and transported.passed
     # oracle: recount over the orbit by hand
     stab = g.pointwise_stabilizer([0])
     orbit = conjugation_closure(stab.generators, u)
@@ -175,14 +177,14 @@ def test_conjugate_orbit_counts_applicability():
     g = catalog.builtin("psl2", 7)   # t = 2
     u = parse_cycles("(1,2,4)(3,6,5)", 8)
     assert g.contains(u)
-    results = {r.clause: r for r in conjugate_orbit_count_checks(g, u, {0}, 7, 2)}
-    assert results["fixes-gamma"].applicable
-    assert not results["fixes-gamma-moves-second"].applicable  # needs t >= 3
-    assert not results["gamma-to-second"].applicable
-    assert results["gamma-into-delta"].applicable
+    results = dict(zip(CLAUSES, conjugate_orbit_count_checks(g, u, {0}, 7, 2)))
+    assert results["fixes-gamma"] is not None
+    assert results["fixes-gamma-moves-second"] is None  # needs t >= 3
+    assert results["gamma-to-second"] is None
+    assert results["gamma-into-delta"] is not None
     for r in results.values():
-        if r.applicable:
-            assert r.check.passed
+        if r is not None:
+            assert r.passed
 
 
 def test_conjugate_orbit_counts_degree_two():
@@ -190,10 +192,13 @@ def test_conjugate_orbit_counts_degree_two():
     # (n-d)(n-d-1) denominator is zero here
     g = catalog.builtin("symmetric", 2)
     results = conjugate_orbit_count_checks(g, parse_cycles("(1,2)", 2), {0}, 1)
-    assert [r.clause for r in results if r.applicable] == [
+    assert len(results) == len(CLAUSES)
+    assert [c for c, r in zip(CLAUSES, results) if r is not None] == [
         "fixes-gamma", "moves-gamma", "gamma-into-delta"]
-    assert [r.check.observed for r in results if r.applicable] == [0, 1, 1]
-    assert all(r.check.passed for r in results if r.applicable)
+    assert [r.label for r in results if r is not None] == [
+        "fixes-gamma", "moves-gamma", "gamma-into-delta"]
+    assert [r.observed for r in results if r is not None] == [0, 1, 1]
+    assert all(r.passed for r in results if r is not None)
 
 
 @pytest.mark.parametrize("name", ["S4", "M11"])
@@ -212,18 +217,19 @@ def test_conjugate_orbit_counts_without_a_second_point(name):
         delta = {rng.choice(sorted(u.support()))}
         gamma, second = rng.sample([a for a in range(n) if a not in delta], 2)
         orbit = conjugation_closure(g.stabilizer_generators(delta), u)
-        alone = {r.clause: r for r in conjugate_orbit_count_checks(g, u, delta, gamma)}
-        paired = {r.clause: r for r in conjugate_orbit_count_checks(g, u, delta, gamma, second)}
-        assert list(alone) == list(CLAUSES)
-        assert [c for c, r in alone.items() if not r.applicable] == [
+        alone = conjugate_orbit_count_checks(g, u, delta, gamma)
+        paired = conjugate_orbit_count_checks(g, u, delta, gamma, second)
+        assert len(alone) == len(paired) == len(CLAUSES)
+        alone, paired = dict(zip(CLAUSES, alone)), dict(zip(CLAUSES, paired))
+        assert [c for c, r in alone.items() if r is None] == [
             "fixes-gamma-moves-second", "gamma-to-second"]
-        assert all(r.applicable for r in paired.values())
+        assert all(r is not None for r in paired.values())
         direct = {"fixes-gamma": sum(1 for x in orbit if x[gamma] == gamma),
                   "moves-gamma": sum(1 for x in orbit if x[gamma] != gamma),
                   "gamma-into-delta": sum(1 for x in orbit if x[gamma] in delta)}
         for clause, observed in direct.items():
-            assert alone[clause].check == paired[clause].check
-            assert alone[clause].check.observed == observed and alone[clause].check.passed
+            assert alone[clause] == paired[clause]
+            assert alone[clause].observed == observed and alone[clause].passed
 
 
 def test_conjugate_orbit_counts_validation():
@@ -334,13 +340,13 @@ def test_count_identities_exhaustive_sweep(name, param):
                     for second in rest:
                         if second == gamma:
                             continue
-                        for res in conjugate_orbit_count_checks(
+                        for clause, res in zip(CLAUSES, conjugate_orbit_count_checks(
                                 g, u, delta, gamma, second,
-                                orbit=orbit, transitivity=t):
-                            if res.applicable:
+                                orbit=orbit, transitivity=t), strict=True):
+                            if res is not None:
                                 checked += 1
-                                assert res.check.passed, (u, sorted(delta),
-                                                          gamma, second, res.clause)
+                                assert res.passed, (u, sorted(delta),
+                                                    gamma, second, clause)
     assert checked > 10_000
 
 
@@ -496,16 +502,17 @@ def test_clause_columns_match_direct_scans(name, param):
                 sum(1 for x in orbit_set if x.images[gamma] == second),
             ]
             # transitivity n makes every clause apply at |delta| = 1
-            counts = [res.check.observed if res.applicable else None
+            counts = [None if res is None else res.observed
                       for res in conjugate_orbit_count_checks(g, u, delta, gamma, second,
                                                               orbit=orbit, transitivity=n)]
             assert sum(c is not None for c in counts) == (5 if len(delta) == 1 else 3)
             assert [c for c in counts if c is not None] == [
                 d for c, d in zip(counts, direct) if c is not None]
-            for res in conjugate_orbit_count_checks(g, u, delta, gamma, second,
-                                                    transitivity=t):
-                if res.applicable:
-                    assert res.check.observed == direct[CLAUSES.index(res.clause)]
+            for res, observed in zip(conjugate_orbit_count_checks(g, u, delta, gamma, second,
+                                                                  transitivity=t), direct,
+                                     strict=True):
+                if res is not None:
+                    assert res.observed == observed
 
 
 def _proper_subgroup_gens(gens, n):
@@ -548,13 +555,14 @@ def test_pair_orbit_shares_match_closure_counts(name, param):
                 shares = _clause_shares(plan, orbits, delta, gamma, second)
                 results = conjugate_orbit_count_checks(g, u, delta, gamma, second,
                                                        orbit=orbit, transitivity=n)
-                for res, share, formula in zip(results, shares, plan):
-                    assert res.applicable == (share is not None)
+                for clause, res, share, formula in zip(CLAUSES, results, shares, plan,
+                                                       strict=True):
+                    assert (res is not None) == (share is not None)
                     if share is None:
                         continue
-                    assert share * len(orbit) == res.check.observed, (u, delta, res.clause)
-                    assert (share == formula) == res.check.passed
-                    formula_failures += not res.check.passed
+                    assert share * len(orbit) == res.observed, (u, delta, clause)
+                    assert (share == formula) == res.passed
+                    formula_failures += not res.passed
     assert formula_failures > 0
 
 
