@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import namedtuple
 from functools import cache
 from math import factorial, prod
 from operator import ne
@@ -56,19 +57,11 @@ class CapExceeded(RuntimeError):
     """A configured orbit or enumeration cap was exceeded."""
 
 
-class ChainLevel:
-    """One level: its base point, the transversal (orbit point b -> an
-    element carrying the base point to b, as the operand ``_width`` picks:
-    a byte string up to 256 points, an image tuple above) and the orbit in
-    ascending order."""
-
-    __slots__ = ("point", "transversal", "orbit")
-
-    def __init__(self, point: int, transversal: dict[int, Sequence[int]],
-                 orbit: tuple[int, ...]):
-        self.point = point
-        self.transversal = transversal
-        self.orbit = orbit
+# one level: its base point, the transversal (orbit point b -> an element
+# carrying the base point to b, as the operand ``_width`` picks: a byte
+# string up to 256 points, an image tuple above) and the orbit in ascending
+# order
+ChainLevel = namedtuple("ChainLevel", "point transversal orbit")
 
 
 class StabilizerChain:
@@ -151,7 +144,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     """
     generators = tuple(generators)
     _check_degree(generators, degree)
-    _check_points(base_prefix, degree)
+    base_prefix = _check_points(base_prefix, degree)
     gens = [g for g in generators if not g.is_identity()]
 
     mul, wrap, ident, tail = _width(degree)
@@ -316,9 +309,8 @@ class PermutationGroup:
         return Permutation._trusted(tuple(_random_product(self.chain().levels, self.degree, rng)))
 
     def orbit(self, point: int) -> frozenset[int]:
-        _check_points((point,), self.degree)
-        seen = {point}
-        queue = [point]
+        queue = _check_points((point,), self.degree)
+        seen = set(queue)
         qi = 0
         while qi < len(queue):
             a = queue[qi]
@@ -344,10 +336,9 @@ class PermutationGroup:
 
         Its generators are the strong generators fixing the points, and its
         order is the product of the rebased chain's levels past them."""
-        pts = tuple(sorted(set(points)))
+        pts = tuple(sorted(set(_check_points(points, self.degree))))
         if not pts:
             return self
-        _check_points(pts, self.degree)
         chain = self.chain(pts)
         sub = [g for g in chain.strong_gens
                if all(g.images[p] == p for p in pts)]
@@ -379,8 +370,7 @@ class PermutationGroup:
         group they generate is the stabilizer in every case, and no
         caller's rng is ever read.
         """
-        pts = tuple(sorted(set(points)))
-        _check_points(pts, self.degree)
+        pts = tuple(sorted(set(_check_points(points, self.degree))))
         carried = self._carry_base(pts)
         if carried is None:
             return self.pointwise_stabilizer(pts).generators
@@ -425,13 +415,12 @@ class PermutationGroup:
         backtracking; the first representative at each level makes the
         answer deterministic.
         """
-        src = tuple(src)
-        dst = tuple(dst)
+        src = tuple(_check_points(src, self.degree))
+        dst = tuple(_check_points(dst, self.degree))
         if len(src) != len(dst):
             raise ValueError("transporter tuples must have equal length")
         if len(set(src)) != len(src) or len(set(dst)) != len(dst):
             raise ValueError("transporter tuples must have distinct entries")
-        _check_points(src + dst, self.degree)
         g = _walk(self.chain(src).levels, dst, _width(self.degree)[2])
         return None if g is None else Permutation._trusted(tuple(g))
 

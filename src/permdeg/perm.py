@@ -55,17 +55,20 @@ def compose(first: Sequence[int], then: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*first)(then)
 
 
-def _check_points(points: Iterable[int], degree: int) -> None:
-    """Raise ValueError at the first point that ``operator.index`` rejects,
-    as ``Permutation`` does for its entries, or that lies outside
-    range(degree)."""
+def _check_points(points: Iterable[int], degree: int) -> list[int]:
+    """The points as plain ints, as ``operator.index`` reads them; raise
+    ValueError at the first point that it rejects, as ``Permutation`` does
+    for its entries, or that lies outside range(degree)."""
+    ints = []
     for pt in points:
         try:
-            inside = 0 <= operator.index(pt) < degree
+            a = operator.index(pt)
         except TypeError:
             raise ValueError(f"point {pt!r} is not an integer") from None
-        if not inside:
+        if not 0 <= a < degree:
             raise ValueError(f"point {pt} outside 0..{degree - 1}")
+        ints.append(a)
+    return ints
 
 
 def _check_degree(perms: Iterable[Permutation], degree: int) -> None:
@@ -125,12 +128,7 @@ class Permutation:
     def conjugate(self, g: "Permutation") -> "Permutation":
         """Return g^-1 * self * g; the support is carried along g."""
         _check_degree((self,), g.degree)
-        gi = g.images
-        si = self.images
-        imgs = [0] * len(si)
-        for a in range(len(si)):
-            imgs[gi[a]] = gi[si[a]]
-        return Permutation._trusted(tuple(imgs))
+        return Permutation._trusted(compose(compose(g.inverse().images, self.images), g.images))
 
     def commutator(self, other: "Permutation") -> "Permutation":
         """Return self * other * self^-1 * other^-1 (left-to-right)."""

@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .groups import (DEFAULT_CAP, PermutationGroup, _Columns, _flags, _inverse, _random_product,
                      _width, conjugation_closure)
@@ -155,9 +155,8 @@ def commutator_cancellation_bound(u: Permutation, v: Permutation,
     PreconditionError rather than producing a failed check.
     """
     _check_degree((u,), v.degree)
-    fixed_overlap = frozenset(fixed_overlap)
-    shifted_overlap = frozenset(shifted_overlap)
-    _check_points(fixed_overlap | shifted_overlap, v.degree)
+    fixed_overlap = frozenset(_check_points(fixed_overlap, v.degree))
+    shifted_overlap = frozenset(_check_points(shifted_overlap, v.degree))
     wrap = _width(v.degree)[1]
     rows, fixed_pool, shifted_pool = _law_facts(wrap(u.images), wrap(v.images))
     # the flag byte of point a is bit 8a of a pool
@@ -199,7 +198,7 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
     ``count_identity_suite`` tests the same clauses without building E.
     """
     dset = frozenset(delta)
-    _check_configuration(group, u, dset, [(gamma, second)])
+    (gamma, second), = _check_configuration(group, u, dset, [(gamma, second)])
     t = group.transitivity_degree() if transitivity is None else transitivity
     if orbit is None:
         orbit = conjugation_closure(group.stabilizer_generators(dset), u, cap)
@@ -219,13 +218,16 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
 
 
 def _check_configuration(group: PermutationGroup, u: Permutation, dset: frozenset[int],
-                         draws: Sequence[tuple[int, int | None]]) -> None:
-    """Raise unless delta consists of moved points of u, every (gamma,
-    second) draw lies outside delta and inside the point range, and u is a
-    member of the group; u and delta are checked once for all the draws."""
+                         draws: Sequence[tuple[int, int | None]]) -> list[tuple[int, int | None]]:
+    """The draws, their points as plain ints; raise unless delta consists
+    of moved points of u, every (gamma, second) draw lies outside delta and
+    inside the point range, and u is a member of the group.  u and delta
+    are checked once for all the draws."""
     if not dset <= u.support():
         raise PreconditionError("delta must consist of moved points of u")
-    _check_points([pt for draw in draws for pt in draw if pt is not None], group.degree)
+    ints = iter(_check_points([pt for draw in draws for pt in draw if pt is not None],
+                              group.degree))
+    draws = [(next(ints), second if second is None else next(ints)) for _, second in draws]
     for gamma, second in draws:
         if gamma in dset:
             raise ValueError("gamma must lie outside delta")
@@ -233,6 +235,7 @@ def _check_configuration(group: PermutationGroup, u: Permutation, dset: frozense
             raise ValueError("second must be distinct from gamma and lie outside delta")
     if not group.contains(u):
         raise PreconditionError("u is not a member of the group")
+    return draws
 
 
 def _clause_plan(n: int, m: int, d: int, t: int) -> list[Fraction | None]:
@@ -264,15 +267,11 @@ def _clause_plan(n: int, m: int, d: int, t: int) -> list[Fraction | None]:
     ]
 
 
-class _PairOrbits(NamedTuple):
-    """The orbits of a group H on ordered pairs of points, with what one
-    element u puts into each orbit."""
-
-    degree: int           # n
-    label: list[int]      # orbit index of the pair (a, c), at a * n + c
-    size: list[int]       # |O|
-    arrows: list[int]     # #{a : (a, a^u) in O}
-    fixed: list[int]      # #{(a, c) in O : u fixes a and c}
+# the orbits O of a group H on ordered pairs of points, with what one
+# element u puts into each: the degree n, the orbit index of the pair (a, c)
+# at a * n + c, and per orbit |O|, #{a : (a, a^u) in O} and
+# #{(a, c) in O : u fixes a and c}
+_PairOrbits = namedtuple("_PairOrbits", "degree label size arrows fixed")
 
 
 def _pair_labels(gens: Sequence[tuple[int, ...]], n: int) -> tuple[list[int], list[int]]:
@@ -584,12 +583,7 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     else:
         # the r < p points walked back lie on alpha's own cycle, outside phi
         report.derived["case"] = 2
-        u_inv = u.inverse()
-        back = []
-        pt = alpha
-        for _ in range(r):
-            pt = u_inv.images[pt]
-            back.append(pt)
+        back = [(u ** -k).images[alpha] for k in range(1, r + 1)]
         pinned = phi.union(back)
         report.sizes["pinned_extended"] = len(pinned)
         checks.append(_eq("pinned-extended-size", len(pinned), t - 1))
@@ -619,21 +613,32 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     return finish()
 
 
+def _columns(ui: Sequence[int], members: Sequence[Sequence[int]]):
+    """(columns, support, moved, movers, commutators, commuting) of
+    ``members``, a closure's orbit or part of it, for the witness u with
+    image tuple ``ui``: their ``_Columns``; supp(u) ascending; per point a,
+    the lanes of the x that move a and how many there are (both 0 at the
+    fixed points of u); per point, the lanes where [u,x] moves it; and how
+    many x commute with u."""
+    columns = _Columns(members, len(ui))
+    moved = [columns.moves(a) if c != a else 0 for a, c in enumerate(ui)]
+    commutators = columns.commutator_moves(ui)
+    return (columns, [a for a, c in enumerate(ui) if c != a], moved,
+            [lanes.bit_count() for lanes in moved], commutators,
+            columns.size - reduce(or_, commutators, 0).bit_count())
+
+
 def _double_tallies(ui: Sequence[int], beta: int, orbit: Sequence[Sequence[int]]):
     """(fixing, commuting, thin, pair_total, movers) over the members x of
     ``orbit`` that fix beta, for the witness with image tuple ``ui``: how
     many there are, commute with u, and move fewer than m/3 points of
     supp(u), their overlaps with supp(u) summed, and per point of supp(u)
     how many move it (0 at the fixed points of u)."""
-    n = len(ui)
-    fixers = _Columns([x for x in orbit if x[beta] == beta], n)
-    moved = [fixers.moves(a) if ui[a] != a else 0 for a in range(n)]
-    movers = [lanes.bit_count() for lanes in moved]
-    m = sum(1 for a in range(n) if ui[a] != a)
+    fixers, support, moved, movers, _, commuting = _columns(
+        ui, [x for x in orbit if x[beta] == beta])
     # each fixer fixes beta, a point of supp(u), so its overlap is at most n - 1
-    thin = fixers.below(sum(moved), -(-m // 3)).bit_count()
-    noncommuting = reduce(or_, fixers.commutator_moves(ui), 0)
-    return fixers.size, fixers.size - noncommuting.bit_count(), thin, sum(movers), movers
+    thin = fixers.below(sum(moved), -(-len(support) // 3)).bit_count()
+    return fixers.size, commuting, thin, sum(movers), movers
 
 
 def _triple_tallies(ui: Sequence[int], alpha: int, beta: int, orbit: Sequence[Sequence[int]]):
@@ -643,13 +648,9 @@ def _triple_tallies(ui: Sequence[int], alpha: int, beta: int, orbit: Sequence[Se
     supp(x)| summed, the points a of those overlaps whose preimage under u
     x also moves, and per point of supp(u) the x that move it (0 at the
     fixed points of u)."""
-    n = len(ui)
-    members = _Columns(orbit, n)
-    moved = [members.moves(a) if ui[a] != a else 0 for a in range(n)]
-    movers = [lanes.bit_count() for lanes in moved]
-    commutators = members.commutator_moves(ui)
+    members, _, moved, movers, commutators, commuting = _columns(ui, orbit)
     return (members.size - members.maps_into(alpha, (beta,)).bit_count(),
-            members.size - reduce(or_, commutators, 0).bit_count(),
+            commuting,
             sum(lanes.bit_count() for lanes in commutators),
             sum(movers),
             # each doubled point a counted at its preimage c, which u permutes
@@ -667,12 +668,9 @@ def _quadruple_tallies(ui: Sequence[int], alpha: int, beta: int,
     Each point a splits as an overlap point (u and x move it), a carried
     fixed point (u fixes a, and x carries it into supp(u)) or an arrow (x
     fixes a in supp(u) and moves a^u); [u,x] must move only split points.
+    alpha and beta = alpha^u lie in supp(u), where ``moved`` is read.
     """
-    n = len(ui)
-    members = _Columns(orbit, n)
-    moved = [members.moves(a) for a in range(n)]
-    commutators = members.commutator_moves(ui)
-    support = [a for a in range(n) if ui[a] != a]
+    members, support, moved, movers, commutators, commuting = _columns(ui, orbit)
     overlap_total = carried_total = arrows_total = containment_violations = 0
     for a, c in enumerate(ui):
         if c == a:
@@ -681,12 +679,11 @@ def _quadruple_tallies(ui: Sequence[int], alpha: int, beta: int,
             carried_total += split.bit_count()
         else:
             arrows = moved[c] & ~moved[a]
-            overlap_total += moved[a].bit_count()
+            overlap_total += movers[a]
             arrows_total += arrows.bit_count()
             split = moved[a] | arrows
         containment_violations += (commutators[a] & ~split).bit_count()
-    return (members.size - (moved[beta] & ~moved[alpha]).bit_count(),
-            members.size - reduce(or_, commutators, 0).bit_count(),
+    return (members.size - (moved[beta] & ~moved[alpha]).bit_count(), commuting,
             sum(lanes.bit_count() for lanes in commutators),
             overlap_total, carried_total, arrows_total, containment_violations)
 
@@ -811,6 +808,11 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
     (structure_violations, commuting, commutator_total, overlap_total, carried_total,
      arrows_total, containment_violations) = _quadruple_tallies(ui, alpha, beta, orbit)
 
+    # the overlap pairs' exact count and the carried and arrow pairs' upper
+    # bounds: m |E| <= commutator pairs <= their sum, so m <= sum / |E|
+    overlap = size + Fraction(size * (m - 1) * (m - 2), n - 2)
+    carried = Fraction(size * (n - m), n - 2) * (Fraction((m - 2) ** 2, n - 3) + 1)
+    arrows = size * (1 + Fraction((n - m) * (m - 2) ** 2, (n - 2) * (n - 3)))
     checks = [
         _eq("orbit-stabilizer-structure", structure_violations, 0),
         _eq("orbit-noncommuting", commuting, 0),
@@ -818,25 +820,20 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
         _ge("commutator-pairs-lower", commutator_total, size * m),
         _le("pair-count-split", commutator_total,
             overlap_total + carried_total + arrows_total),
-        _eq("overlap-pairs-identity", overlap_total,
-            size + Fraction(size * (m - 1) * (m - 2), n - 2)),
-        _le("carried-pairs-upper", carried_total,
-            Fraction(size * (n - m), n - 2) * (Fraction((m - 2) ** 2, n - 3) + 1)),
-        _le("arrow-pairs-upper", arrows_total,
-            size * (1 + Fraction((n - m) * (m - 2) ** 2, (n - 2) * (n - 3)))),
+        _eq("overlap-pairs-identity", overlap_total, overlap),
+        _le("carried-pairs-upper", carried_total, carried),
+        _le("arrow-pairs-upper", arrows_total, arrows),
+        _le("assembled-degree-inequality", m, (overlap + carried + arrows) / size),
     ]
-
-    assembled_bound = (2 + Fraction((m - 1) * (m - 2), n - 2)
-                       + Fraction(n - m, n - 2) * (Fraction((m - 2) ** 2, n - 3) + 1)
-                       + Fraction((n - m) * (m - 2) ** 2, (n - 2) * (n - 3)))
-    checks.append(_le("assembled-degree-inequality", m, assembled_bound))
 
     m_shift, n_shift = m - 3, n - 3
     poly = m_shift ** 4 + 14 * m_shift ** 3 + 35 * m_shift ** 2 + 30 * m_shift + 9
-    left = 2 * m_shift * n_shift - (3 * (m_shift + 1) ** 2 - m_shift)
+    # the left factor is 0 at the vertex n_shift = offset / (2 m_shift)
+    offset = 3 * (m_shift + 1) ** 2 - m_shift
+    left = 2 * m_shift * n_shift - offset
     checks.append(_le("shifted-threshold-bound", max(left, 0) ** 2, poly))
     report.derived = {"m_shift": m_shift, "n_shift": n_shift,
-                      "vertex": Fraction(3 * (m_shift + 1) ** 2 - m_shift, 2 * m_shift),
+                      "vertex": Fraction(offset, 2 * m_shift),
                       "slack_poly": poly, "contains_alternating": False}
 
     _conclude(report, checks, [_ge("minimal-degree-at-least-six", m, 6),

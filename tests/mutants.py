@@ -51,12 +51,12 @@ Mutant = namedtuple("Mutant", "name module snippet replacement reason")
 MUTANTS = [
     # the column tallies of the traces (groups._Columns and its readers)
     Mutant("thin-bound-up", "verify.py",
-           "thin = fixers.below(sum(moved), -(-m // 3))",
-           "thin = fixers.below(sum(moved), -(-m // 3) + 1)",
+           "thin = fixers.below(sum(moved), -(-len(support) // 3))",
+           "thin = fixers.below(sum(moved), -(-len(support) // 3) + 1)",
            "a fixer sharing exactly ceil(m/3) support points with u counts as thin"),
     Mutant("thin-bound-down", "verify.py",
-           "thin = fixers.below(sum(moved), -(-m // 3))",
-           "thin = fixers.below(sum(moved), -(-m // 3) - 1)",
+           "thin = fixers.below(sum(moved), -(-len(support) // 3))",
+           "thin = fixers.below(sum(moved), -(-len(support) // 3) - 1)",
            "a fixer sharing ceil(m/3) - 1 support points with u is not counted as thin"),
     Mutant("commutator-moves-column-a", "groups.py",
            "self._lanes(_flags(self._columns[u[a]], after[a::n]))",
@@ -112,9 +112,97 @@ MUTANTS = [
            "minimal_degree searches again on every call for the same group"),
     # the shared point contract
     Mutant("points-not-indexed", "perm.py",
-           "inside = 0 <= operator.index(pt) < degree",
-           "inside = 0 <= pt < degree",
+           "a = operator.index(pt)",
+           "a = pt",
            "a float point such as 1.5 passes the contract and fails later with a TypeError"),
+    Mutant("points-as-given", "perm.py",
+           "ints.append(a)",
+           "ints.append(pt)",
+           "a point that only defines __index__ reaches the sites as the caller's object"),
+    # one statement of each bound, tally and record
+    Mutant("assembled-drops-arrows", "verify.py",
+           "(overlap + carried + arrows) / size",
+           "(overlap + carried) / size",
+           "the assembled quadruple inequality leaves out the arrow pairs' bound"),
+    Mutant("moves-at-every-point", "verify.py",
+           "moved = [columns.moves(a) if c != a else 0 for a, c in enumerate(ui)]",
+           "moved = [columns.moves(a) for a, c in enumerate(ui)]",
+           "the column tallies count the members that move the fixed points of u"),
+    Mutant("conjugate-wrong-side", "perm.py",
+           "compose(compose(g.inverse().images, self.images), g.images)",
+           "compose(compose(g.images, self.images), g.inverse().images)",
+           "p.conjugate(g) returns g p g^-1, not g^-1 p g"),
+    Mutant("table-check-le", "cli.py",
+           "from .verify import _ge, mathieu_bound_table",
+           "from .verify import _le as _ge, mathieu_bound_table",
+           "the table checks m <= bound, not m >= bound"),
+    # the counts suite's pair orbits and its oracle
+    Mutant("fixed-read-as-arrows", "verify.py",
+           "stays - share(fixed, second)",
+           "stays - share(arrows, second)",
+           "fixes-gamma-moves-second reads u's arrows at (gamma, second), not its fixed pairs"),
+    Mutant("oracle-second-fixed", "verify.py",
+           "x[gamma] == gamma and x[second] != second,",
+           "x[gamma] == gamma and x[second] == second,",
+           "the oracle counts the conjugates fixing second, not moving it"),
+    Mutant("second-rule-keeps-clause-2", "verify.py",
+           "shares[2] = shares[4] = None",
+           "shares[4] = None",
+           "without a second point the oracle still judges fixes-gamma-moves-second"),
+    Mutant("draw-key-without-second", "verify.py",
+           "key = (label[row + gamma], label[row + second])",
+           "key = (label[row + gamma],)",
+           "draws that differ only in the orbit of (gamma, second) are judged as one"),
+    # chain readers hand out image tuples
+    Mutant("transporter-keeps-operand", "groups.py",
+           "else Permutation._trusted(tuple(g))",
+           "else Permutation._trusted(g)",
+           "a transporter up to 256 points wraps a byte string, not an image tuple"),
+    # the commutator laws on flag-byte ints
+    Mutant("crossings-swapped", "verify.py",
+           "into_v & ~moved_u | into_u & ~moved_v",
+           "into_u & ~moved_u | into_v & ~moved_v",
+           "the fixed crossings pair each factor's fixed points with its own carried points"),
+    Mutant("forward-through-v", "verify.py",
+           "mul(_inverse(v), table)",
+           "mul(v, table)",
+           "the forward image D^v is gathered through v, not v^-1"),
+    Mutant("shifted-pool-at-u", "verify.py",
+           "moved_at_v = mul(v,",
+           "moved_at_v = mul(u,",
+           "the shifted pool reads supp(u) at the images of u, not of v"),
+    Mutant("fixed-pool-outside-delta", "verify.py",
+           "moved_u & ~comm,",
+           "moved_u & ~delta,",
+           "the fixed pool is supp(u) outside D, not supp(u) fixed by [u,v]"),
+    Mutant("size-bound-into-u-twice", "verify.py",
+           "- (delta & into_v).bit_count()",
+           "- (delta & into_u).bit_count()",
+           "the size bound subtracts the points u carries into D twice"),
+    Mutant("commutator-v-v", "verify.py",
+           "mul(v, u + tail)",
+           "mul(v, v + tail)",
+           "supp([u,v]) compares a^(u v) with a^(v v)"),
+    Mutant("bytes-inverse-identity", "groups.py",
+           "return bytes.maketrans(x, _width(len(x))[2])[:len(x)]",
+           "return x",
+           "up to 256 points an operand's inverse is the operand itself"),
+    Mutant("tuple-flags-self", "groups.py",
+           "return bytes(map(ne, first, second))",
+           "return bytes(map(ne, first, first))",
+           "above 256 points every flag byte reads 0"),
+    Mutant("pool-flag-off-by-one", "verify.py",
+           "not fixed_pool >> 8 * a & 1",
+           "not fixed_pool >> 8 * a + 1 & 1",
+           "F is checked against the bit above each point's flag"),
+    Mutant("draw-range-too-long", "verify.py",
+           "rng.sample(range(k), rng.randint(0, k))",
+           "rng.sample(range(k + 1), rng.randint(0, k))",
+           "the laws suite samples F and S from one point more than the pool holds"),
+    Mutant("cancellation-supp-v", "verify.py",
+           "(size, 2 * moved_u.bit_count())",
+           "(size, 2 * moved_v.bit_count())",
+           "the cancellation limit is taken as 2|supp(v)|"),
 ]
 
 # name -> why no test can tell the mutant from the library; an equivalent
@@ -156,7 +244,9 @@ def _run(mutant: Mutant | None, timeout: float | None) -> tuple[str, float, str]
         except subprocess.TimeoutExpired:
             return "timeout", time.perf_counter() - start, ""
         seconds = time.perf_counter() - start
-        failed = [line.split()[1] for line in done.stdout.decode().splitlines()
+        # "FAILED <id> - <message>", where a parametrized id may hold spaces
+        failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
+                  for line in done.stdout.decode().splitlines()
                   if line.startswith(("FAILED ", "ERROR "))]
         return ("passed" if done.returncode == 0 else "failed"), seconds, "".join(failed[:1])
 

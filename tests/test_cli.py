@@ -171,8 +171,10 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv):
 
 
 def test_mindeg_unknown_method_rejected(capsys):
-    code, _ = run(capsys, "mindeg", "catalog:C4", "--method", "guess")
-    assert code == 2
+    # auto meant backtrack, the default, and is no longer a choice
+    for method in ("guess", "auto"):
+        code, _ = run(capsys, "mindeg", "catalog:C4", "--method", method)
+        assert code == 2, method
 
 
 def test_json_report_schema(tmp_path, capsys):

@@ -20,6 +20,20 @@ def s5():
     return catalog.parse_group_name("S5")
 
 
+class Index:
+    """A point that only ``operator.index`` reads: it has no int equality,
+    hash or order of its own."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
 # (site, call, exception type, message); S5 acts on 0..4
 SITES = [
     ("Permutation.__mul__", lambda: FIVE * FOUR, DegreeMismatchError, "degree mismatch: 5 vs 4"),
@@ -77,6 +91,11 @@ SITES = [
      "point 1.5 is not an integer"),
     ("pointwise_stabilizer string", lambda: s5().pointwise_stabilizer(["1"]), ValueError,
      "point '1' is not an integer"),
+    # an object that only defines __index__ is a point too, and is named as given
+    ("PermutationGroup.orbit index", lambda: s5().orbit(Index(5)), ValueError,
+     "point Index(5) outside 0..4"),
+    ("transporter index", lambda: s5().transporter((Index(0),), (Index(7),)), ValueError,
+     "point Index(7) outside 0..4"),
 ]
 
 
@@ -86,6 +105,34 @@ def test_every_site_raises_the_shared_contract_error(call, kind, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
         call()
     assert type(caught.value) is kind
+
+
+# (site, call with Index points, the same call with ints): each site reads
+# the plain ints that perm._check_points returns, not the caller's objects
+INDEX_SITES = [
+    ("PermutationGroup.orbit", lambda: s5().orbit(Index(1)), lambda: s5().orbit(1)),
+    ("pointwise_stabilizer",
+     lambda: s5().pointwise_stabilizer([Index(0), Index(3)]).generators,
+     lambda: s5().pointwise_stabilizer([0, 3]).generators),
+    ("stabilizer_generators", lambda: s5().stabilizer_generators([Index(2), Index(0)]),
+     lambda: s5().stabilizer_generators([2, 0])),
+    ("transporter", lambda: s5().transporter((Index(0), Index(1)), (Index(3), Index(4))),
+     lambda: s5().transporter((0, 1), (3, 4))),
+    ("build_chain base_prefix", lambda: build_chain([FIVE], 5, [Index(2)]).base,
+     lambda: build_chain([FIVE], 5, [2]).base),
+    ("_check_configuration",
+     lambda: verify.conjugate_orbit_count_checks(s5(), FIVE, [0], Index(1), Index(2)),
+     lambda: verify.conjugate_orbit_count_checks(s5(), FIVE, [0], 1, 2)),
+    ("commutator_cancellation_bound",
+     lambda: verify.commutator_cancellation_bound(FIVE, FIVE, [Index(0)], [Index(1), Index(1)]),
+     lambda: verify.commutator_cancellation_bound(FIVE, FIVE, [0], [1])),
+]
+
+
+@pytest.mark.parametrize("call, plain", [site[1:] for site in INDEX_SITES],
+                         ids=[site[0] for site in INDEX_SITES])
+def test_every_site_reads_points_as_plain_ints(call, plain):
+    assert call() == plain()
 
 
 def test_points_that_operator_index_accepts_pass_the_contract():

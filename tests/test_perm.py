@@ -156,6 +156,21 @@ def test_conjugate_relabels_transposition():
     assert u.conjugate(Permutation.identity(3)) == u
 
 
+@pytest.mark.parametrize("degree", [1, 2, 8, 257])
+def test_conjugate_is_the_product_through_the_inverse(degree):
+    # degree 1 is compose's one-entry case, 257 points lie past byte width;
+    # p^g maps a^g to (a^p)^g, which names each entry once
+    rng = random.Random(degree)
+    for _ in range(20):
+        p = Permutation(rng.sample(range(degree), degree))
+        g = Permutation(rng.sample(range(degree), degree))
+        conjugated = p.conjugate(g)
+        assert conjugated == g.inverse() * p * g
+        assert all(conjugated.images[g.images[a]] == g.images[p.images[a]]
+                   for a in range(degree))
+        assert type(conjugated.images) is tuple
+
+
 def test_conjugate_support_relabeling_seeded():
     rng = random.Random(1)
     for _ in range(1000):

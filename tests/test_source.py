@@ -218,6 +218,18 @@ def test_library_does_not_import_dataclasses():
     assert SOURCES and found == []
 
 
+def test_library_does_not_import_typing_namedtuple():
+    # the records are collections.namedtuples; typing.NamedTuple would be a
+    # second record idiom beside them
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.ImportFrom) and node.module == "typing"
+                 and any(alias.name == "NamedTuple" for alias in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr == "NamedTuple")]
+    assert SOURCES and found == []
+
+
 def test_info_and_mindeg_leave_verify_unloaded(tmp_path):
     # the cold commands that never verify anything must not import verify,
     # dataclasses or fractions; only modules the run itself added count, so
