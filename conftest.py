@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent / "src"))
 
 # seconds each phase of a test (setup, call, teardown) may run before it
-# fails; the slowest test takes about a second, so only a hang reaches it
+# fails; the slowest test takes a few seconds, so only a hang reaches it
 TIME_LIMIT_S = 120
 
 

@@ -25,15 +25,27 @@ random draw as an operand, as the laws suite does, wraps none.
 operands of either width.
 
 ``_Columns`` reads a closure's orbit E one point at a time: E joined into
-one flat operand and sliced with step n, and each per-point predicate one
-int with a lane per member, so the traces tally E with a few bitwise
-operations and ``int.bit_count``, with no Python loop over its members.
+one flat operand (``_flat``) and sliced with step n, and each per-point
+predicate one int with a lane per member, so the traces tally E with a few
+bitwise operations and ``int.bit_count``, with no Python loop over its
+members.
+
+``_base_orbit`` closes the orbits the counting traces read once per group.
+The stabilizer of any k points is conjugate to G_(b), the stabilizer of
+the ``()`` chain's first k base points b, by the element g that walks the
+chain from b to the points, and conjugating by g^-1 carries an orbit under
+one onto an orbit under the other.  Every tally of a trace is unchanged
+when its orbit, its witness and its points are all carried alike, so each
+trace is read in the frame of b, and ``_orbits`` keeps, per group and k,
+every orbit under G_(b) closed so far as one flat operand: a trace whose
+carried seed is a member of one reads it instead of closing its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from collections import namedtuple
 from functools import cache
 from math import factorial, prod
@@ -490,12 +502,17 @@ def _inverse(x: Sequence[int]) -> Sequence[int]:
     return Permutation._trusted(x).inverse().images
 
 
-class _Columns:
-    """The operands of one degree in a list E (as ``conjugation_closure``
-    returns it), read one point at a time.
+def _flat(members: Iterable[Sequence[int]], degree: int) -> Sequence[int]:
+    """The operands ``members`` of ``degree`` points joined into one flat
+    operand: ``b"".join`` up to 256 points, one flat tuple above."""
+    return b"".join(members) if degree <= 256 else tuple(itertools.chain.from_iterable(members))
 
-    Column a holds x[a] for each x in E: E joined into one flat operand
-    (``b"".join`` up to 256 points, a flat tuple above) and sliced with step
+
+class _Columns:
+    """The members of a list E of operands of one degree, joined into one
+    flat operand (``_flat``), read one point at a time.
+
+    Column a holds x[a] for each x in E: the flat operand sliced with step
     n.  A predicate of the members at one point is one int with a lane per
     member, E[i] in the lane at byte w i, each lane 0 or 1.  A lane is w
     bytes wide, 1 up to 256 points and enough that n - 1 fits above, so a
@@ -506,12 +523,11 @@ class _Columns:
 
     __slots__ = ("size", "degree", "_flat", "_columns", "_lane", "_ones")
 
-    def __init__(self, members: Sequence[Sequence[int]], degree: int):
-        self.size = k = len(members)
+    def __init__(self, flat: Sequence[int], degree: int):
+        self.size = k = len(flat) // degree
         self.degree = degree
-        narrow = degree <= 256
-        self._flat = b"".join(members) if narrow else tuple(itertools.chain.from_iterable(members))
-        self._columns = [self._flat[a::degree] for a in range(degree)]
+        self._flat = flat
+        self._columns = [flat[a::degree] for a in range(degree)]
         self._lane = w = max(1, ((degree - 1).bit_length() + 7) // 8)
         self._ones = int.from_bytes((b"\1" + bytes(w - 1)) * k, "little")
 
@@ -635,3 +651,89 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
                 out.append(y)
     return tuple(out)
 
+
+# group -> {k: [E, ...]}: the orbits ``_base_orbit`` closed under
+# conjugation by the ``()`` chain's level-k stabilizer G_(b), b its first k
+# base points, each one flat operand (``_flat``); dropped with the group
+_orbits: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _member(flat: Sequence[int], x: Sequence[int]) -> bool:
+    """Whether the operand x is one of the members of ``flat``, operands of
+    n = len(x) points joined (``_flat``).  Up to 256 points ``bytes.find``
+    looks for x, and a hit counts only at a multiple of n, where a member
+    starts: x can also turn up across the end of one member and the start
+    of the next.  Above, the members whose column-0 entry is x[0] are
+    compared whole."""
+    n = len(x)
+    if isinstance(flat, bytes):
+        at = flat.find(x)
+        while at > 0 and at % n:
+            at = flat.find(x, at + 1)
+        return at >= 0
+    column = flat[::n]
+    at = -1
+    try:
+        while True:
+            at = column.index(x[0], at + 1)
+            if flat[at * n:at * n + n] == x:
+                return True
+    except ValueError:
+        return False
+
+
+def _base_orbit(group: PermutationGroup, targets: Sequence[int], k: int, seed: Permutation,
+                u: Permutation, cap: int = DEFAULT_CAP
+                ) -> tuple[Sequence[int], tuple[int, ...], tuple[int, ...]]:
+    """(E', u', targets'): E the orbit of ``seed`` under conjugation by H,
+    the pointwise stabilizer of targets[:k], and u and the distinct points
+    ``targets``, all carried by one element c into the frame of the ``()``
+    chain's base points b; E' is one flat operand, u' an image tuple.
+
+    The element g that walks the chain's transversals from b to
+    ``targets`` conjugates one stabilizer onto the other, H = g^-1 G_(b) g,
+    so with c = g^-1 each x in E is carried to x^c, a conjugate of w =
+    seed^c under G_(b), and each point a to a^c, which takes targets[i] to
+    b_i.  Every tally of E against u and the targets is unchanged when all
+    of them are carried, so each orbit is closed once per group and k:
+    ``_orbits`` keeps every orbit closed here, and a later w that is a
+    member of one of them reads that one, in the order it was kept in.  Where
+    ``targets`` go past k, a new orbit keeps the members that fix the
+    carried targets[k] first, so a reader slices those fixers off its front.
+    A kept orbit holds ``cap`` as a fresh closure does: more than ``cap``
+    members raise CapExceeded.
+
+    Where the walk fails, because the group does not carry b to the
+    targets, c is the identity, and E is closed under
+    ``stabilizer_generators(targets[:k])`` and kept nowhere.
+    """
+    n = group.degree
+    mul, wrap, ident, tail = _width(n)
+    g = _walk(group.chain().levels, targets, ident)
+    if g is None:
+        g = c = ident
+        gens = group.stabilizer_generators(targets[:k])
+        orbits = []  # kept nowhere
+    else:
+        c = _inverse(g)
+        gens = group._level_pair(k)
+        orbits = _orbits.setdefault(group, {}).setdefault(k, [])
+
+    def carry(x: Permutation) -> Sequence[int]:
+        # x^c maps a^c to x[a]^c: a to c[x[g[a]]]
+        return mul(mul(g, wrap(x.images) + tail), c + tail)
+
+    w = carry(seed)
+    ui = tuple(carry(u))
+    points = tuple(mul(wrap(targets), c + tail))
+    for flat in orbits:
+        if _member(flat, w):
+            if len(flat) > cap * n:
+                raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
+            return flat, ui, points
+    members = conjugation_closure(gens, Permutation._trusted(tuple(w)), cap)
+    if k < len(targets):
+        b = points[k]
+        members = sorted(members, key=lambda x: x[b] != b)
+    orbits.append(_flat(members, n))
+    return orbits[-1], ui, points

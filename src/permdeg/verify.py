@@ -15,6 +15,12 @@ close with n <= 4m + 6/(m-3), n <= 3m + 4/(m-3) and n - 3 <= 2m.  The three
 counting traces tally their orbit E by column (``groups._Columns``): each
 per-point predicate over E is one int with a lane per member, and each
 tally the ``int.bit_count`` of a few ANDs, ORs and XORs of those ints.
+They read E, their witness and their points carried into the frame of the
+``()`` chain's base points (``groups._base_orbit``), where every tally is
+the same and each orbit is closed once per group and kept; the report
+names the witnesses in the group's own points.  The public
+``conjugation_closure`` and the oracle ``conjugate_orbit_count_checks``
+keep nothing.
 
 A laws sample draws u and v as chain operands (byte strings up to 256
 points, image tuples above) and reads every law off a few per-point
@@ -41,8 +47,8 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .groups import (DEFAULT_CAP, PermutationGroup, _Columns, _flags, _inverse, _random_product,
-                     _width, conjugation_closure)
+from .groups import (DEFAULT_CAP, PermutationGroup, _base_orbit, _Columns, _flags, _inverse,
+                     _random_product, _width, conjugation_closure)
 from .mindeg import minimal_degree
 from .perm import (Permutation, _check_degree, _check_points, compose, format_cycles,
                    prime_order_witness)
@@ -481,12 +487,12 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     close the result under the pointwise stabilizer H of the pair.
 
     v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
-    (h, v, E), E the conjugates of v under H as ``conjugation_closure``
-    returns them.  Both traces that call it need a doubly transitive group,
-    so h exists for any two pairs of distinct points.  E is closed over
-    ``group.stabilizer_generators(pair)``, which builds no chain based on
-    the pair and reads no rng.  With an rng, h is first multiplied on the
-    left by a random element of H, which moves v within E; it is drawn
+    (h, v, E, u', pair'): E the conjugates of v under H, with u and the
+    pair carried into its frame, as ``groups._base_orbit`` returns them.
+    Both traces that call it need a doubly transitive group, so h exists
+    for any two pairs of distinct points.  Building E builds no chain based
+    on the pair and reads no rng.  With an rng, h is first multiplied on
+    the left by a random element of H, which moves v within E; it is drawn
     from ``pointwise_stabilizer(pair)``, whose rebased chain fixes the
     element each seeded draw picks.
     """
@@ -496,7 +502,7 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     if rng is not None:
         h = group.pointwise_stabilizer(pair).random_element(rng) * h
     v = u.conjugate(h.inverse())
-    return h, v, conjugation_closure(group.stabilizer_generators(pair), v, cap)
+    return (h, v, *_base_orbit(group, pair, 2, v, u, cap))
 
 
 def _conclude(report: TraceReport, checks: list[CountCheck],
@@ -613,13 +619,14 @@ def jordan_bound_trace(group: PermutationGroup, *, rng=None) -> TraceReport:
     return finish()
 
 
-def _columns(ui: Sequence[int], members: Sequence[Sequence[int]]):
+def _columns(ui: Sequence[int], members: Sequence[int]):
     """(columns, support, moved, movers, commutators, commuting) of
-    ``members``, a closure's orbit or part of it, for the witness u with
-    image tuple ``ui``: their ``_Columns``; supp(u) ascending; per point a,
-    the lanes of the x that move a and how many there are (both 0 at the
-    fixed points of u); per point, the lanes where [u,x] moves it; and how
-    many x commute with u."""
+    ``members``, a closure's orbit or part of it joined into one flat
+    operand (``groups._flat``), for the witness u with image tuple ``ui``:
+    their ``_Columns``; supp(u) ascending; per point a, the lanes of the x
+    that move a and how many there are (both 0 at the fixed points of u);
+    per point, the lanes where [u,x] moves it; and how many x commute with
+    u."""
     columns = _Columns(members, len(ui))
     moved = [columns.moves(a) if c != a else 0 for a, c in enumerate(ui)]
     commutators = columns.commutator_moves(ui)
@@ -628,26 +635,26 @@ def _columns(ui: Sequence[int], members: Sequence[Sequence[int]]):
             columns.size - reduce(or_, commutators, 0).bit_count())
 
 
-def _double_tallies(ui: Sequence[int], beta: int, orbit: Sequence[Sequence[int]]):
-    """(fixing, commuting, thin, pair_total, movers) over the members x of
-    ``orbit`` that fix beta, for the witness with image tuple ``ui``: how
-    many there are, commute with u, and move fewer than m/3 points of
-    supp(u), their overlaps with supp(u) summed, and per point of supp(u)
-    how many move it (0 at the fixed points of u)."""
-    fixers, support, moved, movers, _, commuting = _columns(
-        ui, [x for x in orbit if x[beta] == beta])
+def _double_tallies(ui: Sequence[int], fixers: Sequence[int]):
+    """(fixing, commuting, thin, pair_total, movers) over ``fixers``, the
+    members x of E that fix beta = alpha^u joined into one flat operand,
+    for the witness with image tuple ``ui``: how many there are, commute
+    with u, and move fewer than m/3 points of supp(u), their overlaps with
+    supp(u) summed, and per point of supp(u) how many move it (0 at the
+    fixed points of u)."""
+    fixers, support, moved, movers, _, commuting = _columns(ui, fixers)
     # each fixer fixes beta, a point of supp(u), so its overlap is at most n - 1
     thin = fixers.below(sum(moved), -(-len(support) // 3)).bit_count()
     return fixers.size, commuting, thin, sum(movers), movers
 
 
-def _triple_tallies(ui: Sequence[int], alpha: int, beta: int, orbit: Sequence[Sequence[int]]):
+def _triple_tallies(ui: Sequence[int], alpha: int, beta: int, orbit: Sequence[int]):
     """(misplaced, commuting, commutator_total, overlap_total, doubled_total,
-    movers) over the members x of ``orbit``: the x that do not map alpha to
-    beta, the x that commute with u, |supp([u,x])| summed, |supp(u) &
-    supp(x)| summed, the points a of those overlaps whose preimage under u
-    x also moves, and per point of supp(u) the x that move it (0 at the
-    fixed points of u)."""
+    movers) over the members x of ``orbit``, joined into one flat operand:
+    the x that do not map alpha to beta, the x that commute with u,
+    |supp([u,x])| summed, |supp(u) & supp(x)| summed, the points a of those
+    overlaps whose preimage under u x also moves, and per point of supp(u)
+    the x that move it (0 at the fixed points of u)."""
     members, _, moved, movers, commutators, commuting = _columns(ui, orbit)
     return (members.size - members.maps_into(alpha, (beta,)).bit_count(),
             commuting,
@@ -659,11 +666,10 @@ def _triple_tallies(ui: Sequence[int], alpha: int, beta: int, orbit: Sequence[Se
             movers)
 
 
-def _quadruple_tallies(ui: Sequence[int], alpha: int, beta: int,
-                       orbit: Sequence[Sequence[int]]):
+def _quadruple_tallies(ui: Sequence[int], alpha: int, beta: int, orbit: Sequence[int]):
     """(structure_violations, commuting, commutator_total, overlap_total,
     carried_total, arrows_total, containment_violations) over the members x
-    of ``orbit``.
+    of ``orbit``, joined into one flat operand.
 
     Each point a splits as an overlap point (u and x move it), a carried
     fixed point (u fixes a, and x carries it into supp(u)) or an arrow (x
@@ -702,12 +708,15 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
     if not report.applicable:
         return report
     n, m = report.n, report.m
-    ui = u.images
-    beta = ui[alpha]
-    orbit = conjugation_closure(group.stabilizer_generators([alpha]), u, cap)
-    size = len(orbit)
-    fixing, commuting, thin, pair_total, movers = _double_tallies(ui, beta, orbit)
-    middle = [a for a in support if a != alpha and a != beta]
+    beta = u.images[alpha]
+    report.witnesses.update(alpha=str(alpha + 1), beta=str(beta + 1))
+    # from here on E, u and the points are read in E's frame, where E keeps
+    # its fixers of beta first
+    orbit, ui, (alpha, beta) = _base_orbit(group, (alpha, beta), 1, u, u, cap)
+    size = len(orbit) // n
+    fixing, commuting, thin, pair_total, movers = _double_tallies(
+        ui, orbit[:orbit[beta::n].count(beta) * n])
+    middle = [a for a, c in enumerate(ui) if c != a and a != alpha and a != beta]
 
     checks = [
         _eq("fixing-count-identity", fixing, Fraction(size * (n - m), n - 1)),
@@ -720,8 +729,6 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
             fixing + Fraction((m - 2) * (m - 1) * size, n - 1)),
     ]
     _closing_bound(group, report, checks, 4, 6, 38, "quarter-bound")
-
-    report.witnesses.update(alpha=str(alpha + 1), beta=str(beta + 1))
     report.sizes = {"orbit": size, "fixing": fixing,
                     "overlap_pairs": pair_total, "middle_points": len(middle)}
     report.checks = _sorted_checks(checks)
@@ -746,9 +753,14 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     # t >= 3 makes G_alpha nontrivial, so the minimal-degree witness fixes a point
     beta = _pick(rng, sorted(u.fixed()))
     n, m = report.n, report.m
-    ui = u.images
-    h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (alpha, ui[alpha]), rng, cap)
-    size = len(orbit)
+    h, v, orbit, ui, points = _relocated_orbit(group, u, (alpha, beta),
+                                               (alpha, u.images[alpha]), rng, cap)
+    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
+                            beta=str(beta + 1))
+    # from here on E, u and the points are read in E's frame
+    alpha, beta = points
+    support = [a for a, c in enumerate(ui) if c != a]
+    size = len(orbit) // n
     (misplaced, commuting, commutator_total, overlap_total, doubled_total,
      movers) = _triple_tallies(ui, alpha, beta, orbit)
 
@@ -767,9 +779,6 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
         _ge("doubled-overlap-lower", doubled_total, 2 * edge_formula),
     ]
     _closing_bound(group, report, checks, 3, 4, 23, "third-bound")
-
-    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
-                            beta=str(beta + 1))
     report.sizes = {"orbit": size, "overlap_pairs": overlap_total,
                     "doubled_pairs": doubled_total,
                     "commutator_pairs": commutator_total}
@@ -795,15 +804,18 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
                                                  avoid_alternating=True)
     if not report.applicable:
         return report
-    ui = u.images
-    beta = ui[alpha]
+    beta = u.images[alpha]
     # u fixes a point, and m > 2: with a transposition the group would be symmetric
     fix_target = _pick(rng, sorted(u.fixed()))
     mid_target = _pick(rng, [a for a in support if a != alpha and a != beta])
-    h, v, orbit = _relocated_orbit(group, u, (alpha, beta), (fix_target, mid_target),
-                                   rng, cap)
+    h, v, orbit, ui, points = _relocated_orbit(group, u, (alpha, beta),
+                                               (fix_target, mid_target), rng, cap)
+    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
+                            beta=str(beta + 1))
+    # from here on E, u and the points are read in E's frame
+    alpha, beta = points
     n, m = report.n, report.m
-    size = len(orbit)
+    size = len(orbit) // n
 
     (structure_violations, commuting, commutator_total, overlap_total, carried_total,
      arrows_total, containment_violations) = _quadruple_tallies(ui, alpha, beta, orbit)
@@ -838,9 +850,6 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
 
     _conclude(report, checks, [_ge("minimal-degree-at-least-six", m, 6),
                                _le("degree-window", n - 3, 2 * m)])
-
-    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
-                            beta=str(beta + 1))
     report.sizes = {"orbit": size, "overlap_pairs": overlap_total,
                     "carried_pairs": carried_total, "arrow_pairs": arrows_total,
                     "commutator_pairs": commutator_total}

@@ -203,6 +203,31 @@ MUTANTS = [
            "(size, 2 * moved_u.bit_count())",
            "(size, 2 * moved_v.bit_count())",
            "the cancellation limit is taken as 2|supp(v)|"),
+    # the conjugation orbits kept per group (groups._base_orbit, _member)
+    Mutant("carry-by-g", "groups.py",
+           "c = _inverse(g)",
+           "c = g",
+           "the seed, u and the points are carried by g, not by g^-1"),
+    Mutant("member-unaligned", "groups.py",
+           "while at > 0 and at % n:",
+           "while False:",
+           "an operand found across two members of a kept orbit counts as a member"),
+    Mutant("orbits-without-k", "groups.py",
+           ".setdefault(k, [])",
+           ".setdefault(0, [])",
+           "orbits under the one- and two-point stabilizers share one list"),
+    Mutant("hit-skips-cap", "groups.py",
+           "if len(flat) > cap * n:",
+           "if False:",
+           "a kept orbit is read past --cap, where a fresh closure raises"),
+    Mutant("fixers-not-first", "groups.py",
+           "members = sorted(members, key=lambda x: x[b] != b)",
+           "members = list(members)",
+           "the double trace slices its fixers of beta off an orbit kept in closure order"),
+    Mutant("hit-on-any-orbit", "groups.py",
+           "if _member(flat, w):",
+           "if True:",
+           "a trace reads the first orbit kept at its k, whatever its seed"),
 ]
 
 # name -> why no test can tell the mutant from the library; an equivalent

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from permdeg import catalog, verify
+from permdeg import catalog, groups, verify
 from permdeg.cli import EXIT_FAULT, main
 from permdeg.groups import PermutationGroup, StabilizerChain
 from permdeg.perm import compose
@@ -116,12 +116,29 @@ def _failed_trace_checks(name, theorem):
     (name, theorem) for name in ("M11", "M12", "PGL2_13") for theorem in E_IDENTITIES
     if (name, theorem) != ("PGL2_13", "quadruple")])
 def test_traces_fail_on_a_dropped_conjugate(monkeypatch, name, theorem):
-    closure = verify.conjugation_closure
+    closure = groups.conjugation_closure
 
     def faulty(*args):
         return closure(*args)[:-1]
 
-    monkeypatch.setattr(verify, "conjugation_closure", faulty)
+    monkeypatch.setattr(groups, "conjugation_closure", faulty)
+    assert E_IDENTITIES[theorem] <= _failed_trace_checks(name, theorem)
+    assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
+
+
+# a kept orbit (groups._base_orbit) that lost its last member: the next
+# trace with the same seed reads it, closing nothing, and fails the count
+# identities over E as a closure that drops a conjugate does
+@pytest.mark.parametrize("name, theorem", [
+    (name, theorem) for name in ("M11", "M12", "PGL2_13") for theorem in E_IDENTITIES
+    if (name, theorem) != ("PGL2_13", "quadruple")])
+def test_traces_fail_on_a_kept_orbit_missing_a_member(monkeypatch, name, theorem):
+    group = catalog.parse_group_name(name)
+    assert _failed_trace_checks(name, theorem) == set()
+    (orbits,) = groups._orbits[group].values()
+    (orbit,) = orbits
+    orbits[0] = orbit[:-group.degree]
+    monkeypatch.setattr(groups, "conjugation_closure", None)
     assert E_IDENTITIES[theorem] <= _failed_trace_checks(name, theorem)
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 
@@ -130,7 +147,7 @@ def _add_non_conjugate(monkeypatch):
     # a product of two adjacent elements of E that moves a different number
     # of points from the seed, so it is conjugate to no element of E; it is
     # appended as the operand type of E (a byte string up to 256 points)
-    closure = verify.conjugation_closure
+    closure = groups.conjugation_closure
 
     def faulty(gens, seed, *args):
         orbit = closure(gens, seed, *args)
@@ -139,7 +156,7 @@ def _add_non_conjugate(monkeypatch):
         return orbit + (type(orbit[0])(next(z for z in products
                                             if sum(a != b for a, b in enumerate(z)) != m)),)
 
-    monkeypatch.setattr(verify, "conjugation_closure", faulty)
+    monkeypatch.setattr(groups, "conjugation_closure", faulty)
 
 
 # at seed 1 no such product exists in the PGL2_13 triple trace's E
@@ -167,13 +184,13 @@ IDENTITY_ADDED = {
     (name, theorem) for name in ("M11", "M12", "M23", "M24", "PGL2_13")
     for theorem in IDENTITY_ADDED if (name, theorem) != ("PGL2_13", "quadruple")])
 def test_traces_fail_on_an_added_identity(monkeypatch, name, theorem):
-    closure = verify.conjugation_closure
+    closure = groups.conjugation_closure
 
     def faulty(gens, seed, *args):
         orbit = closure(gens, seed, *args)
         return orbit + (type(orbit[0])(range(seed.degree)),)
 
-    monkeypatch.setattr(verify, "conjugation_closure", faulty)
+    monkeypatch.setattr(groups, "conjugation_closure", faulty)
     assert IDENTITY_ADDED[theorem] <= _failed_trace_checks(name, theorem)
     assert main(["trace", f"catalog:{name}", theorem, "--seed", "1"]) == 1
 

@@ -715,7 +715,7 @@ def test_column_lanes_compare_sums_below_a_bound(n, top):
     rng = random.Random(n)
     wrap = groups._width(n)[1]
     members = [wrap(rng.sample(range(n), n)) for _ in range(40)]
-    columns = groups._Columns(members, n)
+    columns = groups._Columns(groups._flat(members, n), n)
     # a sum of n - 1 indicators, the most a lane holds without carrying
     total = sum(columns.moves(a) for a in range(n - 1))
     moved = [sum(x[a] != a for a in range(n - 1)) for x in members]

@@ -12,7 +12,7 @@ import pytest
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from permdeg.groups import PermutationGroup
-from permdeg.perm import Permutation
+from permdeg.perm import Permutation, parse_cycles
 
 
 def _generator(rng: random.Random, n: int) -> Permutation:
@@ -74,33 +74,37 @@ def test_transporter_exists_exactly_on_sympy_tuple_orbit():
                     assert tuple(t.images[a] for a in src) == dst
 
 
-def test_trace_closure_sizes_match_sympy_centralizers(monkeypatch):
-    # every E that the counting traces close has |H : C_H(v)| elements,
-    # H = <gens> the stabilizer and v the seed, by sympy's own centralizer
+def test_trace_closure_sizes_match_sympy_centralizers():
+    # every E that the counting traces read has |H : C_H(v)| elements, H
+    # the pointwise stabilizer of the trace's own alpha (double) or alpha
+    # and beta (triple, quadruple) and v its seed (u, or the relocated v),
+    # by sympy's own stabilizer and centralizer, whether the trace closed E
+    # or read it from an orbit an earlier trace closed
     from permdeg import catalog, verify
 
-    closure = verify.conjugation_closure
-    built = []
-
-    def recording(gens, seed, *args):
-        orbit = closure(gens, seed, *args)
-        built.append((gens, seed, len(orbit)))
-        return orbit
-
-    monkeypatch.setattr(verify, "conjugation_closure", recording)
+    checked = 0
     for name in ("M11", "M12", "M23", "M24", "PGL2_13", "PSL2_13"):
         group = catalog.parse_group_name(name)
+        n = group.degree
+        full = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in group.generators])
         for seed in range(4):
             for theorem in ("double", "triple", "quadruple"):
-                verify.TRACES[theorem](group, rng=random.Random(seed) if seed else None)
-    # one closure per applicable trace: all three on the Mathieu groups, the
-    # double and triple traces on PGL2_13, and the double trace on PSL2_13
-    assert len(built) == 60
-    for gens, seed, size in built:
-        h = combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(g.images)) for g in gens])
-        v = combinatorics.Permutation(list(seed.images))
-        assert size == h.order() // h.centralizer(v).order()
+                report = verify.TRACES[theorem](group, rng=random.Random(seed) if seed else None)
+                if not report.applicable:
+                    continue
+                w = report.witnesses
+                alpha, beta = int(w["alpha"]) - 1, int(w["beta"]) - 1
+                pts = [alpha] if theorem == "double" else [alpha, beta]
+                v = parse_cycles(w["u" if theorem == "double" else "v"], n)
+                h = full.pointwise_stabilizer(pts)
+                centralizer = h.centralizer(combinatorics.Permutation(list(v.images)))
+                assert report.sizes["orbit"] == h.order() // centralizer.order(), (
+                    name, seed, theorem)
+                checked += 1
+    # all three traces on the Mathieu groups, the double and triple traces
+    # on PGL2_13, and the double trace on PSL2_13
+    assert checked == 60
 
 
 @pytest.mark.parametrize("name", ["M11", "M12", "M23", "M24", "PGL2_13", "PSL2_13"])
