@@ -33,7 +33,8 @@ members.
 ``_base_orbit`` closes the orbits the counting traces read once per group.
 The stabilizer of any k points is conjugate to G_(b), the stabilizer of
 the ``()`` chain's first k base points b, by the element g that walks the
-chain from b to the points, and conjugating by g^-1 carries an orbit under
+chain from b to the points (``_to_base``, the one carry step, which the
+counts suite reads too), and conjugating by g^-1 carries an orbit under
 one onto an orbit under the other.  Every tally of a trace is unchanged
 when its orbit, its witness and its points are all carried alike, so each
 trace is read in the frame of b, and ``_orbits`` keeps, per group and k,
@@ -358,49 +359,12 @@ class PermutationGroup:
         child._order = prod(len(level.transversal) for level in chain.levels[len(pts):])
         return child
 
-    def stabilizer_generators(self, points: Iterable[int]) -> tuple[Permutation, ...]:
-        """Generators of the pointwise stabilizer of ``points``, usually two,
-        read off the ``()`` chain without building a chain based on them.
-
-        With b the first k = |points| base points of the ``()`` chain, the
-        element g that walks that chain's transversals from b to the sorted
-        points (as ``transporter`` walks a rebased chain) conjugates one
-        stabilizer onto the other: G_(points) = g^-1 G_(b) g (Seress,
-        *Permutation Group Algorithms*, CUP 2003, on conjugating a base).
-        So one generating set of G_(b), kept per k, serves every k-set of
-        points.  It is the first pair of random elements of G_(b) (drawn
-        from the chain's levels past k by a private ``random.Random(0)``)
-        whose chain, stopped at the order those levels verified, reaches
-        it.  A random pair generates such a group with high probability
-        (Seress, ibid., on random generation; Dixon, Math. Z. 110, 1969,
-        for symmetric groups; Liebeck and Shalev, Geom. Dedicata 56, 1995,
-        for simple groups), so few pairs are drawn.  If no pair of
-        ``_PAIR_DRAWS`` draws generates G_(b), which then needs more than
-        two generators, the strong generators fixing b stand in for it.
-        If the walk fails, because the group does not carry b to the
-        points, the generators are those of ``pointwise_stabilizer``.  The
-        group they generate is the stabilizer in every case, and no
-        caller's rng is ever read.
-        """
-        pts = tuple(sorted(set(_check_points(points, self.degree))))
-        carried = self._carry_base(pts)
-        if carried is None:
-            return self.pointwise_stabilizer(pts).generators
-        g, pair = carried
-        return tuple(x.conjugate(g) for x in pair)
-
-    def _carry_base(self, pts: Sequence[int]) -> tuple[Permutation, tuple[Permutation, ...]] | None:
-        """(g, gens) for the sorted points ``pts``: g walks the ``()``
-        chain's transversals from its first k = len(pts) base points b to
-        ``pts``, and gens generate G_(b), so G_(pts) = g^-1 G_(b) g.  None
-        when the walk fails, because the group does not carry b to ``pts``."""
-        g = _walk(self.chain().levels, pts, _width(self.degree)[2])
-        return None if g is None else (Permutation._trusted(tuple(g)),
-                                       self._level_pair(len(pts)))
-
     def _level_pair(self, k: int) -> tuple[Permutation, ...]:
-        """Generators of the ``()`` chain's level-k stabilizer: the first
-        random pair that generates it, else its strong generators."""
+        """Generators of G_(b), b the ``()`` chain's first k base points,
+        kept per k: the first random pair, drawn from the levels past k by a
+        private ``random.Random(0)``, that generates it, as a random pair
+        does with high probability (Seress, *Permutation Group Algorithms*,
+        CUP 2003), else the strong generators fixing b."""
         pair = self._pairs.get(k)
         if pair is None:
             chain = self.chain()
@@ -586,16 +550,15 @@ def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
     of the chain's width (see ``_width``) and rep_i is the representative
     of levels[i] whose product with the walk so far carries that level's
     base point to targets[i]; None when some level's orbit misses its
-    target or there are fewer levels than targets.  From the identity, the
-    result carries the base point of levels[i] to targets[i] for every i.
+    target.  Targets past the last level are not walked.  From the
+    identity, the result carries the base point of levels[i] to targets[i]
+    for every i it walks.
 
     As a sift, acc is the inverse of the residue r of start^-1, so no
     representative is ever inverted: the next one must carry its base
     point to target^r = ``acc.index(target)``, and dividing r by it turns
     acc into rep * acc.
     """
-    if len(levels) < len(targets):
-        return None
     mul, _, _, tail = _width(len(start))
     acc = start
     for level, target in zip(levels, targets):
@@ -682,6 +645,21 @@ def _member(flat: Sequence[int], x: Sequence[int]) -> bool:
         return False
 
 
+def _to_base(group: PermutationGroup, targets: Sequence[int]) -> Sequence[int]:
+    """The operand g that walks the ``()`` chain's transversals from its
+    base points b to the distinct points ``targets``, carrying b_i to
+    targets[i], so that G_(targets[:k]) = g^-1 G_(b[:k]) g for every k
+    (Seress, *Permutation Group Algorithms*, CUP 2003, on conjugating a
+    base).  Past the chain's last level the stabilizer of b, and so that
+    of the targets walked, is trivial, so the targets past it are not
+    walked.  Raises RuntimeError where the group does not carry b to the
+    targets."""
+    g = _walk(group.chain().levels, targets, _width(group.degree)[2])
+    if g is None:
+        raise RuntimeError(f"{group.label} does not carry its base to {list(targets)}")
+    return g
+
+
 def _base_orbit(group: PermutationGroup, targets: Sequence[int], k: int, seed: Permutation,
                 u: Permutation, cap: int = DEFAULT_CAP
                 ) -> tuple[Sequence[int], tuple[int, ...], tuple[int, ...]]:
@@ -690,10 +668,9 @@ def _base_orbit(group: PermutationGroup, targets: Sequence[int], k: int, seed: P
     ``targets``, all carried by one element c into the frame of the ``()``
     chain's base points b; E' is one flat operand, u' an image tuple.
 
-    The element g that walks the chain's transversals from b to
-    ``targets`` conjugates one stabilizer onto the other, H = g^-1 G_(b) g,
-    so with c = g^-1 each x in E is carried to x^c, a conjugate of w =
-    seed^c under G_(b), and each point a to a^c, which takes targets[i] to
+    With g = ``_to_base(group, targets)``, H = g^-1 G_(b) g, so with
+    c = g^-1 each x in E is carried to x^c, a conjugate of w = seed^c under
+    G_(b), and each point a to a^c, which takes each walked targets[i] to
     b_i.  Every tally of E against u and the targets is unchanged when all
     of them are carried, so each orbit is closed once per group and k:
     ``_orbits`` keeps every orbit closed here, and a later w that is a
@@ -702,22 +679,12 @@ def _base_orbit(group: PermutationGroup, targets: Sequence[int], k: int, seed: P
     carried targets[k] first, so a reader slices those fixers off its front.
     A kept orbit holds ``cap`` as a fresh closure does: more than ``cap``
     members raise CapExceeded.
-
-    Where the walk fails, because the group does not carry b to the
-    targets, c is the identity, and E is closed under
-    ``stabilizer_generators(targets[:k])`` and kept nowhere.
     """
     n = group.degree
-    mul, wrap, ident, tail = _width(n)
-    g = _walk(group.chain().levels, targets, ident)
-    if g is None:
-        g = c = ident
-        gens = group.stabilizer_generators(targets[:k])
-        orbits = []  # kept nowhere
-    else:
-        c = _inverse(g)
-        gens = group._level_pair(k)
-        orbits = _orbits.setdefault(group, {}).setdefault(k, [])
+    mul, wrap, _, tail = _width(n)
+    g = _to_base(group, targets)
+    c = _inverse(g)
+    orbits = _orbits.setdefault(group, {}).setdefault(k, [])
 
     def carry(x: Permutation) -> Sequence[int]:
         # x^c maps a^c to x[a]^c: a to c[x[g[a]]]
@@ -731,7 +698,7 @@ def _base_orbit(group: PermutationGroup, targets: Sequence[int], k: int, seed: P
             if len(flat) > cap * n:
                 raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
             return flat, ui, points
-    members = conjugation_closure(gens, Permutation._trusted(tuple(w)), cap)
+    members = conjugation_closure(group._level_pair(k), Permutation._trusted(tuple(w)), cap)
     if k < len(targets):
         b = points[k]
         members = sorted(members, key=lambda x: x[b] != b)

@@ -48,7 +48,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .groups import (DEFAULT_CAP, PermutationGroup, _base_orbit, _Columns, _flags, _inverse,
-                     _random_product, _width, conjugation_closure)
+                     _random_product, _to_base, _width, conjugation_closure)
 from .mindeg import minimal_degree
 from .perm import (Permutation, _check_degree, _check_points, compose, format_cycles,
                    prime_order_witness)
@@ -207,7 +207,7 @@ def conjugate_orbit_count_checks(group: PermutationGroup, u: Permutation,
     (gamma, second), = _check_configuration(group, u, dset, [(gamma, second)])
     t = group.transitivity_degree() if transitivity is None else transitivity
     if orbit is None:
-        orbit = conjugation_closure(group.stabilizer_generators(dset), u, cap)
+        orbit = conjugation_closure(group.pointwise_stabilizer(dset).generators, u, cap)
     shares = _clause_plan(group.degree, u.moved_count(), len(dset), t)
     if second is None:
         # the two clauses that read second^x or compare with second
@@ -380,20 +380,18 @@ def _base_frame(group: PermutationGroup, u: Permutation, delta: Sequence[int]
     """Carry the configuration (u, delta) into the frame of the ``()``
     chain's first k = |delta| base points b.
 
-    With g the element that walks the chain from b to the sorted delta,
-    H = G_(delta) = g^-1 G_(b) g, so (a, c) and (a', c') share an H-orbit
-    exactly when their images under g^-1 share a G_(b)-orbit, and u's
-    arrow (a, a^u) goes to the arrow of u' = g u g^-1 at a^(g^-1).  Returns
-    the generators of G_(b), then g^-1, u' and delta carried by g^-1 as
-    image tuples.  Raises RuntimeError when the group does not carry b to
-    delta, which the suite never meets: there |delta| <= t - 1.
+    With g = ``groups._to_base(group, delta)``, which walks the chain from b
+    to delta, H = G_(delta) = g^-1 G_(b) g, so (a, c) and (a', c') share an
+    H-orbit exactly when their images under g^-1 share a G_(b)-orbit, and
+    u's arrow (a, a^u) goes to the arrow of u' = g u g^-1 at a^(g^-1).
+    Returns the generators of G_(b), then g^-1, u' and delta carried by
+    g^-1 as image tuples.  Raises RuntimeError when the group does not carry
+    b to delta, which the suite never meets: there |delta| <= t - 1.
     """
-    carried = group._carry_base(tuple(sorted(delta)))
-    if carried is None:
-        raise RuntimeError(f"{group.label} does not carry its base to {sorted(delta)}")
-    g, pair = carried
-    g_inv = g.inverse().images
-    return pair, g_inv, compose(compose(g.images, u.images), g_inv), compose(delta, g_inv)
+    g = tuple(_to_base(group, delta))
+    g_inv = _inverse(g)
+    return (group._level_pair(len(delta)), g_inv, compose(compose(g, u.images), g_inv),
+            compose(delta, g_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +511,12 @@ def _conclude(report: TraceReport, checks: list[CountCheck],
 
 
 def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[CountCheck],
-                   k: int, slack: int, threshold: int, label: str) -> None:
+                   k: int, slack: int, label: str) -> None:
     """The conclusion n <= k m + slack/(m - 3) of a trace, and k m >= n once
-    n reaches ``threshold``; only for groups avoiding the alternating group."""
+    n reaches the threshold from which the first implies the second; only
+    for groups avoiding the alternating group.  An n above k m meets the
+    first only where m - 3 <= slack, at most k m + slack // (m - 3), so the
+    threshold is one past the largest such n."""
     alt = group.contains_alternating()
     report.derived["contains_alternating"] = alt
     if alt:
@@ -523,7 +524,7 @@ def _closing_bound(group: PermutationGroup, report: TraceReport, checks: list[Co
     # m > 3 here: _counting_setup raises otherwise
     n, m = report.n, report.m
     conclusion = [_le("degree-bound", n, k * m + Fraction(slack, m - 3))]
-    if n >= threshold:
+    if n > max(k * j + slack // (j - 3) for j in range(4, slack + 4)):
         conclusion.append(_ge(label, k * m, n))
     _conclude(report, checks, conclusion)
 
@@ -728,7 +729,7 @@ def double_transitive_trace(group: PermutationGroup, *, rng=None,
         _le("overlap-pairs-upper", pair_total,
             fixing + Fraction((m - 2) * (m - 1) * size, n - 1)),
     ]
-    _closing_bound(group, report, checks, 4, 6, 38, "quarter-bound")
+    _closing_bound(group, report, checks, 4, 6, "quarter-bound")
     report.sizes = {"orbit": size, "fixing": fixing,
                     "overlap_pairs": pair_total, "middle_points": len(middle)}
     report.checks = _sorted_checks(checks)
@@ -778,7 +779,7 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
         _eq("edge-mover-count-forward", movers[ui[alpha]], edge_formula),
         _ge("doubled-overlap-lower", doubled_total, 2 * edge_formula),
     ]
-    _closing_bound(group, report, checks, 3, 4, 23, "third-bound")
+    _closing_bound(group, report, checks, 3, 4, "third-bound")
     report.sizes = {"orbit": size, "overlap_pairs": overlap_total,
                     "doubled_pairs": doubled_total,
                     "commutator_pairs": commutator_total}

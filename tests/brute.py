@@ -464,7 +464,7 @@ def count_identity_suite_by_configuration(group, samples, seed):
     for u, delta, draws in batches:
         dset = frozenset(delta)
         _check_configuration(group, u, dset, draws)
-        orbits = pair_orbits([g.images for g in group.stabilizer_generators(delta)],
+        orbits = pair_orbits([g.images for g in group.pointwise_stabilizer(delta).generators],
                              u.images)
         plan = _clause_plan(n, u.moved_count(), len(dset), t)
         for gamma, second in draws:

@@ -228,6 +228,39 @@ MUTANTS = [
            "if _member(flat, w):",
            "if True:",
            "a trace reads the first orbit kept at its k, whatever its seed"),
+    # one carry step onto the base points (groups._to_base) and the oracle
+    # that closes under the rebased stabilizer instead
+    Mutant("to-base-returns-none", "groups.py",
+           'raise RuntimeError(f"{group.label} does not carry its base to {list(targets)}")',
+           "return None",
+           "a walk that fails hands its callers None instead of raising"),
+    Mutant("walk-past-last-level", "groups.py",
+           "g = _walk(group.chain().levels, targets, _width(group.degree)[2])",
+           "levels = group.chain().levels\n"
+           "    g = (None if len(levels) < len(targets)\n"
+           "         else _walk(levels, targets, _width(group.degree)[2]))",
+           "targets past the chain's last level fail the walk, which S2's double trace meets"),
+    Mutant("oracle-proper-subgroup", "verify.py",
+           "conjugation_closure(group.pointwise_stabilizer(dset).generators, u, cap)",
+           "conjugation_closure(group.pointwise_stabilizer(dset).generators[:1], u, cap)",
+           "the oracle closes E under the subgroup its first stabilizer generator generates"),
+    # the closing thresholds, derived from (k, slack)
+    Mutant("threshold-short-range", "verify.py",
+           "for j in range(4, slack + 4)",
+           "for j in range(4, slack + 3)",
+           "k m >= n is stated from n = 34 in the double trace and n = 20 in the triple"),
+    Mutant("threshold-at-largest", "verify.py",
+           "if n > max(k * j",
+           "if n >= max(k * j",
+           "k m >= n is stated from n = 37 in the double trace and n = 22 in the triple"),
+    Mutant("double-slack", "verify.py",
+           '_closing_bound(group, report, checks, 4, 6, "quarter-bound")',
+           '_closing_bound(group, report, checks, 4, 5, "quarter-bound")',
+           "the double trace closes with n <= 4m + 5/(m - 3)"),
+    Mutant("triple-slack", "verify.py",
+           '_closing_bound(group, report, checks, 3, 4, "third-bound")',
+           '_closing_bound(group, report, checks, 3, 5, "third-bound")',
+           "the triple trace closes with n <= 3m + 5/(m - 3)"),
 ]
 
 # name -> why no test can tell the mutant from the library; an equivalent

@@ -62,8 +62,6 @@ SITES = [
     ("PermutationGroup.orbit", lambda: s5().orbit(-1), ValueError, "point -1 outside 0..4"),
     ("pointwise_stabilizer", lambda: s5().pointwise_stabilizer([1, 7]), ValueError,
      "point 7 outside 0..4"),
-    ("stabilizer_generators", lambda: s5().stabilizer_generators([5]), ValueError,
-     "point 5 outside 0..4"),
     ("transporter", lambda: s5().transporter((0, 1), (2, 5)), ValueError,
      "point 5 outside 0..4"),
     ("_check_configuration gamma",
@@ -76,8 +74,6 @@ SITES = [
     ("PermutationGroup.orbit float", lambda: s5().orbit(1.5), ValueError,
      "point 1.5 is not an integer"),
     ("pointwise_stabilizer float", lambda: s5().pointwise_stabilizer([1.5]), ValueError,
-     "point 1.5 is not an integer"),
-    ("stabilizer_generators float", lambda: s5().stabilizer_generators([1.5]), ValueError,
      "point 1.5 is not an integer"),
     ("transporter float", lambda: s5().transporter((0,), (1.5,)), ValueError,
      "point 1.5 is not an integer"),
@@ -114,8 +110,6 @@ INDEX_SITES = [
     ("pointwise_stabilizer",
      lambda: s5().pointwise_stabilizer([Index(0), Index(3)]).generators,
      lambda: s5().pointwise_stabilizer([0, 3]).generators),
-    ("stabilizer_generators", lambda: s5().stabilizer_generators([Index(2), Index(0)]),
-     lambda: s5().stabilizer_generators([2, 0])),
     ("transporter", lambda: s5().transporter((Index(0), Index(1)), (Index(3), Index(4))),
      lambda: s5().transporter((0, 1), (3, 4))),
     ("build_chain base_prefix", lambda: build_chain([FIVE], 5, [Index(2)]).base,

@@ -342,7 +342,8 @@ def _trace_stabilizer(name, seed):
     # the double trace's closure: its witness u under the stabilizer of alpha
     g = catalog.parse_group_name(name)
     w = double_transitive_trace(g, rng=random.Random(seed)).witnesses
-    return g.stabilizer_generators([int(w["alpha"]) - 1]), parse_cycles(w["u"], g.degree)
+    return (g.pointwise_stabilizer([int(w["alpha"]) - 1]).generators,
+            parse_cycles(w["u"], g.degree))
 
 
 CLOSURE_CASES = {
@@ -559,9 +560,9 @@ def test_chain_on_either_side_of_256_points(degree):
 
 def _boundary_permutations(group, rng):
     """Every kind of Permutation the chain readers hand out: draws,
-    transporters, enumerated elements, stabilizer generators (carried and
-    rebased) with the element that carries the base, strong generators and
-    the minimal-degree witness."""
+    transporters, enumerated elements, rebased stabilizer generators, the
+    level pairs the traces and the counts suite carry, strong generators
+    and the minimal-degree witness."""
     n = group.degree
     moved = sorted({a for g in group.generators for a in g.support()}) or [0]
     found = [group.random_element(rng) for _ in range(3)]
@@ -569,10 +570,9 @@ def _boundary_permutations(group, rng):
               for x in found]
     found += list(islice(group.elements(), 20))
     for points in ([moved[0]], moved[:2], [n - 1], [0]):
-        found += group.stabilizer_generators(points)
         found += group.pointwise_stabilizer(points).generators
-        carried = group._carry_base(sorted(points))
-        found += carried[:1] if carried else ()
+    for k in (1, 2):
+        found += group._level_pair(k)
     found += group.chain().strong_gens
     if group.order > 1:
         found.append(minimal_degree(group).witness)
@@ -641,53 +641,52 @@ def test_stabilizer_generators_close_the_same_orbits(name, k):
             u = g.random_element(rng)
         delta = rng.sample(sorted(u.support()), k)
         stab = g.pointwise_stabilizer(delta)
-        gens = g.stabilizer_generators(delta)
+        # G_(delta) = c^-1 G_(b) c, c the walk from the base points b to delta
+        carry = Permutation(tuple(groups._to_base(g, delta)))
+        gens = [h.conjugate(carry) for h in g._level_pair(k)]
         assert PermutationGroup(gens, g.degree).order == stab.order
         assert (set(images_of(conjugation_closure(gens, u)))
                 == {u.conjugate(h).images for h in stab.elements()})
 
 
-def test_stabilizer_generators_fallbacks(monkeypatch):
+def test_stabilizer_generators_fallbacks():
     # the point stabilizers of C2^4 are C2^3, which no pair generates, so
-    # the strong generators fixing the base prefix stand in for the pair;
-    # a point outside the first base point's orbit takes pointwise_stabilizer
+    # the strong generators fixing the first base point stand in for the
+    # level pair; a point outside that base point's orbit is not carried
     g = PermutationGroup([parse_cycles(f"({a},{a + 1})", 8) for a in (1, 3, 5, 7)], 8)
     chain = g.chain()
     assert chain.base == (0, 2, 4, 6)
-    rebased = []
-    plain = PermutationGroup.pointwise_stabilizer
-
-    def recorded(group, points):
-        rebased.append(tuple(points))
-        return plain(group, points)
-
-    monkeypatch.setattr(PermutationGroup, "pointwise_stabilizer", recorded)
+    pair = g._level_pair(1)
+    assert pair == tuple(s for s in chain.strong_gens if s.images[0] == 0)
+    assert len(pair) == 3
     swap = parse_cycles("(1,2)", 8)
-    carried = g.stabilizer_generators([1])
-    assert carried == tuple(s.conjugate(swap) for s in chain.strong_gens
-                            if s.images[0] == 0)
-    assert len(carried) == 3 and rebased == []
-    outside = g.stabilizer_generators([2])
-    assert rebased == [(2,)]
-    assert outside == plain(g, [2]).generators
-    for points, gens in (([1], carried), ([2], outside)):
-        stab = plain(g, points)
-        assert PermutationGroup(gens, 8).order == stab.order
-        assert (PermutationGroup(gens, 8).orbit_partition()
-                == PermutationGroup(stab.generators, 8).orbit_partition())
-        for u in g.elements():
-            assert (set(conjugation_closure(gens, u))
-                    == set(conjugation_closure(stab.generators, u)))
+    assert tuple(groups._to_base(g, [1])) == swap.images
+    with pytest.raises(RuntimeError, match=r"does not carry its base to \[2\]"):
+        groups._to_base(g, [2])
+    carried = [s.conjugate(swap) for s in pair]
+    stab = g.pointwise_stabilizer([1])
+    assert PermutationGroup(carried, 8).order == stab.order
+    assert (PermutationGroup(carried, 8).orbit_partition()
+            == PermutationGroup(stab.generators, 8).orbit_partition())
+    for u in g.elements():
+        assert (set(conjugation_closure(carried, u))
+                == set(conjugation_closure(stab.generators, u)))
 
 
 def test_stabilizer_generators_read_no_chain_of_their_points():
+    # the traces' frame and the counts suite's frame carry their points
+    # onto the () chain's base points and build no chain based on them
+    from permdeg.verify import _base_frame
+
     g = catalog.parse_group_name("M12")
     g.chain()
     before = set(g._chains)
+    u = g.generators[0]
     for points in ([3], [3, 7], [11, 0]):
-        g.stabilizer_generators(points)
+        groups._base_orbit(g, points, len(points), u, u)
+        _base_frame(g, u, points)
     assert set(g._chains) == before
-    assert len(g.stabilizer_generators([5, 9])) == 2
+    assert len(g._level_pair(2)) == 2
 
 
 def test_validation_reads_one_chain(monkeypatch):

@@ -40,7 +40,7 @@ def _brute_tallies(group, theorem, report):
     alpha, beta = int(w["alpha"]) - 1, int(w["beta"]) - 1
     pts = [alpha] if theorem == "double" else [alpha, beta]
     seed = u if theorem == "double" else parse_cycles(w["v"], n)
-    orbit = conjugation_closure(group.stabilizer_generators(pts), seed)
+    orbit = conjugation_closure(group.pointwise_stabilizer(pts).generators, seed)
     return len(orbit), trace_tallies_by_element(theorem, u.images, alpha, beta, orbit)
 
 
@@ -101,6 +101,26 @@ def test_warm_reports_match_cold_and_brute_tallies(name):
             assert report.sizes["orbit"] == size, (seed, theorem)
             expected = _expected_tallies(theorem, brute, size, ui, alpha, beta)
             assert _report_tallies(theorem, report) == expected, (seed, theorem)
+
+
+def test_s2_double_trace_keeps_its_orbit(capsys):
+    # S2's () chain has one level, and the double trace carries two points,
+    # alpha and beta; the walk stops past the last level, where the
+    # stabilizer is trivial, so S2 keeps its orbit as every group does
+    group = catalog.parse_group_name("S2")
+    assert len(group.chain().levels) == 1
+    assert main(["trace", "catalog:S2", "double"]) == 0
+    capsys.readouterr()
+    assert {k: len(orbits) for k, orbits in groups._orbits[group].items()} == {1: 1}
+    report = _trace(group, "double", 0)
+    assert report.applicable and verify.all_pass(report.checks)
+    size, brute = _brute_tallies(group, "double", report)
+    w = report.witnesses
+    ui = parse_cycles(w["u"], 2).images
+    alpha, beta = int(w["alpha"]) - 1, int(w["beta"]) - 1
+    assert report.sizes["orbit"] == size
+    assert _report_tallies("double", report) == _expected_tallies(
+        "double", brute, size, ui, alpha, beta)
 
 
 def test_each_group_keeps_one_orbit_per_witness_class():

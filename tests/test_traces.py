@@ -92,6 +92,37 @@ def test_double_trace_m11_closing_bound():
     assert report.conclusion_holds
 
 
+class _Avoiding:
+    """A stand-in group for ``_closing_bound``: it avoids the alternating group."""
+
+    def contains_alternating(self):
+        return False
+
+
+@pytest.mark.parametrize("k, slack, label", [(4, 6, "quarter-bound"), (3, 4, "third-bound")])
+def test_closing_threshold_is_the_least_n_the_bound_implies(k, slack, label):
+    # the trace states k m >= n exactly from some n on; over the integer
+    # grid, n <= k m + slack/(m - 3) (cross-multiplied) implies k m >= n
+    # from that n on, and not at the n below it
+    def states(n):
+        report = TraceReport("closing", "G", n, 2)
+        report.m = 4
+        checks = []
+        verify._closing_bound(_Avoiding(), report, checks, k, slack, label)
+        return label in [c.label for c in checks]
+
+    stated = [n for n in range(8, 600) if states(n)]
+    threshold = stated[0]
+    assert stated == list(range(threshold, 600))
+
+    def bounded(n, m):
+        return (n - k * m) * (m - 3) <= slack
+
+    assert all(k * m >= n for n in range(threshold, 600) for m in range(4, n) if bounded(n, m))
+    below = threshold - 1
+    assert [m for m in range(4, below) if bounded(below, m) and k * m < below]
+
+
 @pytest.mark.parametrize("outcomes", [(True,), (False,), (True, True), (True, False),
                                       (False, True), (False, False)])
 def test_conclusion_holds_only_when_every_closing_check_passes(outcomes):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from permdeg import catalog
+from permdeg import catalog, groups
 from permdeg.groups import PermutationGroup, _width, conjugation_closure
 from permdeg.mindeg import minimal_degree
 from permdeg.perm import Permutation, parse_cycles
@@ -216,7 +216,7 @@ def test_conjugate_orbit_counts_without_a_second_point(name):
             u = g.random_element(rng)
         delta = {rng.choice(sorted(u.support()))}
         gamma, second = rng.sample([a for a in range(n) if a not in delta], 2)
-        orbit = conjugation_closure(g.stabilizer_generators(delta), u)
+        orbit = conjugation_closure(g.pointwise_stabilizer(delta).generators, u)
         alone = conjugate_orbit_count_checks(g, u, delta, gamma)
         paired = conjugate_orbit_count_checks(g, u, delta, gamma, second)
         assert len(alone) == len(paired) == len(CLAUSES)
@@ -669,15 +669,15 @@ def test_count_suite_labels_pairs_once_per_delta_size(monkeypatch):
 
 
 def test_base_frame_raises_where_the_walk_fails():
-    # C2^4 does not carry its first base point 0 to 2, so stabilizer
-    # generators fall back to the rebased stabilizer and the suite's frame
-    # raises; 1 lies in 0's orbit and is carried
+    # C2^4 does not carry its first base point 0 to 2, so the suite's frame
+    # and the traces' frame both raise; 1 lies in 0's orbit and is carried
     g = PermutationGroup([parse_cycles(f"({a},{a + 1})", 8) for a in (1, 3, 5, 7)], 8)
     u = parse_cycles("(1,2)(3,4)", 8)
-    assert g._carry_base((2,)) is None
-    assert g.stabilizer_generators([2]) == g.pointwise_stabilizer([2]).generators
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"does not carry its base to \[2\]"):
         _base_frame(g, u, [2])
+    with pytest.raises(RuntimeError, match=r"does not carry its base to \[2\]"):
+        groups._base_orbit(g, (2,), 1, u, u)
+    assert g not in groups._orbits
     pair, g_inv, u_carried, delta_carried = _base_frame(g, u, [1])
     assert pair == g._level_pair(1)
     assert g_inv[1] == 0 and u_carried == u.images and delta_carried == (0,)
