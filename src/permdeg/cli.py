@@ -264,36 +264,44 @@ def _cmd_table(args) -> int:
     return EXIT_OK if all(row.ok for row in rows) else EXIT_CHECK_FAILED
 
 
+# help and usage text wrapped as on an 80-column terminal whatever the
+# terminal's width (argparse reads COLUMNS otherwise), so that a usage
+# error's bytes are fixed
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permdeg",
         description="minimal degree reports and exact counting verifiers "
-                    "for permutation groups")
+                    "for permutation groups",
+        formatter_class=_FORMATTER)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_FORMATTER)
 
-    p_info = sub.add_parser("info", help="degree, order, transitivity and minimal degree")
+    p_info = add_parser("info", help="degree, order, transitivity and minimal degree")
     p_info.add_argument("group")
     _add_common(p_info)
 
-    p_verify = sub.add_parser("verify", help="run a sampled check suite")
+    p_verify = add_parser("verify", help="run a sampled check suite")
     p_verify.add_argument("group")
     p_verify.add_argument("suite", choices=("laws", "counts", "all"))
     _add_common(p_verify)
 
-    p_trace = sub.add_parser("trace", help="replay one bound trace")
+    p_trace = add_parser("trace", help="replay one bound trace")
     p_trace.add_argument("group")
     # spelled out so that parsing loads no verify; a test keeps the tuple
     # equal to sorted(verify.TRACES)
     p_trace.add_argument("theorem", choices=("double", "jordan", "quadruple", "triple"))
     _add_common(p_trace)
 
-    p_mindeg = sub.add_parser("mindeg", help="compute the minimal degree")
+    p_mindeg = add_parser("mindeg", help="compute the minimal degree")
     p_mindeg.add_argument("group")
     p_mindeg.add_argument("--method", choices=("backtrack", "exhaustive"), default="backtrack",
                           help="backtrack (the default) or the exhaustive oracle")
     _add_common(p_mindeg)
 
-    p_table = sub.add_parser("table", help="Mathieu degree/bound table")
+    p_table = add_parser("table", help="Mathieu degree/bound table")
     _add_common(p_table)
     return parser
 

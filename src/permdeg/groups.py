@@ -21,6 +21,10 @@ membership sifts and transporters take, random draws and element
 enumeration).  A ``Permutation`` always holds an image tuple, so a reader
 calls ``tuple`` once, where it wraps its result; a caller that reads a
 random draw as an operand, as the laws suite does, wraps none.
+Random draws read 32-bit Mersenne Twister words, as ``random.Random``
+draws do (``_random_product``): one ``getrandbits(32)`` call per word
+where an rng is shared with other calls, and a chunk at a time
+(``_bulk_words``) where the rng is private to one reader.
 ``_flags`` and ``_inverse`` give per-point flag bytes and inverses of
 operands of either width.
 
@@ -46,10 +50,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import weakref
 from collections import namedtuple
-from functools import cache
-from math import factorial, prod
+from functools import cache, partial
+from math import ceil, factorial, log, prod
 from operator import ne
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -59,6 +64,10 @@ from .perm import Permutation, _check_degree, _check_points, compose
 # generators; the catalog groups' one- and two-point stabilizers need at
 # most six
 _PAIR_DRAWS = 8
+
+
+# words per ``getrandbits`` call of ``_bulk_words``
+_CHUNK = 1024
 
 
 # the element bound of conjugation closures and exhaustive scans where the
@@ -318,8 +327,12 @@ class PermutationGroup:
 
     def random_element(self, rng) -> Permutation:
         """A uniform random element, from one transversal choice per level;
-        see ``_random_product``, whose operand it turns into an image tuple."""
-        return Permutation._trusted(tuple(_random_product(self.chain().levels, self.degree, rng)))
+        see ``_random_product``, whose operand it turns into an image tuple.
+        Its words come from one ``rng.getrandbits(32)`` call each, so it
+        leaves rng where ``rng.choice`` per level would, and the caller's
+        own later draws from rng read the same words as before."""
+        words = iter(partial(rng.getrandbits, 32), None)
+        return Permutation._trusted(tuple(_random_product(self.chain().levels, self.degree, words)))
 
     def orbit(self, point: int) -> frozenset[int]:
         queue = _check_points((point,), self.degree)
@@ -361,18 +374,18 @@ class PermutationGroup:
 
     def _level_pair(self, k: int) -> tuple[Permutation, ...]:
         """Generators of G_(b), b the ``()`` chain's first k base points,
-        kept per k: the first random pair, drawn from the levels past k by a
-        private ``random.Random(0)``, that generates it, as a random pair
-        does with high probability (Seress, *Permutation Group Algorithms*,
-        CUP 2003), else the strong generators fixing b."""
+        kept per k: the first random pair, drawn from the levels past k with
+        the bulk words of a private ``random.Random(0)``, that generates it,
+        as a random pair does with high probability (Seress, *Permutation
+        Group Algorithms*, CUP 2003), else the strong generators fixing b."""
         pair = self._pairs.get(k)
         if pair is None:
             chain = self.chain()
             levels = chain.levels[k:]
             order = prod(len(level.orbit) for level in levels)
-            rng = random.Random(0)
+            words = _bulk_words(random.Random(0))
             for _ in range(_PAIR_DRAWS):
-                pair = tuple(Permutation._trusted(tuple(_random_product(levels, self.degree, rng)))
+                pair = tuple(Permutation._trusted(tuple(_random_product(levels, self.degree, words)))
                              for _ in range(2))
                 if build_chain(pair, self.degree, order=order).order() == order:
                     break
@@ -569,16 +582,70 @@ def _walk(levels: Sequence[ChainLevel], targets: Sequence[int],
     return acc
 
 
-def _random_product(levels: Sequence[ChainLevel], degree: int, rng) -> Sequence[int]:
+def _random_product(levels: Sequence[ChainLevel], degree: int,
+                    words: Iterator[int]) -> Sequence[int]:
     """A uniform random element of the group the chain ``levels`` describe,
-    from one ``rng.choice`` of a transversal point per level, in level
-    order.  It is the operand ``_width`` picks, a byte string up to 256
-    points and an image tuple above, composed with no ``Permutation``."""
+    from one transversal point per level, in level order, as the operand
+    ``_width`` picks, composed with no ``Permutation``.  A level's point is
+    ``orbit[r]``: r is the top ``len(orbit).bit_length()`` bits of the next
+    32-bit word of ``words``, read again while r >= len(orbit).  That is
+    how ``rng.choice(orbit)`` reads ``rng.getrandbits(32)`` words
+    (``Random._randbelow``).  An orbit of 2**32 points or more raises
+    ``ValueError``."""
     mul, _, g, tail = _width(degree)
     for level in levels:
-        rep = level.transversal[rng.choice(level.orbit)]
-        g = mul(rep, g + tail)
+        orbit = level.orbit
+        size = len(orbit)
+        shift = 32 - size.bit_length()
+        if shift < 0:
+            raise ValueError(f"an orbit of {size} points is too long to draw from 32-bit words")
+        r = next(words) >> shift
+        while r >= size:
+            r = next(words) >> shift
+        g = mul(level.transversal[orbit[r]], g + tail)
     return g
+
+
+def _bulk_words(rng: random.Random) -> Iterator[int]:
+    """rng's 32-bit words in the order ``rng.getrandbits(32)`` returns
+    them, read ``_CHUNK`` at a time: ``rng.getrandbits(32 * _CHUNK)``
+    fills its int from the least significant word up.  It reads ahead, so
+    only an rng that nothing else reads may hand out its words this way."""
+    step = 1 if sys.byteorder == "little" else -1
+
+    def read(_) -> memoryview:
+        view = memoryview(rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, sys.byteorder)).cast("I")
+        if view.itemsize != 4:
+            raise RuntimeError(f"an unsigned int takes {view.itemsize} bytes here, not 4")
+        return view[::step]
+
+    return itertools.chain.from_iterable(map(read, itertools.repeat(None)))
+
+
+def _sample_size(words: Iterator[int], k: int) -> int:
+    """``len(rng.sample(range(k), rng.randint(0, k)))``, taking the words
+    those calls read off ``words`` and building no list: both branches of
+    ``Random.sample`` are replayed, a pool that shrinks by one per draw
+    and, past ``setsize``, redraws until an index is new."""
+    shift = 32 - (k + 1).bit_length()
+    size = next(words) >> shift
+    while size > k:
+        size = next(words) >> shift
+    setsize = 21 if size <= 5 else 21 + 4 ** ceil(log(size * 3, 4))
+    if k <= setsize:
+        for pool in range(k, k - size, -1):
+            shift = 32 - pool.bit_length()
+            while next(words) >> shift >= pool:
+                pass
+    else:
+        shift = 32 - k.bit_length()
+        seen = set()
+        for _ in range(size):
+            j = next(words) >> shift
+            while j >= k or j in seen:
+                j = next(words) >> shift
+            seen.add(j)
+    return size
 
 
 def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,

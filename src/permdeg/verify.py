@@ -47,8 +47,9 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .groups import (DEFAULT_CAP, PermutationGroup, _base_orbit, _Columns, _flags, _inverse,
-                     _random_product, _to_base, _width, conjugation_closure)
+from .groups import (DEFAULT_CAP, PermutationGroup, _base_orbit, _bulk_words, _Columns, _flags,
+                     _inverse, _random_product, _sample_size, _to_base, _width,
+                     conjugation_closure)
 from .mindeg import minimal_degree
 from .perm import (Permutation, _check_degree, _check_points, compose, format_cycles,
                    prime_order_witness)
@@ -903,31 +904,27 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
     """Aggregate the commutator support laws over seeded random pairs.
 
     Returns one check per law counting failing samples; the forward-image
-    containment is tallied but stays informational.  u and v are drawn as
-    the operands of the group's degree, with the rng calls
-    ``group.random_element`` makes, and F and S as random subsets of the
-    cancellation pools, with the rng calls ``random.sample`` makes on a
-    pool; only their sizes are kept.
+    containment is tallied but stays informational.  The suite owns its
+    ``random.Random(seed)`` and reads its words in bulk (``_bulk_words``).
+    u and v are drawn from them as the operands of the group's degree, as
+    ``group.random_element`` would draw them, and F and S as random subsets
+    of the cancellation pools, as ``random.sample`` would draw them from a
+    pool.  Only the sizes of F and S are kept, so ``_sample_size`` replays
+    their draws and builds no subset.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    rng = random.Random(seed)
+    words = _bulk_words(random.Random(seed))
     levels = group.chain().levels
     n = group.degree
     failures = [0] * len(_LAWS)
     for _ in range(samples):
-        u = _random_product(levels, n, rng)
-        v = _random_product(levels, n, rng)
-        rows, *pools = _law_facts(u, v)
-        # the cancellation bound reads only |F| and |S|, but both are still
-        # drawn so that the seeded stream stays the same: sampling range(k)
-        # makes the rng calls that sampling a pool of k points would
-        drawn = 0
-        for pool in pools:
-            k = pool.bit_count()
-            drawn += len(rng.sample(range(k), rng.randint(0, k)))
+        u = _random_product(levels, n, words)
+        v = _random_product(levels, n, words)
+        rows, fixed, shifted = _law_facts(u, v)
         observed, limit = rows[4]
-        rows[4] = observed, limit - drawn
+        rows[4] = observed, (limit - _sample_size(words, fixed.bit_count())
+                             - _sample_size(words, shifted.bit_count()))
         for i, (observed, limit) in enumerate(rows):
             if observed > limit:
                 failures[i] += 1

@@ -625,15 +625,27 @@ def law_facts(u, v):
     return rows, flag_int(fixed_pool), flag_int(shifted_pool)
 
 
+def random_images_by_choice(levels, degree, rng):
+    """A random element of the group the chain ``levels`` describe, as an
+    image tuple: one ``rng.choice`` of a transversal point per level, each
+    representative acting before the product so far."""
+    g = tuple(range(degree))
+    for level in levels:
+        g = tuple(g[b] for b in level.transversal[rng.choice(level.orbit)])
+    return g
+
+
 def commutator_law_suite_by_tuples(group, samples, seed):
     """``verify.commutator_law_suite`` on image tuples: the same seeded
-    draws, through ``group.random_element``, with each pair's rows from
-    ``law_facts`` and F and S sampled from the pools' points."""
+    draws, made by ``rng.choice`` over ``group.chain().levels`` and by
+    ``rng.sample`` on the pools' points, with each pair's rows from
+    ``law_facts``.  It shares no draw code with the suite."""
     rng = random.Random(seed)
+    levels = group.chain().levels
     failures = [0] * len(_LAWS)
     for _ in range(samples):
-        u = group.random_element(rng).images
-        v = group.random_element(rng).images
+        u = random_images_by_choice(levels, group.degree, rng)
+        v = random_images_by_choice(levels, group.degree, rng)
         rows = law_facts(u, v)[0]
         fixed_pool, shifted_pool = cancellation_pools(u, v)
         fixed = len(rng.sample(fixed_pool, rng.randint(0, len(fixed_pool))))

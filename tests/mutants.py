@@ -195,14 +195,29 @@ MUTANTS = [
            "not fixed_pool >> 8 * a & 1",
            "not fixed_pool >> 8 * a + 1 & 1",
            "F is checked against the bit above each point's flag"),
-    Mutant("draw-range-too-long", "verify.py",
-           "rng.sample(range(k), rng.randint(0, k))",
-           "rng.sample(range(k + 1), rng.randint(0, k))",
-           "the laws suite samples F and S from one point more than the pool holds"),
+    Mutant("draw-range-too-long", "groups.py",
+           "for pool in range(k, k - size, -1):",
+           "for pool in range(k + 1, k + 1 - size, -1):",
+           "the replay of the laws suite's F and S draws reads a pool one point "
+           "longer than it holds"),
     Mutant("cancellation-supp-v", "verify.py",
            "(size, 2 * moved_u.bit_count())",
            "(size, 2 * moved_v.bit_count())",
            "the cancellation limit is taken as 2|supp(v)|"),
+    # seeded draws read off 32-bit words (groups._random_product, _sample_size)
+    Mutant("no-rejection", "groups.py",
+           "        while r >= size:\n            r = next(words) >> shift",
+           "        if r >= size:\n            r = next(words) >> shift",
+           "a transversal pick redraws once at most, so it can index past the orbit "
+           "and reads fewer words than rng.choice"),
+    Mutant("shift-off-by-one", "groups.py",
+           "shift = 32 - size.bit_length()",
+           "shift = 31 - size.bit_length()",
+           "a transversal pick keeps one bit more than rng.choice's words give it"),
+    Mutant("sample-set-threshold", "groups.py",
+           "if k <= setsize:",
+           "if k < setsize:",
+           "a pool exactly as long as the set threshold is replayed by the set branch"),
     # the conjugation orbits kept per group (groups._base_orbit, _member)
     Mutant("carry-by-g", "groups.py",
            "c = _inverse(g)",

@@ -47,9 +47,12 @@ def commands(wide: str) -> list[tuple[str, ...]]:
                 ("info", spec),
                 ("mindeg", spec)]
     out += [("table",),
-            # usage errors: a spec without its prefix, a name the catalog lacks
+            # usage errors: a spec without its prefix, a name the catalog lacks,
+            # and two that argparse reports, a theorem it lacks and --jobs 0
             ("info", "S5"),
-            ("info", "catalog:Q8")]
+            ("info", "catalog:Q8"),
+            ("trace", "catalog:M11", "sextuple"),
+            ("info", "catalog:M11", "--jobs", "0")]
     spec = f"file:{wide}"
     out += [("info", spec),
             ("mindeg", spec),

@@ -170,6 +170,21 @@ def test_jobs_below_one_is_a_usage_error(capsys, argv):
     assert "argument --jobs: must be at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "catalog:M11", "sextuple"),
+    ("info", "catalog:M11", "--jobs", "0"),
+    ("verify", "catalog:M11", "laws", "--samples", "0", "--seed", "1", "--cap", "5"),
+])
+def test_usage_errors_read_no_terminal_width(capsys, monkeypatch, argv):
+    # argparse wraps usage text to COLUMNS unless its formatter fixes a width
+    errors = set()
+    for columns in ("30", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(list(argv)) == 2
+        errors.add(capsys.readouterr().err)
+    assert len(errors) == 1 and "usage: permdeg" in errors.pop()
+
+
 def test_mindeg_unknown_method_rejected(capsys):
     # auto meant backtrack, the default, and is no longer a choice
     for method in ("guess", "auto"):

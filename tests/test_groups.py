@@ -1,3 +1,4 @@
+import functools
 import pickle
 import random
 from itertools import islice, permutations
@@ -271,7 +272,8 @@ def test_degree_one_queries_return_tuples(make):
     assert [p.images for p in chain.elements()] == [(0,)]
     assert [p.images for p in group.elements()] == [(0,)]
     assert group.random_element(random.Random(0)).images == (0,)
-    assert groups._random_product(chain.levels, 1, random.Random(0)) == b"\x00"
+    words = iter(functools.partial(random.Random(0).getrandbits, 32), None)
+    assert groups._random_product(chain.levels, 1, words) == b"\x00"
     assert group.transporter((0,), (0,)).images == (0,)
     orbit = conjugation_closure(group.generators, ident)
     assert orbit == (b"\x00",)

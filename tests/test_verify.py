@@ -461,7 +461,7 @@ def test_law_facts_match_the_loop_over_points(n):
 
 @pytest.mark.parametrize("name", ["S8", "M11", "M12", "M23", "M24", "PSL2_31", "PGL2_257"])
 def test_commutator_law_suite_matches_the_tuple_oracle(name):
-    # the same seeded draws, the oracle's through group.random_element
+    # the same seeded draws, the oracle's by rng.choice and rng.sample
     group = mobius_group(257) if name == "PGL2_257" else catalog.parse_group_name(name)
     if name == "PGL2_257":
         assert (group.degree, group.order) == (258, 257 * (257 ** 2 - 1))
