@@ -24,7 +24,8 @@ random draw as an operand, as the laws suite does, wraps none.
 Random draws read 32-bit Mersenne Twister words, as ``random.Random``
 draws do (``_random_product``): one ``getrandbits(32)`` call per word
 where an rng is shared with other calls, and a chunk at a time
-(``_bulk_words``) where the rng is private to one reader.
+(``_bulk_words``) where the rng is private to one reader;
+``_sample_size`` replays the words a ``random.sample`` size reads.
 ``_flags`` and ``_inverse`` give per-point flag bytes and inverses of
 operands of either width.
 
@@ -34,16 +35,18 @@ predicate one int with a lane per member, so the traces tally E with a few
 bitwise operations and ``int.bit_count``, with no Python loop over its
 members.
 
-``_base_orbit`` closes the orbits the counting traces read once per group.
-The stabilizer of any k points is conjugate to G_(b), the stabilizer of
-the ``()`` chain's first k base points b, by the element g that walks the
-chain from b to the points (``_to_base``, the one carry step, which the
-counts suite reads too), and conjugating by g^-1 carries an orbit under
-one onto an orbit under the other.  Every tally of a trace is unchanged
-when its orbit, its witness and its points are all carried alike, so each
-trace is read in the frame of b, and ``_orbits`` keeps, per group and k,
-every orbit under G_(b) closed so far as one flat operand: a trace whose
-carried seed is a member of one reads it instead of closing its own.
+``_to_base`` is the one carry into the frame of the ``()`` chain's first
+k base points b.  The stabilizer of any k points is G_(b) conjugated by
+the element g that walks the chain from b to the points, so c = g^-1
+carries an orbit under one onto an orbit under the other; ``_to_base``
+returns c, the given permutations x as the operands of x^c and the points
+carried by c.  Its readers are the counts suite (``verify``) and
+``_base_orbit``, which closes the orbits the counting traces read once per
+group.  Every tally of a trace is unchanged when its orbit, its witness
+and its points are all carried alike, so each trace is read in the frame
+of b, and ``_orbits`` keeps, per group and k, every orbit under G_(b)
+closed so far as one flat operand: a trace whose carried seed is a
+member of one reads it instead of closing its own.
 """
 
 from __future__ import annotations
@@ -712,19 +715,26 @@ def _member(flat: Sequence[int], x: Sequence[int]) -> bool:
         return False
 
 
-def _to_base(group: PermutationGroup, targets: Sequence[int]) -> Sequence[int]:
-    """The operand g that walks the ``()`` chain's transversals from its
-    base points b to the distinct points ``targets``, carrying b_i to
-    targets[i], so that G_(targets[:k]) = g^-1 G_(b[:k]) g for every k
-    (Seress, *Permutation Group Algorithms*, CUP 2003, on conjugating a
-    base).  Past the chain's last level the stabilizer of b, and so that
-    of the targets walked, is trivial, so the targets past it are not
-    walked.  Raises RuntimeError where the group does not carry b to the
-    targets."""
-    g = _walk(group.chain().levels, targets, _width(group.degree)[2])
+def _to_base(group: PermutationGroup, targets: Sequence[int], xs: Iterable[Permutation]
+             ) -> tuple[Sequence[int], list[Sequence[int]], Sequence[int]]:
+    """(c, xs', targets'): the one carry into the frame of the ``()``
+    chain's base points b.  g walks the chain's transversals from b to the
+    distinct points ``targets``, carrying b_i to targets[i], so that
+    G_(targets[:k]) = g^-1 G_(b[:k]) g for every k (Seress, *Permutation
+    Group Algorithms*, CUP 2003, on conjugating a base), and c = g^-1.
+    Each permutation x of ``xs`` is carried to the operand of x^c = g x c,
+    which maps a^c to x[a]^c, and the targets to their images under c, so
+    the walked targets[i] land on b_i.  Past the chain's last level the
+    stabilizer of b, and so that of the targets walked, is trivial, so the
+    targets past it are not walked.  Raises RuntimeError where the group
+    does not carry b to the targets."""
+    mul, wrap, ident, tail = _width(group.degree)
+    g = _walk(group.chain().levels, targets, ident)
     if g is None:
         raise RuntimeError(f"{group.label} does not carry its base to {list(targets)}")
-    return g
+    c = _inverse(g)
+    table = c + tail
+    return c, [mul(mul(g, wrap(x.images) + tail), table) for x in xs], mul(wrap(targets), table)
 
 
 def _base_orbit(group: PermutationGroup, targets: Sequence[int], k: int, seed: Permutation,
@@ -732,34 +742,23 @@ def _base_orbit(group: PermutationGroup, targets: Sequence[int], k: int, seed: P
                 ) -> tuple[Sequence[int], tuple[int, ...], tuple[int, ...]]:
     """(E', u', targets'): E the orbit of ``seed`` under conjugation by H,
     the pointwise stabilizer of targets[:k], and u and the distinct points
-    ``targets``, all carried by one element c into the frame of the ``()``
-    chain's base points b; E' is one flat operand, u' an image tuple.
+    ``targets``, all carried by ``_to_base``'s c into the frame of the
+    ``()`` chain's base points b; E' is one flat operand, u' an image tuple.
 
-    With g = ``_to_base(group, targets)``, H = g^-1 G_(b) g, so with
-    c = g^-1 each x in E is carried to x^c, a conjugate of w = seed^c under
-    G_(b), and each point a to a^c, which takes each walked targets[i] to
-    b_i.  Every tally of E against u and the targets is unchanged when all
-    of them are carried, so each orbit is closed once per group and k:
-    ``_orbits`` keeps every orbit closed here, and a later w that is a
-    member of one of them reads that one, in the order it was kept in.  Where
-    ``targets`` go past k, a new orbit keeps the members that fix the
-    carried targets[k] first, so a reader slices those fixers off its front.
-    A kept orbit holds ``cap`` as a fresh closure does: more than ``cap``
-    members raise CapExceeded.
+    With g and c as there, H = g^-1 G_(b) g, so each x in E is carried to
+    x^c, a conjugate of w = seed^c under G_(b).  Every tally of E against u and the targets is
+    unchanged when all of them are carried, so each orbit is closed once
+    per group and k: ``_orbits`` keeps every orbit closed here, and a later
+    w that is a member of one of them reads that one, in the order it was
+    kept in.  Where ``targets`` go past k, a new orbit keeps the members
+    that fix the carried targets[k] first, so a reader slices those fixers
+    off its front.  A kept orbit holds ``cap`` as a fresh closure does: more
+    than ``cap`` members raise CapExceeded.
     """
     n = group.degree
-    mul, wrap, _, tail = _width(n)
-    g = _to_base(group, targets)
-    c = _inverse(g)
+    _, (w, ui), points = _to_base(group, targets, (seed, u))
+    ui, points = tuple(ui), tuple(points)
     orbits = _orbits.setdefault(group, {}).setdefault(k, [])
-
-    def carry(x: Permutation) -> Sequence[int]:
-        # x^c maps a^c to x[a]^c: a to c[x[g[a]]]
-        return mul(mul(g, wrap(x.images) + tail), c + tail)
-
-    w = carry(seed)
-    ui = tuple(carry(u))
-    points = tuple(mul(wrap(targets), c + tail))
     for flat in orbits:
         if _member(flat, w):
             if len(flat) > cap * n:

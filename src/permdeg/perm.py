@@ -48,8 +48,8 @@ def compose(first: Sequence[int], then: Sequence[int]) -> tuple[int, ...]:
     """``then[first[a]]`` for each index a of ``first``, as a tuple: the
     image tuple of ``first`` followed by ``then`` when both are image
     tuples of one degree.  ``first`` is any nonempty sequence of points of
-    ``then``, so it also carries a few points, such as a set delta, along
-    ``then``."""
+    ``then``, so it also carries a few points along ``then``, as
+    ``groups._to_base`` carries its targets above 256 points."""
     if len(first) == 1:
         return (then[first[0]],)
     return itemgetter(*first)(then)

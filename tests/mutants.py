@@ -133,9 +133,9 @@ MUTANTS = [
            "compose(compose(g.images, self.images), g.inverse().images)",
            "p.conjugate(g) returns g p g^-1, not g^-1 p g"),
     Mutant("table-check-le", "cli.py",
-           "from .verify import _ge, mathieu_bound_table",
-           "from .verify import _le as _ge, mathieu_bound_table",
-           "the table checks m <= bound, not m >= bound"),
+           "from .verify import _ge, all_pass, mathieu_bound_table",
+           "from .verify import _le as _ge, all_pass, mathieu_bound_table",
+           "the table checks m <= bound, not m >= bound, and exits by those checks"),
     # the counts suite's pair orbits and its oracle
     Mutant("fixed-read-as-arrows", "verify.py",
            "stays - share(fixed, second)",
@@ -222,7 +222,8 @@ MUTANTS = [
     Mutant("carry-by-g", "groups.py",
            "c = _inverse(g)",
            "c = g",
-           "the seed, u and the points are carried by g, not by g^-1"),
+           "the traces' seed, u and points and the counts suite's u, delta and draws "
+           "are carried by g, not by g^-1"),
     Mutant("member-unaligned", "groups.py",
            "while at > 0 and at % n:",
            "while False:",
@@ -248,13 +249,18 @@ MUTANTS = [
     Mutant("to-base-returns-none", "groups.py",
            'raise RuntimeError(f"{group.label} does not carry its base to {list(targets)}")',
            "return None",
-           "a walk that fails hands its callers None instead of raising"),
+           "a walk that fails hands its callers None to unpack, a TypeError, instead of "
+           "the RuntimeError the CLI reports"),
     Mutant("walk-past-last-level", "groups.py",
-           "g = _walk(group.chain().levels, targets, _width(group.degree)[2])",
+           "g = _walk(group.chain().levels, targets, ident)",
            "levels = group.chain().levels\n"
-           "    g = (None if len(levels) < len(targets)\n"
-           "         else _walk(levels, targets, _width(group.degree)[2]))",
+           "    g = None if len(levels) < len(targets) else _walk(levels, targets, ident)",
            "targets past the chain's last level fail the walk, which S2's double trace meets"),
+    Mutant("draws-not-carried", "verify.py",
+           "[(c[gamma], c[second]) for gamma, second in draws]",
+           "draws",
+           "the counts suite reads its draws in the group's own points against pair "
+           "labels, u and delta carried onto the base points"),
     Mutant("oracle-proper-subgroup", "verify.py",
            "conjugation_closure(group.pointwise_stabilizer(dset).generators, u, cap)",
            "conjugation_closure(group.pointwise_stabilizer(dset).generators[:1], u, cap)",

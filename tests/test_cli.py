@@ -129,6 +129,24 @@ def test_table(capsys):
     assert "M24: n=24 t=5 m=16 bound=11" in out
 
 
+def test_table_exits_by_the_checks_it_writes(capsys, monkeypatch, tmp_path):
+    # the exit code and the --json pass flags read the same checks, so a
+    # row's own ok flag, here the opposite of m >= bound, moves neither
+    import permdeg.verify as verify
+
+    rows = [verify.DegreeBoundRow("X", 9, 2, 3, 4, True),
+            verify.DegreeBoundRow("Y", 9, 2, 5, 4, False)]
+    monkeypatch.setattr(verify, "mathieu_bound_table", lambda: rows)
+    path = tmp_path / "table.json"
+    code, _ = run(capsys, "table", "--json", str(path))
+    flags = [check["pass"] for suite in json.loads(path.read_text())["suites"]
+             for check in suite["checks"]]
+    assert flags == [False, True] and code == 1
+    rows[0] = verify.DegreeBoundRow("X", 9, 2, 4, 4, False)
+    code, _ = run(capsys, "table", "--json", str(path))
+    assert code == 0
+
+
 def test_mindeg_methods_agree(capsys):
     code, out1 = run(capsys, "mindeg", "catalog:M11", "--method", "exhaustive")
     assert code == 0 and "m=8" in out1

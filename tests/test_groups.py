@@ -643,8 +643,9 @@ def test_stabilizer_generators_close_the_same_orbits(name, k):
             u = g.random_element(rng)
         delta = rng.sample(sorted(u.support()), k)
         stab = g.pointwise_stabilizer(delta)
-        # G_(delta) = c^-1 G_(b) c, c the walk from the base points b to delta
-        carry = Permutation(tuple(groups._to_base(g, delta)))
+        # G_(delta) = g^-1 G_(b) g, g = c^-1 the walk from the base points b
+        # to delta
+        carry = Permutation(tuple(groups._to_base(g, delta, ())[0])).inverse()
         gens = [h.conjugate(carry) for h in g._level_pair(k)]
         assert PermutationGroup(gens, g.degree).order == stab.order
         assert (set(images_of(conjugation_closure(gens, u)))
@@ -662,9 +663,10 @@ def test_stabilizer_generators_fallbacks():
     assert pair == tuple(s for s in chain.strong_gens if s.images[0] == 0)
     assert len(pair) == 3
     swap = parse_cycles("(1,2)", 8)
-    assert tuple(groups._to_base(g, [1])) == swap.images
+    c, _, points = groups._to_base(g, [1], ())
+    assert tuple(c) == swap.images and tuple(points) == (0,)
     with pytest.raises(RuntimeError, match=r"does not carry its base to \[2\]"):
-        groups._to_base(g, [2])
+        groups._to_base(g, [2], ())
     carried = [s.conjugate(swap) for s in pair]
     stab = g.pointwise_stabilizer([1])
     assert PermutationGroup(carried, 8).order == stab.order
@@ -678,7 +680,7 @@ def test_stabilizer_generators_fallbacks():
 def test_stabilizer_generators_read_no_chain_of_their_points():
     # the traces' frame and the counts suite's frame carry their points
     # onto the () chain's base points and build no chain based on them
-    from permdeg.verify import _base_frame
+    from permdeg.verify import count_identity_suite
 
     g = catalog.parse_group_name("M12")
     g.chain()
@@ -686,7 +688,8 @@ def test_stabilizer_generators_read_no_chain_of_their_points():
     u = g.generators[0]
     for points in ([3], [3, 7], [11, 0]):
         groups._base_orbit(g, points, len(points), u, u)
-        _base_frame(g, u, points)
+        groups._to_base(g, points, (u,))
+    count_identity_suite(g, 60, 1)
     assert set(g._chains) == before
     assert len(g._level_pair(2)) == 2
 

@@ -118,8 +118,8 @@ def test_compose_degree_one():
 @example(([1, 0], [1, 0], [1]))
 def test_compose_chases_images(case):
     # first is any nonempty sequence of points of then, of length 1 to n,
-    # as the carried delta of verify._base_frame is; one point takes the
-    # degree-1 path
+    # as the targets groups._to_base carries above 256 points are; one
+    # point takes the degree-1 path
     p, q, first = case
     p, q = tuple(p), tuple(q)
     assert compose(p, q) == tuple(q[a] for a in p)

@@ -79,31 +79,27 @@ def test_library_composes_through_one_kernel():
     assert SOURCES and found == set()
 
 
-def test_groups_reads_compose_only_through_the_width_switch():
-    # groups composes on the operand _width picks, byte strings up to 256
-    # points; perm.compose called on a byte string boxes every entry, so a
-    # chain reader that calls it directly falls back to the slower path
-    tree = ast.parse((Path(permdeg.__file__).parent / "groups.py").read_text(encoding="utf-8"))
-    (width,) = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_width"]
-    inside = {id(node) for node in ast.walk(width)}
-    uses = [node for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "compose"]
-    assert uses and [node.lineno for node in uses if id(node) not in inside] == []
-
-
-def test_verify_calls_compose_only_to_carry_a_configuration():
-    # verify reads its laws and traces straight off the operands, byte
-    # strings from a closure among them; perm.compose boxes every entry of
-    # a byte string, so only _base_frame, which carries the counts suite's
-    # image tuples, may call it
-    tree = ast.parse((Path(permdeg.__file__).parent / "verify.py").read_text(encoding="utf-8"))
-    (frame,) = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_base_frame"]
-    inside = {id(node) for node in ast.walk(frame)}
-    uses = [node for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "compose"]
-    assert uses and [node.lineno for node in uses if id(node) not in inside] == []
+def test_compose_is_read_only_through_the_width_switch():
+    # every module outside perm composes on the operand groups._width picks,
+    # byte strings up to 256 points; perm.compose called on a byte string
+    # boxes every entry, so outside perm the name compose appears only
+    # inside _width and in the import groups reads it through
+    name_field = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}
+    found = []
+    for path in SOURCES:
+        if path.name == "perm.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "groups.py":
+            (width,) = [top for top in tree.body
+                        if isinstance(top, ast.FunctionDef) and top.name == "_width"]
+            imports = [top for top in tree.body if isinstance(top, ast.ImportFrom)]
+            allowed = {id(node) for top in [width, *imports] for node in ast.walk(top)}
+        found += [f"{path.name}:{getattr(node, 'lineno', '?')}" for node in ast.walk(tree)
+                  if getattr(node, name_field.get(type(node), ""), None) == "compose"
+                  and id(node) not in allowed]
+    assert len(SOURCES) > 1 and found == []
 
 
 def test_verify_has_no_loop_statement_over_an_orbit():

@@ -14,7 +14,6 @@ from permdeg.verify import (
     CountCheck,
     PreconditionError,
     TraceReport,
-    _base_frame,
     _clause_plan,
     _clause_shares,
     _draw_tallies,
@@ -623,18 +622,19 @@ def test_carried_pair_labels_match_the_stabilizer_orbits(name, k):
         while u.is_identity():
             u = g.random_element(rng)
         delta = sorted(rng.sample(sorted(u.support()), k))
-        pair, g_inv, u_carried, delta_carried = _base_frame(g, u, delta)
-        assert delta_carried == g.chain().base[:k]
+        c, (u_carried,), delta_carried = groups._to_base(g, delta, (u,))
+        assert tuple(delta_carried) == g.chain().base[:k]
+        pair = g._level_pair(k)
         carried = _pair_tallies(*_pair_labels([h.images for h in pair], n), u_carried)
         direct = pair_orbits([h.images for h in g.pointwise_stabilizer(delta).generators],
                              u.images)
-        # read through g^-1, the base frame's labels partition the pairs as
-        # the stabilizer of delta does, orbit for orbit
+        # read through c = g^-1, the base frame's labels partition the pairs
+        # as the stabilizer of delta does, orbit for orbit
         match = {}
         for a in range(n):
-            for c in range(n):
-                theirs = carried.label[g_inv[a] * n + g_inv[c]]
-                assert match.setdefault(direct.label[a * n + c], theirs) == theirs
+            for b in range(n):
+                theirs = carried.label[c[a] * n + c[b]]
+                assert match.setdefault(direct.label[a * n + b], theirs) == theirs
         assert sorted(match.values()) == list(range(len(carried.size)))
         for k_direct, k_carried in match.items():
             assert direct.size[k_direct] == carried.size[k_carried]
@@ -648,18 +648,18 @@ def test_count_suite_labels_pairs_once_per_delta_size(monkeypatch):
     labelled = []
     frames = []
     plain_labels = verify._pair_labels
-    plain_frame = verify._base_frame
+    plain_frame = verify._to_base
 
     def counted_labels(gens, n):
         labelled.append(len(gens))
         return plain_labels(gens, n)
 
-    def recorded_frame(group, u, delta):
+    def recorded_frame(group, delta, xs):
         frames.append(len(delta))
-        return plain_frame(group, u, delta)
+        return plain_frame(group, delta, xs)
 
     monkeypatch.setattr(verify, "_pair_labels", counted_labels)
-    monkeypatch.setattr(verify, "_base_frame", recorded_frame)
+    monkeypatch.setattr(verify, "_to_base", recorded_frame)
     # PGL2_31 is sharply 3-transitive, so delta takes one or two points
     g = catalog.parse_group_name("PGL2_31")
     count_identity_suite(g, 400, 0)
@@ -669,18 +669,18 @@ def test_count_suite_labels_pairs_once_per_delta_size(monkeypatch):
 
 
 def test_base_frame_raises_where_the_walk_fails():
-    # C2^4 does not carry its first base point 0 to 2, so the suite's frame
-    # and the traces' frame both raise; 1 lies in 0's orbit and is carried
+    # C2^4 does not carry its first base point 0 to 2, so the suite's carry
+    # of (u, delta) and the traces' frame both raise and keep nothing; 1
+    # lies in 0's orbit and is carried
     g = PermutationGroup([parse_cycles(f"({a},{a + 1})", 8) for a in (1, 3, 5, 7)], 8)
     u = parse_cycles("(1,2)(3,4)", 8)
     with pytest.raises(RuntimeError, match=r"does not carry its base to \[2\]"):
-        _base_frame(g, u, [2])
+        groups._to_base(g, [2], (u,))
     with pytest.raises(RuntimeError, match=r"does not carry its base to \[2\]"):
         groups._base_orbit(g, (2,), 1, u, u)
     assert g not in groups._orbits
-    pair, g_inv, u_carried, delta_carried = _base_frame(g, u, [1])
-    assert pair == g._level_pair(1)
-    assert g_inv[1] == 0 and u_carried == u.images and delta_carried == (0,)
+    c, (u_carried,), delta_carried = groups._to_base(g, [1], (u,))
+    assert c[1] == 0 and tuple(u_carried) == u.images and tuple(delta_carried) == (0,)
 
 
 def test_record_types_are_fixed_and_reports_own_their_containers():
