@@ -79,6 +79,32 @@ def test_library_composes_through_one_kernel():
     assert SOURCES and found == set()
 
 
+def test_groups_reads_compose_only_through_the_width_switch():
+    # groups composes on the operand _width picks, byte strings up to 256
+    # points; perm.compose called on a byte string boxes every entry, so a
+    # chain reader that calls it directly falls back to the slower path
+    tree = ast.parse((Path(permdeg.__file__).parent / "groups.py").read_text(encoding="utf-8"))
+    (width,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_width"]
+    inside = {id(node) for node in ast.walk(width)}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "compose"]
+    assert uses and [node.lineno for node in uses if id(node) not in inside] == []
+
+
+def test_verify_calls_compose_only_to_carry_a_configuration():
+    # verify reads its laws and traces straight off the operands, byte
+    # strings from a closure among them; perm.compose boxes every entry of
+    # a byte string, so verify carries a configuration onto the base points
+    # through groups._to_base, which composes on the _width operand, and
+    # neither imports nor calls compose itself
+    tree = ast.parse((Path(permdeg.__file__).parent / "verify.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_to_base" in names & imported and "compose" not in names | imported
+
+
 def test_compose_is_read_only_through_the_width_switch():
     # every module outside perm composes on the operand groups._width picks,
     # byte strings up to 256 points; perm.compose called on a byte string
