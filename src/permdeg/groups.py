@@ -9,7 +9,9 @@ generators, orbit points and Schreier generators are always processed in a
 fixed order, so bases, transversals and every derived witness are
 reproducible for a given generating sequence.  Once a group's order is
 verified, later chains of the group stop as soon as their orbit lengths
-multiply to it, and come out the same as a full build.
+multiply to it, and come out the same as a full build.  A level whose
+group did not grow rebuilds its transversal only when it is next read, or
+once at the end.
 
 Every product here goes through one width switch, ``_width``: byte
 strings that ``bytes.translate`` composes in C up to 256 points, image
@@ -151,9 +153,15 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     Above 256 points the padding is empty.  While the construction runs,
     each level keeps the inverse of every transversal representative, built
     in the same breadth-first pass, so stripping never inverts a
-    permutation; the finished chain keeps only the representatives, as the
-    plain operands the pass built, and every base point maps to the one
-    identity operand of the degree.
+    permutation; the finished chain keeps only the representatives, and
+    every base point maps to the one identity operand of the degree.
+
+    A residue found at level i lies in level i's group, so installing it at
+    level k grows no group of levels 0..i: their tables are rebuilt only
+    just before ``first_residue`` reads them, or at the end, from the same
+    generator list as rebuilding levels 0..k after each install would read
+    last, so the chain comes out the same.  A breadth-first pass stops at
+    the known orbit size (the old one there, n - i at any other level i).
 
     With ``order``, the construction stops as soon as the orbit lengths
     multiply to it.  Each level's group lies inside the true stabilizer of
@@ -192,9 +200,12 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             add_level(pt)
 
     def rebuild_orbit(i: int) -> None:
-        # rep(b) = rep(a) * s and rep(b)^-1 = s^-1 * rep(a)^-1 when b = a^s
-        table = {base[i]: ident}
-        inv = {base[i]: ident_table}
+        # rep(b) = rep(a) * s and rep(b)^-1 = s^-1 * rep(a)^-1 when b = a^s;
+        # the pass stops at a size the orbit cannot pass: a stale level's old
+        # size, or n - i
+        size = len(transversals[i]) if i < stale else degree - i
+        transversals[i] = table = {base[i]: ident}
+        inverses[i] = inv = {base[i]: ident_table}
         queue = [base[i]]
         for a in queue:
             rep = table[a]
@@ -204,9 +215,9 @@ def build_chain(generators: Iterable[Permutation], degree: int,
                 if b not in table:
                     table[b] = mul(rep, s)
                     inv[b] = mul(s_inv, rep_inv) + tail
+                    if len(table) == size:
+                        return
                     queue.append(b)
-        transversals[i] = table
-        inverses[i] = inv
 
     def strip(g: Sequence[int], start: int) -> Sequence[int]:
         for j in range(start, len(base)):
@@ -256,6 +267,8 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             raise ValueError(f"orbit lengths multiply to {size}, above the given order {order}")
         return size == order
 
+    # levels below ``stale`` keep their orbits as sets but not their tables
+    stale = 0
     for g in gens:
         install(g)
     for i in range(len(base)):
@@ -263,13 +276,19 @@ def build_chain(generators: Iterable[Permutation], degree: int,
 
     i = len(base) - 1
     while i >= 0 and not reached():
+        if i < stale:
+            rebuild_orbit(i)
+            stale = i
         residue = first_residue(i)
         if residue is None:
             i -= 1
             continue
+        stale = i + 1
         i = install(Permutation._trusted(tuple(residue)))
-        for j in range(i + 1):
+        for j in range(stale, i + 1):
             rebuild_orbit(j)
+    for j in range(stale):
+        rebuild_orbit(j)
 
     levels = [ChainLevel(pt, table, tuple(sorted(table)))
               for pt, table in zip(base, transversals)]

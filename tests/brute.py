@@ -14,8 +14,9 @@ from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from permdeg.groups import ChainLevel, PermutationGroup, StabilizerChain
-from permdeg.perm import DegreeMismatchError, Permutation, compose, format_cycles
+from permdeg.groups import ChainLevel, PermutationGroup, StabilizerChain, _width
+from permdeg.perm import (DegreeMismatchError, Permutation, _check_degree, _check_points,
+                          compose, format_cycles)
 from permdeg.verify import (_LAWS, CLAUSES, CountCheck, PreconditionError,
                             _check_configuration, _clause_plan, _eq, _sorted_checks)
 
@@ -236,6 +237,124 @@ def build_chain_tuples(generators: Iterable[Permutation], degree: int,
 
     levels = [ChainLevel(base[i], transversals[i], tuple(sorted(transversals[i])))
               for i in range(len(base))]
+    return StabilizerChain(degree, levels, tuple(strong))
+
+
+def build_chain_eager(generators: Iterable[Permutation], degree: int,
+                      base_prefix: Sequence[int] = (), *,
+                      order: int | None = None) -> StabilizerChain:
+    """``permdeg.groups.build_chain`` as it was before it deferred orbit
+    rebuilds: every install rebuilds the transversals of levels 0..k, where
+    k is the level the residue lands on, and every breadth-first pass runs
+    to its end.  The library must return the same chain on every input:
+    base, strong generators, and per level the same orbit and the same
+    representatives in the same insertion order."""
+    generators = tuple(generators)
+    _check_degree(generators, degree)
+    base_prefix = _check_points(base_prefix, degree)
+    gens = [g for g in generators if not g.is_identity()]
+
+    mul, wrap, ident, tail = _width(degree)
+    ident_table = ident + tail
+    base: list[int] = []
+    # per level: (padded generator, plain inverse) of its strong generators
+    gen_lists: list[list[tuple[Sequence[int], Sequence[int]]]] = []
+    transversals: list[dict[int, Sequence[int]]] = []
+    inverses: list[dict[int, Sequence[int]]] = []
+    strong: list[Permutation] = []
+
+    def add_level(pt: int) -> None:
+        base.append(pt)
+        gen_lists.append([])
+        transversals.append({pt: ident})
+        inverses.append({pt: ident_table})
+
+    for pt in base_prefix:
+        if pt not in base:
+            add_level(pt)
+
+    def rebuild_orbit(i: int) -> None:
+        # rep(b) = rep(a) * s and rep(b)^-1 = s^-1 * rep(a)^-1 when b = a^s
+        table = {base[i]: ident}
+        inv = {base[i]: ident_table}
+        queue = [base[i]]
+        for a in queue:
+            rep = table[a]
+            rep_inv = inv[a]
+            for s, s_inv in gen_lists[i]:
+                b = s[a]
+                if b not in table:
+                    table[b] = mul(rep, s)
+                    inv[b] = mul(s_inv, rep_inv) + tail
+                    queue.append(b)
+        transversals[i] = table
+        inverses[i] = inv
+
+    def strip(g: Sequence[int], start: int) -> Sequence[int]:
+        for j in range(start, len(base)):
+            rep_inv = inverses[j].get(g[base[j]])
+            if rep_inv is None:
+                break
+            g = mul(g, rep_inv)
+        return g
+
+    def install(g: Permutation) -> int:
+        # register g at every level whose base prefix it fixes: levels 0..k,
+        # where k is the first base level g moves (new base point if none)
+        images = g.images
+        k = 0
+        while k < len(base) and images[base[k]] == base[k]:
+            k += 1
+        if k == len(base):
+            add_level(min(a for a in range(degree) if images[a] != a))
+        entry = (wrap(images) + tail, wrap(g.inverse().images))
+        for j in range(k + 1):
+            gen_lists[j].append(entry)
+        strong.append(g)
+        return k
+
+    def first_residue(i: int) -> Sequence[int] | None:
+        # the first Schreier generator rep(a) * s * rep(a^s)^-1 at level i
+        # that does not strip to the identity through the deeper levels
+        table = transversals[i]
+        inv = inverses[i]
+        for a in sorted(table):
+            rep = table[a]
+            for s, _ in gen_lists[i]:
+                back = inv[s[a]]
+                schreier = mul(mul(rep, s), back)
+                if schreier == ident:
+                    continue
+                residue = strip(schreier, i + 1)
+                if residue != ident:
+                    return residue
+        return None
+
+    def reached() -> bool:
+        if order is None:
+            return False
+        size = prod(len(table) for table in transversals)
+        if size > order:
+            raise ValueError(f"orbit lengths multiply to {size}, above the given order {order}")
+        return size == order
+
+    for g in gens:
+        install(g)
+    for i in range(len(base)):
+        rebuild_orbit(i)
+
+    i = len(base) - 1
+    while i >= 0 and not reached():
+        residue = first_residue(i)
+        if residue is None:
+            i -= 1
+            continue
+        i = install(Permutation._trusted(tuple(residue)))
+        for j in range(i + 1):
+            rebuild_orbit(j)
+
+    levels = [ChainLevel(pt, table, tuple(sorted(table)))
+              for pt, table in zip(base, transversals)]
     return StabilizerChain(degree, levels, tuple(strong))
 
 

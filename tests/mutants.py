@@ -85,6 +85,26 @@ MUTANTS = [
            "inv[b] = mul(s_inv, rep_inv) + tail",
            "inv[b] = mul(rep_inv[:degree], s_inv + tail) + tail",
            "rep(b)^-1 is taken as rep(a)^-1 s^-1, the inverse of s rep(a)"),
+    # deferred orbit rebuilds: a level whose group did not grow is rebuilt
+    # when it is read, and every pass stops at the orbit size it knows
+    Mutant("no-final-flush", "groups.py",
+           "    for j in range(stale):\n        rebuild_orbit(j)\n",
+           "",
+           "levels still stale when the loop ends keep tables built from an older "
+           "generator list"),
+    Mutant("no-eager-grown-levels", "groups.py",
+           "        for j in range(stale, i + 1):\n            rebuild_orbit(j)\n",
+           "",
+           "the levels a residue lands on or passes through keep the orbits they "
+           "had before it"),
+    Mutant("short-orbit-bound", "groups.py",
+           "if i < stale else degree - i",
+           "if i < stale else degree - i - 1",
+           "a pass stops one point short of the largest orbit a level can have"),
+    Mutant("stale-one-more", "groups.py",
+           "stale = i + 1",
+           "stale = i + 2",
+           "the level above the residue's is deferred, and its orbit may have grown"),
     # one conclusion step, one constructor per relation, one inverse loop
     Mutant("conclusion-any", "verify.py",
            "report.conclusion_holds = all(c.passed for c in conclusion)",

@@ -4,6 +4,7 @@ import random
 from itertools import islice, permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permdeg.groups import (
     CapExceeded,
@@ -16,8 +17,8 @@ from permdeg import catalog, groups
 from permdeg.mindeg import minimal_degree
 from permdeg.verify import double_transitive_trace
 
-from brute import (all_tuples, build_chain_tuples, conjugation_bfs, mulclose,
-                   tuple_orbit_transitivity)
+from brute import (all_tuples, build_chain_eager, build_chain_tuples, conjugation_bfs,
+                   mobius_group, mulclose, tuple_orbit_transitivity)
 
 
 def sym4():
@@ -39,11 +40,11 @@ def images_of(orbit):
 
 
 def assert_chain_equals(got, expected):
-    """A library chain against ``build_chain_tuples``: the same base and
-    strong generators, and per level the same point, orbit and
-    representatives in the same transversal insertion order, which random
-    draws and the golden digests read; every representative is an operand
-    of the chain's width."""
+    """A library chain against an oracle's (``build_chain_tuples`` or
+    ``build_chain_eager``): the same base and strong generators, and per
+    level the same point, orbit and representatives in the same transversal
+    insertion order, which random draws and the golden digests read; every
+    representative is an operand of the chain's width."""
     kind = operand_type(got.degree)
     assert got.degree == expected.degree
     assert got.base == expected.base
@@ -52,7 +53,7 @@ def assert_chain_equals(got, expected):
     for level, twin in zip(got.levels, expected.levels):
         assert level.point == twin.point and level.orbit == twin.orbit
         assert ([(b, tuple(rep)) for b, rep in level.transversal.items()]
-                == list(twin.transversal.items()))
+                == [(b, tuple(rep)) for b, rep in twin.transversal.items()])
         assert all(type(rep) is kind for rep in level.transversal.values())
 
 
@@ -523,6 +524,51 @@ def test_chain_matches_the_image_tuple_construction(name):
                                 expected)
 
 
+def assert_builds_like_the_eager_construction(gens, degree, prefix, order):
+    # both raise the same ValueError, or both return the same chain
+    try:
+        expected = build_chain_eager(gens, degree, prefix, order=order)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            build_chain(gens, degree, prefix, order=order)
+        assert str(raised.value) == str(exc)
+        return
+    assert_chain_equals(build_chain(gens, degree, prefix, order=order), expected)
+
+
+@pytest.mark.parametrize("name", ["S6", "A7", "M11", "M12", "M23", "M24", "PGL2_13",
+                                  "PSL2_31"])
+def test_chain_equals_the_eager_construction(name):
+    # deferred rebuilds leave every level as rebuilding levels 0..k after
+    # each install does; S6 has no point 7, so its third prefix is (5, 2)
+    g = catalog.parse_group_name(name)
+    for prefix in ((), (0,), (3, 1), (5, 2, 7), (1, 0, 4, 2, 3)):
+        prefix = tuple(pt for pt in prefix if pt < g.degree)
+        for order in (None, g.order):
+            assert_builds_like_the_eager_construction(g.generators, g.degree, prefix, order)
+
+
+def test_chain_equals_the_eager_construction_on_image_tuples():
+    # above 256 points every product runs on image tuples
+    g = mobius_group(257)
+    for prefix in ((3, 100), (257, 0)):
+        for order in (None, g.order):
+            assert_builds_like_the_eager_construction(g.generators, g.degree, prefix, order)
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.permutations(range(n)).map(Permutation), min_size=1, max_size=4),
+    st.lists(st.integers(0, n - 1), max_size=n),
+    st.integers(0, 3))))
+def test_random_chains_equal_the_eager_construction(case):
+    # cut 0 builds in full, 1 stops at the order, 2 and 3 pass a smaller
+    # order, which raises or cuts both builds short at the same level
+    n, gens, prefix, cut = case
+    order = None if cut == 0 else build_chain_eager(gens, n).order() // cut
+    assert_builds_like_the_eager_construction(gens, n, prefix, order)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 256, 257, 300])
 def test_chain_on_either_side_of_256_points(degree):
     # up to 256 points a chain is built on byte strings, above on image
@@ -598,13 +644,17 @@ def test_readers_hand_out_image_tuples(degree):
         assert group.contains(p)
 
 
-@pytest.mark.parametrize("name", ["S7", "M11"])
+@pytest.mark.parametrize("name", ["S7", "M11", "M12"])
 def test_known_order_too_small_raises(name):
-    # order - 1 is prime for both and above the degree, so no product of
-    # orbit lengths can equal it and the build must pass it
+    # order - 1 has a prime factor above the degree, so no product of orbit
+    # lengths can equal it and the build must pass it, with the product the
+    # eager construction passes it with
     g = catalog.parse_group_name(name)
-    with pytest.raises(ValueError, match="above the given order"):
-        build_chain(g.generators, g.degree, (), order=g.order - 1)
+    for prefix in ((), (3, 1)):
+        with pytest.raises(ValueError, match="above the given order"):
+            build_chain(g.generators, g.degree, prefix, order=g.order - 1)
+        assert_builds_like_the_eager_construction(g.generators, g.degree, prefix,
+                                                  g.order - 1)
 
 
 def test_known_order_of_a_proper_subgroup_builds_in_full():
