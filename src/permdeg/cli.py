@@ -21,8 +21,10 @@ memory or time, never selects an algorithm, and is accepted but unused by
 ``--jobs`` is accepted for compatibility and has no effect; a value below 1
 is a usage error too.
 
-``verify`` and ``fractions`` are imported inside the handlers that use them,
-so ``info`` and ``mindeg`` load neither.
+Every command's --json report and exit code come from ``main``: a handler
+only computes and prints.  ``verify`` and ``fractions`` are imported inside
+the handlers that use them, and ``main`` imports ``verify`` only for a report
+that holds checks, so ``info`` and ``mindeg`` load neither.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _check_json(check: CountCheck) -> dict:
     }
 
 
-def _suite_json(name: str, checks, applicable: bool, details: dict | None = None) -> dict:
+def _suite_json(name: str, checks, applicable: bool, details: dict | None) -> dict:
     suite = {
         "name": name,
         "checks": [_check_json(c) for c in checks],
@@ -86,27 +88,6 @@ def _suite_json(name: str, checks, applicable: bool, details: dict | None = None
     if details is not None:
         suite["details"] = details
     return suite
-
-
-def _envelope(header: dict, m: int | None, suites: list[dict], seed: int) -> dict:
-    """The canonical report: schema, the group header, m, suites, seed."""
-    return {"schema": 1, **header, "m": m, "suites": suites, "seed": seed,
-            "elapsed_ms": 0}
-
-
-def _report_json(group: PermutationGroup, m: int | None, suites: list[dict],
-                 seed: int) -> dict:
-    return _envelope({
-        "group": group.label,
-        "n": group.degree,
-        "order": str(group.order),
-        "t": group.transitivity_degree(),
-    }, m, suites, seed)
-
-
-def _write_json(report: dict, path: str | None) -> None:
-    if path:
-        Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
 def _print_checks(checks) -> None:
@@ -156,28 +137,26 @@ def _maybe_minimal_degree(group: PermutationGroup):
     return minimal_degree(group)
 
 
-def _cmd_info(args) -> int:
-    group = resolve_group(args.group)
+# Each handler prints its report and returns (m, suites), each suite a
+# (name, checks, applicable, details) record; main writes them and picks
+# the exit code.
+
+
+def _cmd_info(args, group: PermutationGroup):
     result = _maybe_minimal_degree(group)
     shown = f"{result.m} ({result.method})" if result else "undefined (trivial group)"
     print(f"group {group.label}: n={group.degree} order={group.order} "
           f"t={group.transitivity_degree()} m={shown}")
-    report = _report_json(group, result.m if result else None, [], args.seed)
-    _write_json(report, args.json)
-    return EXIT_OK
+    return (result.m if result else None), []
 
 
-def _cmd_verify(args) -> int:
-    from .verify import (all_pass, commutator_law_suite, count_identity_suite,
-                         relation_balance_checks)
+def _cmd_verify(args, group: PermutationGroup):
+    from .verify import commutator_law_suite, count_identity_suite, relation_balance_checks
 
-    group = resolve_group(args.group)
     suites = []
-    ran = []
 
     def emit(name: str, checks, applicable: bool = True, details: dict | None = None):
-        suites.append(_suite_json(name, checks, applicable, details))
-        ran.extend(checks)
+        suites.append((name, checks, applicable, details))
         print(f"suite {name} on {group.label}:")
         _print_checks(checks)
 
@@ -191,18 +170,15 @@ def _cmd_verify(args) -> int:
         if group.transitivity_degree() >= 2:
             emit("pair-relation", relation_balance_checks(group))
         else:
-            suites.append(_suite_json("pair-relation", [], False))
+            suites.append(("pair-relation", [], False, None))
             print("suite pair-relation: inapplicable (needs a doubly transitive group)")
     result = _maybe_minimal_degree(group)
-    report = _report_json(group, result.m if result else None, suites, args.seed)
-    _write_json(report, args.json)
-    return EXIT_OK if all_pass(ran) else EXIT_CHECK_FAILED
+    return (result.m if result else None), suites
 
 
-def _cmd_trace(args) -> int:
-    from .verify import TRACES, all_pass
+def _cmd_trace(args, group: PermutationGroup):
+    from .verify import TRACES
 
-    group = resolve_group(args.group)
     builder = TRACES[args.theorem]
     # seed 0 is the deterministic trace; any other seed re-runs the
     # construction with random valid witness choices
@@ -221,16 +197,11 @@ def _cmd_trace(args) -> int:
     _print_checks(report.checks)
     if report.conclusion_holds is not None:
         print(f"  conclusion holds: {report.conclusion_holds}")
-    json_report = _report_json(group, report.m, [
-        _suite_json(f"trace:{report.name}", report.checks, report.applicable,
-                    _trace_details(report)),
-    ], args.seed)
-    _write_json(json_report, args.json)
-    return EXIT_OK if all_pass(report.checks) else EXIT_CHECK_FAILED
+    return report.m, [(f"trace:{report.name}", report.checks, report.applicable,
+                       _trace_details(report))]
 
 
-def _cmd_mindeg(args) -> int:
-    group = resolve_group(args.group)
+def _cmd_mindeg(args, group: PermutationGroup):
     if args.method == "exhaustive":
         result = minimal_degree_exhaustive(group, args.cap)
     else:
@@ -238,30 +209,23 @@ def _cmd_mindeg(args) -> int:
     print(f"group {group.label}: m={result.m} witness={format_cycles(result.witness)} "
           f"method={result.method} visited={result.elements_visited} "
           f"pruned={result.nodes_pruned}")
-    report = _report_json(group, result.m, [
-        _suite_json("mindeg", [], True, {
-            "witness": format_cycles(result.witness),
-            "method": result.method,
-            "visited": result.elements_visited,
-            "pruned": result.nodes_pruned,
-        }),
-    ], args.seed)
-    _write_json(report, args.json)
-    return EXIT_OK
+    return result.m, [("mindeg", [], True, {
+        "witness": format_cycles(result.witness),
+        "method": result.method,
+        "visited": result.elements_visited,
+        "pruned": result.nodes_pruned,
+    })]
 
 
-def _cmd_table(args) -> int:
-    from .verify import _ge, all_pass, mathieu_bound_table
+def _cmd_table(args, group):
+    from .verify import _ge, mathieu_bound_table
 
-    checks = []
     suites = []
     for row in mathieu_bound_table():
         print(f"{row.label}: n={row.n} t={row.t} m={row.m} bound={row.bound}")
-        checks.append(_ge("minimal-degree-meets-bound", row.m, row.bound))
-        suites.append(_suite_json(f"table:{row.label}", checks[-1:], True))
-    header = {"group": "mathieu-table", "n": 0, "order": "0", "t": 0}
-    _write_json(_envelope(header, None, suites, args.seed), args.json)
-    return EXIT_OK if all_pass(checks) else EXIT_CHECK_FAILED
+        suites.append((f"table:{row.label}",
+                       [_ge("minimal-degree-meets-bound", row.m, row.bound)], True, None))
+    return None, suites
 
 
 # help and usage text wrapped as on an 80-column terminal whatever the
@@ -282,11 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = add_parser("info", help="degree, order, transitivity and minimal degree")
     p_info.add_argument("group")
     _add_common(p_info)
+    p_info.set_defaults(handler=_cmd_info)
 
     p_verify = add_parser("verify", help="run a sampled check suite")
     p_verify.add_argument("group")
     p_verify.add_argument("suite", choices=("laws", "counts", "all"))
     _add_common(p_verify)
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_trace = add_parser("trace", help="replay one bound trace")
     p_trace.add_argument("group")
@@ -294,15 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     # equal to sorted(verify.TRACES)
     p_trace.add_argument("theorem", choices=("double", "jordan", "quadruple", "triple"))
     _add_common(p_trace)
+    p_trace.set_defaults(handler=_cmd_trace)
 
     p_mindeg = add_parser("mindeg", help="compute the minimal degree")
     p_mindeg.add_argument("group")
     p_mindeg.add_argument("--method", choices=("backtrack", "exhaustive"), default="backtrack",
                           help="backtrack (the default) or the exhaustive oracle")
     _add_common(p_mindeg)
+    p_mindeg.set_defaults(handler=_cmd_mindeg)
 
     p_table = add_parser("table", help="Mathieu degree/bound table")
     _add_common(p_table)
+    p_table.set_defaults(handler=_cmd_table)
     return parser
 
 
@@ -318,16 +287,20 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    handlers = {
-        "info": _cmd_info,
-        "verify": _cmd_verify,
-        "trace": _cmd_trace,
-        "mindeg": _cmd_mindeg,
-        "table": _cmd_table,
-    }
     start = time.monotonic()
     try:
-        code = handlers[args.command](args)
+        group = resolve_group(args.group) if "group" in args else None
+        m, suites = args.handler(args, group)
+        if args.json:
+            # the canonical report: schema, the group header, m, suites, seed
+            header = ({"group": "mathieu-table", "n": 0, "order": "0", "t": 0}
+                      if group is None else
+                      {"group": group.label, "n": group.degree, "order": str(group.order),
+                       "t": group.transitivity_degree()})
+            report = {"schema": 1, **header, "m": m,
+                      "suites": [_suite_json(*suite) for suite in suites],
+                      "seed": args.seed, "elapsed_ms": 0}
+            Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -339,7 +312,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"elapsed: {int((time.monotonic() - start) * 1000)} ms", file=sys.stderr)
-    return code
+    # every command exits by the checks its report carries
+    checks = [check for _, held, _, _ in suites for check in held]
+    if checks:
+        from .verify import all_pass
+
+        if not all_pass(checks):
+            return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -48,14 +48,14 @@ def minimal_degree_exhaustive(group: PermutationGroup,
     return MinDegResult(best[0], Permutation(best[1]), "exhaustive", visited, 0)
 
 
-def _fixed_closure(group: PermutationGroup) -> frozenset[int]:
-    gens = group.generators
-    return frozenset(a for a in range(group.degree)
-                     if all(g.images[a] == a for g in gens))
-
-
-def _nontrivial_orbit_reps(group: PermutationGroup) -> list[int]:
-    return sorted(min(orb) for orb in group.orbit_partition() if len(orb) > 1)
+def _orbit_split(group: PermutationGroup) -> tuple[frozenset[int], list[int]]:
+    """The points ``group`` fixes and the least point of each of its other
+    orbits, ascending, from one orbit partition: the fixed points are its
+    one-point orbits."""
+    fixed, reps = [], []
+    for orb in group.orbit_partition():
+        (fixed if len(orb) == 1 else reps).append(min(orb))
+    return frozenset(fixed), reps
 
 
 def minimal_degree_backtrack(group: PermutationGroup) -> MinDegResult:
@@ -78,29 +78,28 @@ def minimal_degree_backtrack(group: PermutationGroup) -> MinDegResult:
     visited = 0
     pruned = 0
 
-    root_fix = _fixed_closure(group)
-    best_fix = root_fix
+    best_fix, reps = _orbit_split(group)
     best_stab = group
-    seen: set[frozenset[int]] = {root_fix}
-    stack: list[tuple[PermutationGroup, frozenset[int]]] = [(group, root_fix)]
+    seen: set[frozenset[int]] = {best_fix}
+    stack = [(group, best_fix, reps)]
 
     while stack:
-        stab, fix_set = stack.pop()
+        stab, fix_set, reps = stack.pop()
         visited += 1
         if len(fix_set) > len(best_fix):
             best_fix = fix_set
             best_stab = stab
-        for rep in reversed(_nontrivial_orbit_reps(stab)):
+        for rep in reversed(reps):
             child = stab.pointwise_stabilizer([rep])
             if child.order == 1:
                 pruned += 1
                 continue
-            child_fix = _fixed_closure(child)
+            child_fix, child_reps = _orbit_split(child)
             if child_fix in seen:
                 pruned += 1
                 continue
             seen.add(child_fix)
-            stack.append((child, child_fix))
+            stack.append((child, child_fix, child_reps))
 
     # the root has a nonidentity generator (its order is above 1), and every
     # other node is generated by strong generators, none of them the identity

@@ -60,7 +60,7 @@ class PreconditionError(ValueError):
     """An input set violates the hypothesis of the check it was passed to."""
 
 
-# relation is "=", "<=", ">=" or "subset"; observed is an int and formula a
+# relation is "=", "<=" or ">="; observed is an int and formula a
 # Fraction; an informational check never fails a suite
 CountCheck = namedtuple("CountCheck",
                         "label relation observed formula passed informational",
@@ -98,16 +98,16 @@ def _commutator_flags(u: Sequence[int], v: Sequence[int]) -> int:
     return int.from_bytes(_flags(mul(u, v + tail), mul(v, u + tail)), "little")
 
 
-# (label, relation, informational) of each law, in the order of the rows
-# _law_facts returns; the last is the cancellation bound.  The
-# forward-images containment belongs to the opposite composition order, so
-# it is reported but never asserted
+# (label, informational) of each law, in the order of the rows _law_facts
+# returns; the last is the cancellation bound.  The forward-images
+# containment belongs to the opposite composition order, so it is reported
+# but never asserted
 _LAWS = (
-    ("commutator-support-containment", "subset", False),
-    ("commutator-support-size-bound", "<=", False),
-    ("commutator-support-fixed-crossings", "subset", False),
-    ("commutator-support-containment-forward-images (informational)", "subset", True),
-    ("commutator-support-cancellation-bound", "<=", False),
+    ("commutator-support-containment", False),
+    ("commutator-support-size-bound", False),
+    ("commutator-support-fixed-crossings", False),
+    ("commutator-support-containment-forward-images (informational)", True),
+    ("commutator-support-cancellation-bound", False),
 )
 
 
@@ -910,7 +910,7 @@ def commutator_law_suite(group: PermutationGroup, samples: int = 1000,
             if observed > limit:
                 failures[i] += 1
     checks = [_eq(f"{label} [{samples} samples]", failed, 0, informational)
-              for (label, _, informational), failed in zip(_LAWS, failures)]
+              for (label, informational), failed in zip(_LAWS, failures)]
     return _sorted_checks(checks)
 
 

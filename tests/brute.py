@@ -775,4 +775,4 @@ def commutator_law_suite_by_tuples(group, samples, seed):
             failures[i] += observed > limit
     return _sorted_checks([CountCheck(f"{label} [{samples} samples]", "=", failed, Fraction(0),
                                       failed == 0, informational)
-                           for (label, _, informational), failed in zip(_LAWS, failures)])
+                           for (label, informational), failed in zip(_LAWS, failures)])

@@ -153,9 +153,20 @@ MUTANTS = [
            "compose(compose(g.images, self.images), g.inverse().images)",
            "p.conjugate(g) returns g p g^-1, not g^-1 p g"),
     Mutant("table-check-le", "cli.py",
-           "from .verify import _ge, all_pass, mathieu_bound_table",
-           "from .verify import _le as _ge, all_pass, mathieu_bound_table",
+           "from .verify import _ge, mathieu_bound_table",
+           "from .verify import _le as _ge, mathieu_bound_table",
            "the table checks m <= bound, not m >= bound, and exits by those checks"),
+    # one report path: main exits by every check the report carries
+    Mutant("exit-by-last-suite", "cli.py",
+           "for _, held, _, _ in suites for",
+           "for _, held, _, _ in suites[-1:] for",
+           "a command exits by its last suite's checks only, so verify counts passes "
+           "when pair-relation does"),
+    Mutant("exit-counts-informational", "cli.py",
+           "if not all_pass(checks):",
+           "if not all(c.passed for c in checks):",
+           "an informational check that fails, such as the forward-images law, fails "
+           "the command"),
     # the counts suite's pair orbits and its oracle
     Mutant("fixed-read-as-arrows", "verify.py",
            "stays - share(fixed, second)",

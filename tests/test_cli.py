@@ -147,6 +147,25 @@ def test_table_exits_by_the_checks_it_writes(capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "catalog:M11"),
+    ("mindeg", "catalog:M11"),
+    ("verify", "catalog:S6", "laws", "--samples", "20"),
+    ("trace", "catalog:M11", "double"),
+    ("table",),
+])
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys, argv):
+    # the report is written after the command prints, so stdout is the
+    # command's own; the failed write exits 2 with one error line and no
+    # elapsed line
+    code = main([*argv, "--json", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "elapsed:" not in err
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == out != ""
+
+
 def test_mindeg_methods_agree(capsys):
     code, out1 = run(capsys, "mindeg", "catalog:M11", "--method", "exhaustive")
     assert code == 0 and "m=8" in out1

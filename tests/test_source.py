@@ -163,6 +163,23 @@ def test_point_and_degree_checks_live_only_in_perm():
     assert [perm_text.count(message) for message in messages] == [1, 1, 1]
 
 
+def test_cli_reports_and_exits_only_in_main():
+    # main writes every --json report and picks every exit code from the
+    # checks it wrote; a handler naming any of these would be a second copy
+    # of the envelope or of the exit rule
+    tree = ast.parse((Path(permdeg.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    inside = {id(node) for node in ast.walk(main)}
+    watched = {"EXIT_CHECK_FAILED", "all_pass", "dumps", "write_text"}
+    name_field = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}
+    named = [(node, name) for node in ast.walk(tree)
+             if (name := getattr(node, name_field.get(type(node), ""), None)) in watched
+             and not isinstance(getattr(node, "ctx", None), ast.Store)]
+    assert {name for node, name in named if id(node) in inside} == watched
+    assert [f"{name}:{node.lineno}" for node, name in named if id(node) not in inside] == []
+
+
 def test_groups_imports_nothing_from_mindeg():
     # mindeg keeps its own result cache, so the group type does not depend
     # on the search built on it

@@ -53,9 +53,8 @@ def commutator_law_checks(u, v):
     informational forward-images containment; each law holds exactly when
     its observed value is at most its limit."""
     rows = operand_facts(u, v)[0]
-    return [CountCheck(label, relation, observed, Fraction(limit), observed <= limit,
-                       informational)
-            for (label, relation, informational), (observed, limit) in zip(_LAWS, rows[:4])]
+    return [CountCheck(label, "<=", observed, Fraction(limit), observed <= limit, informational)
+            for (label, informational), (observed, limit) in zip(_LAWS, rows[:4])]
 
 
 def test_commutator_laws_worked_example():
