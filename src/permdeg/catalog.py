@@ -54,31 +54,34 @@ def _validated(group: PermutationGroup, order: int, tdeg: int | None) -> Permuta
     return group
 
 
+def _rotation(n: int, first: int) -> Permutation:
+    """The cycle (first, first + 1, ..., n - 1) on the points 0..n-1."""
+    return Permutation([*range(first), *range(first + 1, n), first])
+
+
 def symmetric_group(n: int) -> PermutationGroup:
     gens = []
     if n >= 2:
-        gens.append(parse_cycles("(1,2)", n))
+        gens.append(Permutation([1, 0, *range(2, n)]))
     if n >= 3:
-        gens.append(parse_cycles("(" + ",".join(str(i) for i in range(1, n + 1)) + ")", n))
+        gens.append(_rotation(n, 0))
     return _validated(PermutationGroup(gens, n, f"S{n}"), factorial(n), n)
 
 
 def alternating_group(n: int) -> PermutationGroup:
     gens = []
     if n >= 3:
-        gens.append(parse_cycles("(1,2,3)", n))
+        gens.append(Permutation([1, 2, 0, *range(3, n)]))
     if n >= 4:
-        points = range(1, n + 1) if n % 2 == 1 else range(2, n + 1)
-        gens.append(parse_cycles("(" + ",".join(map(str, points)) + ")", n))
+        # the rotation of all n points is even for odd n; of the last n - 1 for even n
+        gens.append(_rotation(n, 1 - n % 2))
     # the group checks the degree before factorial() sees a negative n
     group = PermutationGroup(gens, n, f"A{n}")
     return _validated(group, max(1, factorial(n) // 2), n - 2 if n >= 3 else None)
 
 
 def cyclic_group(n: int) -> PermutationGroup:
-    gens = []
-    if n >= 2:
-        gens.append(parse_cycles("(" + ",".join(str(i) for i in range(1, n + 1)) + ")", n))
+    gens = [_rotation(n, 0)] if n >= 2 else []
     tdeg = {1: 1, 2: 2}.get(n, 1)  # the rotation group is all of Sym(n) for n <= 2
     return _validated(PermutationGroup(gens, n, f"C{n}"), n, tdeg)
 
@@ -86,10 +89,9 @@ def cyclic_group(n: int) -> PermutationGroup:
 def dihedral_group(n: int) -> PermutationGroup:
     if n < 3:
         raise ValueError("dihedral group needs at least 3 points")
-    rotation = parse_cycles("(" + ",".join(str(i) for i in range(1, n + 1)) + ")", n)
     flip = Permutation([0] + [n - i for i in range(1, n)])
     tdeg = 3 if n == 3 else 1  # the triangle's dihedral group is all of Sym(3)
-    return _validated(PermutationGroup([rotation, flip], n, f"D{n}"), 2 * n, tdeg)
+    return _validated(PermutationGroup([_rotation(n, 0), flip], n, f"D{n}"), 2 * n, tdeg)
 
 
 def _require_mobius_field(q: int) -> None:
@@ -110,6 +112,7 @@ def _mobius_permutation(q: int, a: int, b: int, c: int, d: int) -> Permutation:
 
 
 def _primitive_root(q: int) -> int:
+    # q is an odd prime (_require_mobius_field), so some g returns
     for g in range(2, q):
         seen = set()
         value = 1
@@ -118,7 +121,6 @@ def _primitive_root(q: int) -> int:
             seen.add(value)
         if len(seen) == q - 1:
             return g
-    raise ValueError(f"no primitive root modulo {q}")
 
 
 def projective_general_group(q: int) -> PermutationGroup:

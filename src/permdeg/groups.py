@@ -26,7 +26,8 @@ random draw as an operand, as the laws suite does, wraps none.
 Random draws read 32-bit Mersenne Twister words, as ``random.Random``
 draws do (``_random_product``): one ``getrandbits(32)`` call per word
 where an rng is shared with other calls, and a chunk at a time
-(``_bulk_words``) where the rng is private to one reader;
+(``_bulk_words``) where the rng is private to one reader, each chunk one
+``getrandbits`` int unpacked as little-endian 32-bit words;
 ``_sample_size`` replays the words a ``random.sample`` size reads.
 ``_flags`` and ``_inverse`` give per-point flag bytes and inverses of
 operands of either width.
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
+import struct
 import weakref
 from collections import namedtuple
 from functools import cache, partial
@@ -449,18 +450,10 @@ class PermutationGroup:
         return t + 1 if t == n - 1 else t
 
     def contains_alternating(self) -> bool:
-        """Whether the group contains every even permutation of its points.
-
-        Probe: order at least n!/2 plus membership of a 3-cycle (the only
-        subgroups that large are the full symmetric and alternating groups).
-        """
-        n = self.degree
-        if n <= 2:
-            return True
-        if self.order < factorial(n) // 2:
-            return False
-        probe = Permutation([1, 2, 0] + list(range(3, n)))
-        return self.contains(probe)
+        """Whether the group contains every even permutation of its points:
+        whether its order is at least n!/2, since a subgroup of index at
+        most 2 in Sym(n) is Sym(n) or Alt(n)."""
+        return self.order >= factorial(self.degree) // 2
 
 
 @cache
@@ -541,7 +534,7 @@ class _Columns:
 
     def moves(self, a: int) -> int:
         """Lanes 1 where x[a] != a."""
-        return self._lanes(_flags(self._columns[a], _width(self.degree)[1]((a,)) * self.size))
+        return self._ones ^ self.maps_into(a, (a,))
 
     def maps_into(self, a: int, points: Iterable[int]) -> int:
         """Lanes 1 where x[a] lies in ``points``."""
@@ -632,14 +625,13 @@ def _bulk_words(rng: random.Random) -> Iterator[int]:
     """rng's 32-bit words in the order ``rng.getrandbits(32)`` returns
     them, read ``_CHUNK`` at a time: ``rng.getrandbits(32 * _CHUNK)``
     fills its int from the least significant word up.  It reads ahead, so
-    only an rng that nothing else reads may hand out its words this way."""
-    step = 1 if sys.byteorder == "little" else -1
+    only an rng that nothing else reads may hand out its words this way.
+    A chunk's int is written little-endian and read back as ``_CHUNK``
+    little-endian unsigned 32-bit words, on any machine."""
+    unpack = struct.Struct(f"<{_CHUNK}I").unpack
 
-    def read(_) -> memoryview:
-        view = memoryview(rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, sys.byteorder)).cast("I")
-        if view.itemsize != 4:
-            raise RuntimeError(f"an unsigned int takes {view.itemsize} bytes here, not 4")
-        return view[::step]
+    def read(_) -> tuple[int, ...]:
+        return unpack(rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, "little"))
 
     return itertools.chain.from_iterable(map(read, itertools.repeat(None)))
 

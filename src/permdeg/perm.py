@@ -164,7 +164,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.images else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def support(self) -> frozenset[int]:
         return frozenset(a for a, b in enumerate(self.images) if a != b)

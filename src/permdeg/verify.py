@@ -461,14 +461,15 @@ def _sorted_checks(checks: list[CountCheck]) -> list[CountCheck]:
     return sorted(checks, key=lambda c: c.label)
 
 
-def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, int],
-                     targets: tuple[int, int], rng, cap: int):
+def _relocated_orbit(report: TraceReport, group: PermutationGroup, u: Permutation,
+                     pair: tuple[int, int], targets: tuple[int, int], rng, cap: int):
     """Carry u back along an element h that maps ``pair`` to ``targets`` and
     close the result under the pointwise stabilizer H of the pair.
 
-    v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Returns
-    (h, v, E, u', pair'): E the conjugates of v under H, with u and the
-    pair carried into its frame, as ``groups._base_orbit`` returns them.
+    v = u^(h^-1) fixes pair[i] exactly when u fixes targets[i].  Records v,
+    h and the pair as alpha and beta in the report's witnesses and returns
+    (E, u', pair'): E the conjugates of v under H, with u and the pair
+    carried into its frame, as ``groups._base_orbit`` returns them.
     Both traces that call it need a doubly transitive group, so h exists
     for any two pairs of distinct points.  Building E builds no chain based
     on the pair and reads no rng.  With an rng, h is first multiplied on
@@ -482,7 +483,9 @@ def _relocated_orbit(group: PermutationGroup, u: Permutation, pair: tuple[int, i
     if rng is not None:
         h = group.pointwise_stabilizer(pair).random_element(rng) * h
     v = u.conjugate(h.inverse())
-    return (h, v, *_base_orbit(group, pair, 2, v, u, cap))
+    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(pair[0] + 1),
+                            beta=str(pair[1] + 1))
+    return _base_orbit(group, pair, 2, v, u, cap)
 
 
 def _conclude(report: TraceReport, checks: list[CountCheck],
@@ -736,12 +739,9 @@ def triple_transitive_trace(group: PermutationGroup, *, rng=None,
     # t >= 3 makes G_alpha nontrivial, so the minimal-degree witness fixes a point
     beta = _pick(rng, sorted(u.fixed()))
     n, m = report.n, report.m
-    h, v, orbit, ui, points = _relocated_orbit(group, u, (alpha, beta),
-                                               (alpha, u.images[alpha]), rng, cap)
-    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
-                            beta=str(beta + 1))
     # from here on E, u and the points are read in E's frame
-    alpha, beta = points
+    orbit, ui, (alpha, beta) = _relocated_orbit(report, group, u, (alpha, beta),
+                                                (alpha, u.images[alpha]), rng, cap)
     support = [a for a, c in enumerate(ui) if c != a]
     size = len(orbit) // n
     (misplaced, commuting, commutator_total, overlap_total, doubled_total,
@@ -791,12 +791,9 @@ def quadruple_transitive_trace(group: PermutationGroup, *, rng=None,
     # u fixes a point, and m > 2: with a transposition the group would be symmetric
     fix_target = _pick(rng, sorted(u.fixed()))
     mid_target = _pick(rng, [a for a in support if a != alpha and a != beta])
-    h, v, orbit, ui, points = _relocated_orbit(group, u, (alpha, beta),
-                                               (fix_target, mid_target), rng, cap)
-    report.witnesses.update(v=format_cycles(v), h=format_cycles(h), alpha=str(alpha + 1),
-                            beta=str(beta + 1))
     # from here on E, u and the points are read in E's frame
-    alpha, beta = points
+    orbit, ui, (alpha, beta) = _relocated_orbit(report, group, u, (alpha, beta),
+                                                (fix_target, mid_target), rng, cap)
     n, m = report.n, report.m
     size = len(orbit) // n
 
@@ -848,17 +845,18 @@ TRACES = {
 }
 
 
-# ok is m >= bound
-DegreeBoundRow = namedtuple("DegreeBoundRow", "label n t m bound ok")
+# check is the row's minimal-degree-meets-bound check, m >= bound
+DegreeBoundRow = namedtuple("DegreeBoundRow", "label n t m bound check")
 
 
 def mathieu_bound_table() -> list[DegreeBoundRow]:
     """The degree/bound table for the Mathieu fixtures.
 
     The quadruply-transitive bound max(6, ceil((n-3)/2)) is tabulated against
-    the computed minimal degree; a mismatch with the pinned expected minimal
-    degree is a fault in the computation, not in any input, and raises
-    RuntimeError.
+    the computed minimal degree, and each row carries the check m >= bound
+    that ``permdeg table`` reports and exits by; a mismatch with the pinned
+    expected minimal degree is a fault in the computation, not in any
+    input, and raises RuntimeError.
     """
     from . import catalog
 
@@ -872,7 +870,8 @@ def mathieu_bound_table() -> list[DegreeBoundRow]:
             raise RuntimeError(f"{g.label}: computed minimal degree {result.m}, "
                                f"expected {expected}")
         rows.append(DegreeBoundRow(g.label, g.degree, g.transitivity_degree(),
-                                   result.m, bound, result.m >= bound))
+                                   result.m, bound,
+                                   _ge("minimal-degree-meets-bound", result.m, bound)))
     return rows
 
 

@@ -62,6 +62,10 @@ MUTANTS = [
            "self._lanes(_flags(self._columns[u[a]], after[a::n]))",
            "self._lanes(_flags(self._columns[a], after[a::n]))",
            "[u,x] is read as moving a where x[a] != u[x[a]], not x[u[a]] != u[x[a]]"),
+    Mutant("moves-no-xor", "groups.py",
+           "return self._ones ^ self.maps_into(a, (a,))",
+           "return self.maps_into(a, (a,))",
+           "a column's moved lanes are the members that fix the point"),
     Mutant("below-no-or", "groups.py",
            "+ (top - bound) * self._ones | lanes) & tops",
            "+ (top - bound) * self._ones) & tops",
@@ -126,6 +130,16 @@ MUTANTS = [
            "return Permutation._trusted(x).inverse().images",
            "return x",
            "above 256 points an operand's inverse is the operand itself"),
+    Mutant("seen-never", "mindeg.py",
+           "if child_fix in seen:",
+           "if False:",
+           "the backtrack searches a fixed-point closure again each time a child "
+           "reaches it"),
+    Mutant("alternating-strict", "groups.py",
+           "return self.order >= factorial(self.degree) // 2",
+           "return self.order > factorial(self.degree) // 2",
+           "an alternating group reads as avoiding itself, so A7's double trace "
+           "raises on its 3-cycle witness"),
     Mutant("mindeg-no-cache", "mindeg.py",
            "result = _results[group] = minimal_degree_backtrack(group)",
            "result = minimal_degree_backtrack(group)",
@@ -152,10 +166,11 @@ MUTANTS = [
            "compose(compose(g.inverse().images, self.images), g.images)",
            "compose(compose(g.images, self.images), g.inverse().images)",
            "p.conjugate(g) returns g p g^-1, not g^-1 p g"),
-    Mutant("table-check-le", "cli.py",
-           "from .verify import _ge, mathieu_bound_table",
-           "from .verify import _le as _ge, mathieu_bound_table",
-           "the table checks m <= bound, not m >= bound, and exits by those checks"),
+    Mutant("table-check-le", "verify.py",
+           '_ge("minimal-degree-meets-bound"',
+           '_le("minimal-degree-meets-bound"',
+           "the table rows check m <= bound, not m >= bound, and the table exits by "
+           "those checks"),
     # one report path: main exits by every check the report carries
     Mutant("exit-by-last-suite", "cli.py",
            "for _, held, _, _ in suites for",
@@ -235,7 +250,13 @@ MUTANTS = [
            "(size, 2 * moved_u.bit_count())",
            "(size, 2 * moved_v.bit_count())",
            "the cancellation limit is taken as 2|supp(v)|"),
-    # seeded draws read off 32-bit words (groups._random_product, _sample_size)
+    # seeded draws read off 32-bit words (groups._random_product, _sample_size,
+    # _bulk_words)
+    Mutant("words-big-endian", "groups.py",
+           'f"<{_CHUNK}I"',
+           'f">{_CHUNK}I"',
+           "a chunk's words are unpacked big-endian, so the laws suite draws other "
+           "elements than random.Random's words give"),
     Mutant("no-rejection", "groups.py",
            "        while r >= size:\n            r = next(words) >> shift",
            "        if r >= size:\n            r = next(words) >> shift",

@@ -68,7 +68,8 @@ def test_criterion_2_bound_table():
     rows = mathieu_bound_table()
     bounds = [r.bound for r in rows]
     formula = [max(6, math.ceil((r.n - 3) / 2)) for r in rows]
-    ok = bounds == [6, 6, 10, 11] and bounds == formula and all(r.ok for r in rows)
+    ok = (bounds == [6, 6, 10, 11] and bounds == formula
+          and all(r.check.passed for r in rows))
     report(2, "degree/bound table", ok, f"bounds={bounds}")
     assert ok, rows
 

@@ -7,6 +7,7 @@ from permdeg.catalog import (
     load_generator_file,
     parse_group_name,
 )
+from permdeg.cli import main
 from permdeg.perm import parse_cycles
 
 from brute import save_generator_file, tuple_orbit_transitivity
@@ -124,6 +125,15 @@ def test_perm_file_missing_header(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(GeneratorFileError):
         load_generator_file(path)
+
+
+def test_perm_file_degree_zero(tmp_path, capsys):
+    path = tmp_path / "zero.perm"
+    path.write_text("degree 0\n")
+    with pytest.raises(GeneratorFileError, match="^line 1: degree must be at least 1$"):
+        load_generator_file(path)
+    assert main(["info", f"file:{path}"]) == 2
+    assert "degree must be at least 1" in capsys.readouterr().err
 
 
 def test_perm_file_bad_header(tmp_path):

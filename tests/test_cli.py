@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from permdeg import catalog
+from permdeg import catalog, mindeg
 from permdeg.cli import build_parser, main
 from permdeg.groups import PermutationGroup
+from permdeg.mindeg import minimal_degree_backtrack
 from permdeg.perm import Permutation
 from permdeg.verify import TRACES
 
@@ -129,20 +130,46 @@ def test_table(capsys):
     assert "M24: n=24 t=5 m=16 bound=11" in out
 
 
+def test_verify_searches_for_m_only_for_the_json_header(capsys, monkeypatch, tmp_path):
+    # m appears only in the --json header, so verify without --json runs
+    # no minimal-degree search; each run loads a fresh group from the file,
+    # so mindeg's per-group results cannot hide a search
+    searched = []
+
+    def backtrack(group):
+        searched.append(group.label)
+        return minimal_degree_backtrack(group)
+
+    monkeypatch.setattr(mindeg, "minimal_degree_backtrack", backtrack)
+    path = tmp_path / "s5.perm"
+    save_generator_file(catalog.parse_group_name("S5"), path)
+    argv = ("verify", f"file:{path}", "laws", "--samples", "20")
+    code, _ = run(capsys, *argv)
+    assert code == 0 and searched == []
+    report = tmp_path / "s5.json"
+    code, _ = run(capsys, *argv, "--json", str(report))
+    assert code == 0 and searched == ["s5"]
+    assert json.loads(report.read_text())["m"] == 2
+
+
 def test_table_exits_by_the_checks_it_writes(capsys, monkeypatch, tmp_path):
-    # the exit code and the --json pass flags read the same checks, so a
-    # row's own ok flag, here the opposite of m >= bound, moves neither
+    # the exit code and the --json pass flags read the check each row
+    # carries, and the table states m >= bound nowhere else: here each
+    # row's check is the opposite of its own m >= bound
     import permdeg.verify as verify
 
-    rows = [verify.DegreeBoundRow("X", 9, 2, 3, 4, True),
-            verify.DegreeBoundRow("Y", 9, 2, 5, 4, False)]
+    def row(label, m, bound, passed):
+        check = verify.CountCheck("minimal-degree-meets-bound", ">=", m, bound, passed)
+        return verify.DegreeBoundRow(label, 9, 2, m, bound, check)
+
+    rows = [row("X", 5, 4, False), row("Y", 3, 4, True)]
     monkeypatch.setattr(verify, "mathieu_bound_table", lambda: rows)
     path = tmp_path / "table.json"
     code, _ = run(capsys, "table", "--json", str(path))
     flags = [check["pass"] for suite in json.loads(path.read_text())["suites"]
              for check in suite["checks"]]
     assert flags == [False, True] and code == 1
-    rows[0] = verify.DegreeBoundRow("X", 9, 2, 4, 4, False)
+    rows[0] = row("X", 3, 4, True)
     code, _ = run(capsys, "table", "--json", str(path))
     assert code == 0
 

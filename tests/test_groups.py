@@ -89,6 +89,11 @@ def test_membership_of_generators_and_words():
         assert g.contains(word)
 
 
+def test_degree_defaults_to_the_first_generator():
+    g = PermutationGroup([parse_cycles("(1,2,3)", 5)])
+    assert g.degree == 5 and g.order == 3
+
+
 def test_membership_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         sym4().contains(parse_cycles("(1,2)", 5))

@@ -98,6 +98,15 @@ def test_backtrack_counters_present():
         assert (result.elements_visited, result.nodes_pruned) == counters, k
 
 
+def test_backtrack_prunes_a_fixed_closure_seen_before():
+    # fixing 1 and fixing 3 both leave <(5,6)>, which fixes 1..4: the second
+    # of those children is pruned as seen, not searched again
+    g = PermutationGroup([parse_cycles("(1,2)(3,4)", 6), parse_cycles("(5,6)", 6)], 6)
+    result = minimal_degree_backtrack(g)
+    assert result.m == minimal_degree_exhaustive(g).m == 2
+    assert (result.elements_visited, result.nodes_pruned) == (3, 4)
+
+
 def test_auto_dispatch_and_cache():
     # minimal_degree always backtracks, whatever the order, and caches the result
     g = catalog.builtin("symmetric", 6)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -42,6 +43,9 @@ def test_parse_errors():
         parse_cycles("", 4)
     with pytest.raises(CycleParseError):
         parse_cycles("()", 0)
+    for text in ("(1,,2)", "(1,2,)"):
+        with pytest.raises(CycleParseError, match=f"^bad cycle entry '' in '{re.escape(text)}'$"):
+            parse_cycles(text, 4)
 
 
 def test_parse_accepts_spacing():
@@ -56,8 +60,14 @@ def test_format_three_cycle():
     assert format_cycles(Permutation([1, 2, 0, 3, 4])) == "(1,2,3)"
 
 
+def test_equality_with_a_non_permutation_is_false():
+    p = parse_cycles("(1,2)", 3)
+    assert (p == p.images) is False and p != "(1,2)"
+
+
 def test_format_canonical_order():
-    assert format_cycles(parse_cycles("(4,5)(2,1)", 6)) == "(1,2)(4,5)"
+    p = parse_cycles("(4,5)(2,1)", 6)
+    assert format_cycles(p) == str(p) == "(1,2)(4,5)"
 
 
 def test_parse_format_round_trip_seeded():
@@ -219,6 +229,9 @@ def test_prime_order_witness_smallest_prime():
     w = prime_order_witness(p)
     assert w == parse_cycles("(1,2)", 5)
     assert w.order() == 2
+    # order 35: the trial division passes 3 before it finds 5
+    p = parse_cycles("(1,2,3,4,5)(6,7,8,9,10,11,12)", 12)
+    assert prime_order_witness(p) == p ** 7
 
 
 def test_prime_order_witness_identity_rejected():

@@ -238,7 +238,10 @@ def test_mathieu_bound_table_rows():
     rows = mathieu_bound_table()
     got = [(r.n, r.m, r.bound) for r in rows]
     assert got == [(11, 8, 6), (12, 8, 6), (23, 16, 10), (24, 16, 11)]
-    assert all(r.ok for r in rows)
+    # each row states m >= bound once, as the check the table writes
+    assert [r.check for r in rows] == [_ge("minimal-degree-meets-bound", r.m, r.bound)
+                                       for r in rows]
+    assert all(r.check.passed for r in rows)
     assert [r.t for r in rows] == [4, 5, 4, 5]
 
 

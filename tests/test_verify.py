@@ -686,8 +686,10 @@ def test_record_types_are_fixed_and_reports_own_their_containers():
     check = CountCheck("label", "=", 1, Fraction(1), True)
     assert check.informational is False
     records = [(check, "passed"), (minimal_degree(catalog.parse_group_name("S5")), "m"),
-               (mathieu_bound_table()[0], "ok")]
+               (mathieu_bound_table()[0], "check")]
     for record, name in records:
+        # the field exists, so the raise is the record's, not a misspelling's
+        assert name in record._fields
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     first, second = (TraceReport("double", "S5", 5, 5) for _ in range(2))
