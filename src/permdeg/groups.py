@@ -11,7 +11,8 @@ reproducible for a given generating sequence.  Once a group's order is
 verified, later chains of the group stop as soon as their orbit lengths
 multiply to it, and come out the same as a full build.  A level whose
 group did not grow rebuilds its transversal only when it is next read, or
-once at the end.
+once at the end.  A group keeps its ``()`` chain and only its last
+rebased chain, so a session does not grow with each trace's points.
 
 Every product here goes through one width switch, ``_width``: byte
 strings that ``bytes.translate`` composes in C up to 256 points, image
@@ -301,7 +302,9 @@ class PermutationGroup:
 
     Instances are immutable after construction; chains and the order are
     lazily computed and cached, and every query is safe to share between
-    readers.
+    readers.  It keeps the ``()`` chain for life and only the last rebased
+    chain, one (key, chain) pair replaced in one assignment: a trace reads
+    its own points' chain twice in a row and seldom an older one again.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int | None = None,
@@ -317,7 +320,8 @@ class PermutationGroup:
         self.degree = degree
         self.generators = gens
         self.label = label
-        self._chains: dict[tuple[int, ...], StabilizerChain] = {}
+        self._root: StabilizerChain | None = None
+        self._rebased: tuple[tuple[int, ...], StabilizerChain] | None = None
         self._pairs: dict[int, tuple[Permutation, ...]] = {}
         self._order: int | None = None
 
@@ -327,14 +331,18 @@ class PermutationGroup:
     def chain(self, base_prefix: Sequence[int] = ()) -> StabilizerChain:
         """The chain whose base starts with ``base_prefix``.  A rebased chain
         stops at the order the ``()`` chain verified, and so does the ``()``
-        chain of a stabilizer whose order its parent's chain fixed."""
+        chain of a stabilizer whose order its parent's chain fixed.  A new
+        rebased key's chain replaces the kept one."""
         key = tuple(base_prefix)
-        chain = self._chains.get(key)
-        if chain is None:
-            order = self.order if key else self._order
-            chain = build_chain(self.generators, self.degree, key, order=order)
-            self._chains[key] = chain
-        return chain
+        if not key:
+            if self._root is None:
+                self._root = build_chain(self.generators, self.degree, order=self._order)
+            return self._root
+        kept = self._rebased
+        if kept is None or kept[0] != key:
+            kept = self._rebased = (key, build_chain(self.generators, self.degree, key,
+                                                     order=self.order))
+        return kept[1]
 
     @property
     def order(self) -> int:

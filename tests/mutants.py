@@ -317,6 +317,25 @@ MUTANTS = [
            "conjugation_closure(group.pointwise_stabilizer(dset).generators, u, cap)",
            "conjugation_closure(group.pointwise_stabilizer(dset).generators[:1], u, cap)",
            "the oracle closes E under the subgroup its first stabilizer generator generates"),
+    # the chains a group keeps: its () chain and the last rebased one
+    Mutant("rebased-kept-all", "groups.py",
+           "        kept = self._rebased\n"
+           "        if kept is None or kept[0] != key:\n",
+           '        kept = self.__dict__.setdefault("_every", {}).get(key)\n'
+           "        if kept is None:\n"
+           "            kept = self._every[key] = (key, build_chain(self.generators, self.degree,\n"
+           "                                                        key, order=self.order))\n"
+           "        if kept is None or kept[0] != key:\n",
+           "every rebased chain is kept for the group's life, so a session grows by a "
+           "chain per trace"),
+    Mutant("rebased-never-kept", "groups.py",
+           "        kept = self._rebased\n",
+           "        kept = None\n",
+           "no rebased chain is read again, so a trace builds its pair's chain twice"),
+    Mutant("rebased-slot-ignores-key", "groups.py",
+           "if kept is None or kept[0] != key:",
+           "if kept is None:",
+           "the kept rebased chain is returned for any base prefix"),
     # the closing thresholds, derived from (k, slack)
     Mutant("threshold-short-range", "verify.py",
            "for j in range(4, slack + 4)",

@@ -15,7 +15,7 @@ from permdeg.groups import (
 from permdeg.perm import DegreeMismatchError, Permutation, parse_cycles
 from permdeg import catalog, groups
 from permdeg.mindeg import minimal_degree
-from permdeg.verify import double_transitive_trace
+from permdeg.verify import TRACES, double_transitive_trace
 
 from brute import (all_tuples, build_chain_eager, build_chain_tuples, conjugation_bfs,
                    mobius_group, mulclose, tuple_orbit_transitivity)
@@ -738,14 +738,14 @@ def test_stabilizer_generators_read_no_chain_of_their_points():
     from permdeg.verify import count_identity_suite
 
     g = catalog.parse_group_name("M12")
-    g.chain()
-    before = set(g._chains)
+    root = g.chain()
+    rebased = g._rebased
     u = g.generators[0]
     for points in ([3], [3, 7], [11, 0]):
         groups._base_orbit(g, points, len(points), u, u)
         groups._to_base(g, points, (u,))
     count_identity_suite(g, 60, 1)
-    assert set(g._chains) == before
+    assert g._root is root and g._rebased is rebased
     assert len(g._level_pair(2)) == 2
 
 
@@ -764,6 +764,79 @@ def test_validation_reads_one_chain(monkeypatch):
     g = catalog.builtin("mathieu", 24)
     assert g.transitivity_degree() == 5
     assert len(builds) == 1
+
+
+def _kept_chains(group):
+    # every chain the group holds, found through its attributes and the
+    # tuples, lists and dicts in them, whatever field keeps it
+    chains, stack = [], list(vars(group).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, groups.StabilizerChain):
+            chains.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+    return chains
+
+
+def test_a_group_keeps_its_root_chain_and_one_rebased_chain():
+    # each seeded trace asks for chains based on its own points; the group
+    # keeps its () chain and the last rebased one, so what it holds stays
+    # flat over a session instead of growing by a chain per trace
+    runs = [(catalog.mathieu_group(24), name, seed)
+            for seed in range(1, 6) for name in ("jordan", "triple", "quadruple")]
+    wide = mobius_group(257)
+    runs += [(wide, "triple", seed) for seed in range(1, 4)]
+    first = {}
+    for group, name, seed in runs:
+        TRACES[name](group, rng=random.Random(seed))
+        root = group.chain()
+        kept = _kept_chains(group)
+        assert any(chain is root for chain in kept), (group.label, name, seed)
+        assert sum(chain is not root for chain in kept) <= 1, (group.label, name, seed)
+        reps = sum(len(level.transversal) for chain in kept for level in chain.levels)
+        assert reps <= first.setdefault(group, reps), (group.label, name, seed)
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_a_trace_reads_its_pair_chain_twice_from_one_build(monkeypatch, seed):
+    # the triple trace walks h from its pair and then draws from the pair's
+    # stabilizer; with the pair ascending both ask for one key, built once
+    plain = groups.build_chain
+    keys = []
+
+    def counted(generators, degree, base_prefix=(), **kwargs):
+        keys.append(tuple(base_prefix))
+        return plain(generators, degree, base_prefix, **kwargs)
+
+    monkeypatch.setattr(groups, "build_chain", counted)
+    g = catalog.mathieu_group(12)
+    report = TRACES["triple"](g, rng=random.Random(seed))
+    pair = (int(report.witnesses["alpha"]) - 1, int(report.witnesses["beta"]) - 1)
+    assert pair[0] < pair[1]
+    assert keys.count(pair) == 1
+
+
+def test_rebased_builds_of_the_mathieu_traces_are_pinned(monkeypatch):
+    # M12, M23 and M24, each through the four traces at seed 1 on one fresh
+    # group: the rebased chains they build, counted the way the last-chain
+    # slot keeps them
+    plain = groups.build_chain
+    rebased = []
+
+    def counted(generators, degree, base_prefix=(), **kwargs):
+        if base_prefix:
+            rebased.append(tuple(base_prefix))
+        return plain(generators, degree, base_prefix, **kwargs)
+
+    monkeypatch.setattr(groups, "build_chain", counted)
+    for k in (12, 23, 24):
+        g = catalog.mathieu_group(k)
+        for name in ("jordan", "double", "triple", "quadruple"):
+            TRACES[name](g, rng=random.Random(1))
+    assert len(rebased) == 46
 
 
 @pytest.mark.parametrize("n, top", [(5, 128), (256, 128), (257, 1 << 15), (300, 1 << 15)])
