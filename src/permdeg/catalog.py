@@ -165,6 +165,10 @@ _BUILDERS = {
     "mathieu": mathieu_group,
 }
 
+# a short name is one of these prefixes followed by ASCII digits, the parameter
+_SHORT_NAMES = {"S": "symmetric", "A": "alternating", "C": "cyclic", "D": "dihedral",
+                "M": "mathieu", "PGL2_": "pgl2", "PSL2_": "psl2"}
+
 _cache: dict[tuple[str, int], PermutationGroup] = {}
 
 
@@ -182,15 +186,10 @@ def builtin(name: str, param: int) -> PermutationGroup:
 def parse_group_name(name: str) -> PermutationGroup:
     """Resolve short names: S5, A6, C6, D4, M11, PGL2_7, PSL2_7."""
     text = name.strip().upper()
-    family = {"S": "symmetric", "A": "alternating", "C": "cyclic", "D": "dihedral"}
-    if text[:1] in family and text[1:].isdigit():
-        return builtin(family[text[:1]], int(text[1:]))
-    if text[:1] == "M" and text[1:].isdigit():
-        return builtin("mathieu", int(text[1:]))
-    for prefix, fam in (("PGL2_", "pgl2"), ("PSL2_", "psl2")):
-        if text.startswith(prefix) and text[len(prefix):].isdigit():
-            return builtin(fam, int(text[len(prefix):]))
-    raise ValueError(f"unrecognized group name {name!r}")
+    prefix = text.rstrip("0123456789")
+    if prefix not in _SHORT_NAMES or prefix == text:
+        raise ValueError(f"unrecognized group name {name!r}")
+    return builtin(_SHORT_NAMES[prefix], int(text[len(prefix):]))
 
 
 def load_generator_file(path: str | Path) -> PermutationGroup:

@@ -21,7 +21,9 @@ operand is the one representation inside the module: a finished chain's
 transversal representatives and a closure's orbit elements are operands,
 and so are the products of the chain readers (the transversal walk that
 membership sifts and transporters take, random draws and element
-enumeration).  A ``Permutation`` always holds an image tuple, so a reader
+enumeration).  Schreier-Sims installs every generator and residue as an
+operand and wraps its strong generators as ``Permutation``s once, when the
+chain is done.  A ``Permutation`` always holds an image tuple, so a reader
 calls ``tuple`` once, where it wraps its result; a caller that reads a
 random draw as an operand, as the laws suite does, wraps none.
 Random draws read 32-bit Mersenne Twister words, as ``random.Random``
@@ -152,11 +154,14 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     product is a plain n-point string, and the right operand is padded to a
     256-byte ``translate`` table: transversal representatives and residues
     are plain, strong generators and inverse representatives are padded.
-    Above 256 points the padding is empty.  While the construction runs,
-    each level keeps the inverse of every transversal representative, built
-    in the same breadth-first pass, so stripping never inverts a
-    permutation; the finished chain keeps only the representatives, and
-    every base point maps to the one identity operand of the degree.
+    Above 256 points the padding is empty.  Each generator is wrapped once
+    and each residue installed as it is, with ``_inverse`` of it as its
+    inverse entry; the strong generators become ``Permutation``s only in
+    the finished chain.  While the construction runs, each level keeps the
+    inverse of every transversal representative, built in the same
+    breadth-first pass, so stripping never inverts a permutation; the
+    finished chain keeps only the representatives, and every base point
+    maps to the one identity operand of the degree.
 
     A residue found at level i lies in level i's group, so installing it at
     level k grows no group of levels 0..i: their tables are rebuilt only
@@ -180,16 +185,15 @@ def build_chain(generators: Iterable[Permutation], degree: int,
     generators = tuple(generators)
     _check_degree(generators, degree)
     base_prefix = _check_points(base_prefix, degree)
-    gens = [g for g in generators if not g.is_identity()]
-
     mul, wrap, ident, tail = _width(degree)
+    gens = [wrap(g.images) for g in generators if not g.is_identity()]
     ident_table = ident + tail
     base: list[int] = []
     # per level: (padded generator, plain inverse) of its strong generators
     gen_lists: list[list[tuple[Sequence[int], Sequence[int]]]] = []
     transversals: list[dict[int, Sequence[int]]] = []
     inverses: list[dict[int, Sequence[int]]] = []
-    strong: list[Permutation] = []
+    strong: list[Sequence[int]] = []
 
     def add_level(pt: int) -> None:
         base.append(pt)
@@ -229,16 +233,15 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             g = mul(g, rep_inv)
         return g
 
-    def install(g: Permutation) -> int:
-        # register g at every level whose base prefix it fixes: levels 0..k,
-        # where k is the first base level g moves (new base point if none)
-        images = g.images
+    def install(g: Sequence[int]) -> int:
+        # register the operand g at every level whose base prefix it fixes:
+        # levels 0..k, k the first base level g moves (a new one if none)
         k = 0
-        while k < len(base) and images[base[k]] == base[k]:
+        while k < len(base) and g[base[k]] == base[k]:
             k += 1
         if k == len(base):
-            add_level(min(a for a in range(degree) if images[a] != a))
-        entry = (wrap(images) + tail, wrap(g.inverse().images))
+            add_level(min(a for a in range(degree) if g[a] != a))
+        entry = (g + tail, _inverse(g))
         for j in range(k + 1):
             gen_lists[j].append(entry)
         strong.append(g)
@@ -286,7 +289,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
             i -= 1
             continue
         stale = i + 1
-        i = install(Permutation._trusted(tuple(residue)))
+        i = install(residue)
         for j in range(stale, i + 1):
             rebuild_orbit(j)
     for j in range(stale):
@@ -294,7 +297,7 @@ def build_chain(generators: Iterable[Permutation], degree: int,
 
     levels = [ChainLevel(pt, table, tuple(sorted(table)))
               for pt, table in zip(base, transversals)]
-    return StabilizerChain(degree, levels, tuple(strong))
+    return StabilizerChain(degree, levels, tuple(Permutation._trusted(tuple(g)) for g in strong))
 
 
 class PermutationGroup:
@@ -389,18 +392,19 @@ class PermutationGroup:
         return out
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermutationGroup":
-        """The subgroup fixing every listed point, via a chain rebased on them.
-
-        Its generators are the strong generators fixing the points, and its
-        order is the product of the rebased chain's levels past them."""
+        """The subgroup fixing every listed point: ``_prefix_stabilizer`` of
+        a chain rebased on them."""
         pts = tuple(sorted(set(_check_points(points, self.degree))))
-        if not pts:
-            return self
-        chain = self.chain(pts)
-        sub = [g for g in chain.strong_gens
-               if all(g.images[p] == p for p in pts)]
-        child = PermutationGroup(sub, self.degree, label=f"{self.label}_stab")
-        child._order = prod(len(level.transversal) for level in chain.levels[len(pts):])
+        return self._prefix_stabilizer(self.chain(pts), len(pts)) if pts else self
+
+    def _prefix_stabilizer(self, chain: StabilizerChain, k: int) -> "PermutationGroup":
+        """The subgroup fixing the first k base points of ``chain``, a chain of
+        this group: its strong generators fixing them, with the order of its levels past k."""
+        prefix = chain.base[:k]
+        child = PermutationGroup([g for g in chain.strong_gens
+                                  if all(g.images[p] == p for p in prefix)],
+                                 self.degree, label=f"{self.label}_stab")
+        child._order = prod(len(level.orbit) for level in chain.levels[k:])
         return child
 
     def _level_pair(self, k: int) -> tuple[Permutation, ...]:
@@ -413,7 +417,8 @@ class PermutationGroup:
         if pair is None:
             chain = self.chain()
             levels = chain.levels[k:]
-            order = prod(len(level.orbit) for level in levels)
+            stabilizer = self._prefix_stabilizer(chain, k)
+            order = stabilizer.order
             words = _bulk_words(random.Random(0))
             for _ in range(_PAIR_DRAWS):
                 pair = tuple(Permutation._trusted(tuple(_random_product(levels, self.degree, words)))
@@ -421,9 +426,7 @@ class PermutationGroup:
                 if build_chain(pair, self.degree, order=order).order() == order:
                     break
             else:
-                prefix = chain.base[:k]
-                pair = tuple(g for g in chain.strong_gens
-                             if all(g.images[p] == p for p in prefix))
+                pair = stabilizer.generators
             self._pairs[k] = pair
         return pair
 
@@ -689,7 +692,7 @@ def conjugation_closure(gens: Sequence[Permutation], seed: Permutation,
         # the seed alone already exceeds the cap
         raise CapExceeded(f"conjugation orbit exceeds cap {cap}")
     mul, wrap, _, tail = _width(seed.degree)
-    pairs = [(wrap(g.inverse().images), wrap(g.images) + tail) for g in gens]
+    pairs = [(_inverse(x), x + tail) for x in (wrap(g.images) for g in gens)]
     out = [wrap(seed.images)]
     seen = set(out)
     for x in out:

@@ -89,6 +89,12 @@ MUTANTS = [
            "inv[b] = mul(s_inv, rep_inv) + tail",
            "inv[b] = mul(rep_inv[:degree], s_inv + tail) + tail",
            "rep(b)^-1 is taken as rep(a)^-1 s^-1, the inverse of s rep(a)"),
+    # Schreier-Sims installs operands, with the one operand inverse _inverse
+    Mutant("install-inverse-is-generator", "groups.py",
+           "entry = (g + tail, _inverse(g))",
+           "entry = (g + tail, g)",
+           "a strong generator's inverse entry is the generator itself, so the inverse "
+           "representatives are wrong and Schreier-Sims runs past the time limit"),
     # deferred orbit rebuilds: a level whose group did not grow is rebuilt
     # when it is read, and every pass stops at the orbit size it knows
     Mutant("no-final-flush", "groups.py",
@@ -317,6 +323,17 @@ MUTANTS = [
            "conjugation_closure(group.pointwise_stabilizer(dset).generators, u, cap)",
            "conjugation_closure(group.pointwise_stabilizer(dset).generators[:1], u, cap)",
            "the oracle closes E under the subgroup its first stabilizer generator generates"),
+    # the one reader of a chain's stabilizer facts
+    Mutant("fixing-prefix-one-short", "groups.py",
+           "prefix = chain.base[:k]",
+           "prefix = chain.base[:k - 1]",
+           "a stabilizer's generators are the strong generators fixing one base point "
+           "fewer than it fixes"),
+    # catalog short names from one prefix table
+    Mutant("family-table-swap", "catalog.py",
+           '"S": "symmetric"',
+           '"S": "alternating"',
+           "S<n> builds the alternating group"),
     # the chains a group keeps: its () chain and the last rebased one
     Mutant("rebased-kept-all", "groups.py",
            "        kept = self._rebased\n"

@@ -82,8 +82,12 @@ def test_parse_group_name():
     assert parse_group_name("M11").order == 7920
     assert parse_group_name("PGL2_7").order == 336
     assert parse_group_name("psl2_7").order == 168
-    with pytest.raises(ValueError):
-        parse_group_name("Q8")
+    assert parse_group_name(" M11 ") is parse_group_name("M011") is builtin("mathieu", 11)
+    assert parse_group_name("psl2_13") is builtin("psl2", 13)
+    # a short name is a known prefix followed by ASCII digits, nothing else
+    for name in ("Q8", "M", "S", "PGL2_", "PGL27", "S5X", "S 5", "S\u0665", "S\u00b2"):
+        with pytest.raises(ValueError, match="^unrecognized group name "):
+            parse_group_name(name)
 
 
 def test_perm_file_round_trip(tmp_path):

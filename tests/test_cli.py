@@ -45,6 +45,8 @@ def test_bad_group_spec(capsys):
     assert code == 2
     code, _ = run(capsys, "info", "S5")
     assert code == 2
+    code, _ = run(capsys, "info", "catalog:PGL2_")
+    assert code == 2
 
 
 @pytest.mark.parametrize("name", ["S0", "A0", "C0"])
