@@ -1,8 +1,10 @@
 """Built-in group constructions and the .perm generator-file format.
 
 Every builtin is validated at construction against its expected degree,
-order and transitivity degree; the Mathieu fixtures are additionally pinned
-to expected minimal degrees, checked downstream by the table builder.
+order and transitivity degree; a computed value that misses its pin is a
+fault in the computation, a ``RuntimeError``, not an input error.  The
+Mathieu fixtures are additionally pinned to expected minimal degrees,
+checked downstream by the table builder.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 def _validated(group: PermutationGroup, order: int, tdeg: int | None) -> PermutationGroup:
     if group.order != order:
-        raise ValueError(f"{group.label}: computed order {group.order}, expected {order}")
+        raise RuntimeError(f"{group.label}: computed order {group.order}, expected {order}")
     if tdeg is not None and group.transitivity_degree() != tdeg:
-        raise ValueError(f"{group.label}: computed transitivity degree "
-                         f"{group.transitivity_degree()}, expected {tdeg}")
+        raise RuntimeError(f"{group.label}: computed transitivity degree "
+                           f"{group.transitivity_degree()}, expected {tdeg}")
     return group
 
 

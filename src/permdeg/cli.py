@@ -3,23 +3,23 @@
 Exit codes: 0 all applicable checks pass, 1 a check failed, 2 usage or input
 error, 3 a resource cap was exceeded, 4 a fault in the computation itself
 (a ``RuntimeError``, such as a guaranteed trace step that fails, a
-configuration the counts suite drew that fails the suite's own check, or a
-Mathieu minimal degree that misses its pinned value).  JSON reports are canonical: for a
-fixed group, suite, seed and version they are byte-identical across runs and
-across --jobs settings (the elapsed_ms field is pinned to 0 for that reason;
-wall-clock timing goes to stderr).
+configuration the counts suite drew that fails the suite's own check, a
+builtin whose computed order or transitivity degree misses its pinned value,
+or a Mathieu minimal degree that misses its pinned value).  JSON reports are
+canonical: for a fixed group, suite, seed and version they are byte-identical
+across runs and across ``verify --jobs`` settings (the elapsed_ms field is
+pinned to 0 for that reason; wall-clock timing goes to stderr).
 
-The minimal degree is always computed by the stabilizer-prefix backtrack;
-``mindeg --method exhaustive`` runs the exhaustive scan, the reference
-oracle, instead (``backtrack`` is the default).  ``--cap`` bounds
-the number of elements in the two places that still enumerate them: the
-conjugation-orbit closures of the ``double``, ``triple`` and ``quadruple``
-traces, and ``mindeg --method exhaustive``.  It bounds element counts, not
-memory or time, never selects an algorithm, and is accepted but unused by
-``info``, ``verify``, ``table``, ``trace … jordan`` and ``mindeg`` without
-``--method exhaustive``; a value below 1 is a usage error.
-``--jobs`` is accepted for compatibility and has no effect; a value below 1
-is a usage error too.
+Each command takes ``--json`` and only the options its handler reads; any
+other option is a usage error.  The minimal degree is always computed by the
+stabilizer-prefix backtrack; ``mindeg --method exhaustive`` runs the
+exhaustive scan, the reference oracle, instead (``backtrack`` is the
+default).  ``--cap``, taken by ``trace`` and ``mindeg``, bounds the number of
+elements in the two places that still enumerate them: the conjugation-orbit
+closures of the ``double``, ``triple`` and ``quadruple`` traces, and the
+exhaustive scan.  It bounds element counts, not memory or time, and never
+selects an algorithm.  ``verify --jobs`` has no effect.  A value below 1 of
+``--samples``, ``--jobs`` or ``--cap`` is a usage error.
 
 Every command's --json report and exit code come from ``main``: a handler
 only computes and prints.  ``verify`` and ``fractions`` are imported inside
@@ -118,17 +118,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", metavar="PATH", default=None)
-    parser.add_argument("--samples", type=_positive_int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=_positive_int, default=1,
-                        help="accepted (at least 1); has no effect")
-    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                        help="element bound (at least 1) for trace orbit closures "
-                             "and mindeg --method exhaustive; unused elsewhere")
 
 
 def _maybe_minimal_degree(group: PermutationGroup):
@@ -241,37 +230,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "for permutation groups",
         formatter_class=_FORMATTER)
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=_FORMATTER)
+    options = {
+        "--samples": {"type": _positive_int, "default": 1000},
+        "--seed": {"type": int, "default": 0},
+        "--jobs": {"type": _positive_int, "default": 1,
+                   "help": "accepted (at least 1); has no effect"},
+        "--cap": {"type": _positive_int, "default": DEFAULT_CAP,
+                  "help": "element bound (at least 1) for orbit closures and the "
+                          "exhaustive scan"},
+        "--method": {"choices": ("backtrack", "exhaustive"), "default": "backtrack",
+                     "help": "backtrack (the default) or the exhaustive oracle"},
+    }
 
-    p_info = add_parser("info", help="degree, order, transitivity and minimal degree")
-    p_info.add_argument("group")
-    _add_common(p_info)
-    p_info.set_defaults(handler=_cmd_info)
+    # each command takes --json and only the options its handler reads
+    def command(name, handler, summary, *flags):
+        p = sub.add_parser(name, help=summary, formatter_class=_FORMATTER)
+        p.set_defaults(handler=handler)
+        if name != "table":
+            p.add_argument("group")
+        p.add_argument("--json", metavar="PATH", default=None)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        return p
 
-    p_verify = add_parser("verify", help="run a sampled check suite")
-    p_verify.add_argument("group")
+    command("info", _cmd_info, "degree, order, transitivity and minimal degree")
+    p_verify = command("verify", _cmd_verify, "run a sampled check suite",
+                       "--samples", "--seed", "--jobs")
     p_verify.add_argument("suite", choices=("laws", "counts", "all"))
-    _add_common(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_trace = add_parser("trace", help="replay one bound trace")
-    p_trace.add_argument("group")
+    p_trace = command("trace", _cmd_trace, "replay one bound trace", "--seed", "--cap")
     # spelled out so that parsing loads no verify; a test keeps the tuple
     # equal to sorted(verify.TRACES)
     p_trace.add_argument("theorem", choices=("double", "jordan", "quadruple", "triple"))
-    _add_common(p_trace)
-    p_trace.set_defaults(handler=_cmd_trace)
-
-    p_mindeg = add_parser("mindeg", help="compute the minimal degree")
-    p_mindeg.add_argument("group")
-    p_mindeg.add_argument("--method", choices=("backtrack", "exhaustive"), default="backtrack",
-                          help="backtrack (the default) or the exhaustive oracle")
-    _add_common(p_mindeg)
-    p_mindeg.set_defaults(handler=_cmd_mindeg)
-
-    p_table = add_parser("table", help="Mathieu degree/bound table")
-    _add_common(p_table)
-    p_table.set_defaults(handler=_cmd_table)
+    command("mindeg", _cmd_mindeg, "compute the minimal degree", "--method", "--cap")
+    command("table", _cmd_table, "Mathieu degree/bound table")
     return parser
 
 
@@ -299,7 +290,7 @@ def main(argv=None) -> int:
                        "t": group.transitivity_degree()})
             report = {"schema": 1, **header, "m": m,
                       "suites": [_suite_json(*suite) for suite in suites],
-                      "seed": args.seed, "elapsed_ms": 0}
+                      "seed": getattr(args, "seed", 0), "elapsed_ms": 0}
             Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,6 +188,20 @@ MUTANTS = [
            "if not all(c.passed for c in checks):",
            "an informational check that fails, such as the forward-images law, fails "
            "the command"),
+    # each command takes --json and only the options its handler reads
+    Mutant("info-takes-seed", "cli.py",
+           'command("info", _cmd_info, "degree, order, transitivity and minimal degree")',
+           'command("info", _cmd_info, "degree, order, transitivity and minimal degree", '
+           '"--seed")',
+           "info takes --seed again, which it reads only to echo it"),
+    Mutant("verify-drops-jobs", "cli.py",
+           '"--samples", "--seed", "--jobs")',
+           '"--samples", "--seed")',
+           "verify --jobs, which every verify job of the benchmark passes, is a usage error"),
+    Mutant("seedless-echoes-one", "cli.py",
+           'getattr(args, "seed", 0)',
+           'getattr(args, "seed", 1)',
+           "a command without --seed writes seed 1 in its --json report"),
     # the counts suite's pair orbits and its oracle
     Mutant("fixed-read-as-arrows", "verify.py",
            "stays - share(fixed, second)",
@@ -334,6 +348,16 @@ MUTANTS = [
            '"S": "symmetric"',
            '"S": "alternating"',
            "S<n> builds the alternating group"),
+    # a builtin that misses its pinned order or transitivity is a fault
+    Mutant("order-pin-input-error", "catalog.py",
+           'raise RuntimeError(f"{group.label}: computed order',
+           'raise ValueError(f"{group.label}: computed order',
+           "a builtin whose computed order misses its pin exits 2, as bad input"),
+    Mutant("transitivity-pin-input-error", "catalog.py",
+           'raise RuntimeError(f"{group.label}: computed transitivity',
+           'raise ValueError(f"{group.label}: computed transitivity',
+           "a builtin whose computed transitivity degree misses its pin exits 2, as "
+           "bad input"),
     # the chains a group keeps: its () chain and the last rebased one
     Mutant("rebased-kept-all", "groups.py",
            "        kept = self._rebased\n"

@@ -48,11 +48,13 @@ def commands(wide: str) -> list[tuple[str, ...]]:
                 ("mindeg", spec)]
     out += [("table",),
             # usage errors: a spec without its prefix, a name the catalog lacks,
-            # and two that argparse reports, a theorem it lacks and --jobs 0
+            # and three that argparse reports, a theorem it lacks, an option
+            # info does not take, and verify's --jobs below 1
             ("info", "S5"),
             ("info", "catalog:Q8"),
             ("trace", "catalog:M11", "sextuple"),
-            ("info", "catalog:M11", "--jobs", "0")]
+            ("info", "catalog:M11", "--jobs", "0"),
+            ("verify", "catalog:M11", "laws", "--jobs", "0")]
     spec = f"file:{wide}"
     out += [("info", spec),
             ("mindeg", spec),

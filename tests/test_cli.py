@@ -73,10 +73,11 @@ def test_verify_counts_inapplicable(capsys):
 
 
 def test_verify_counts_m24_ignores_cap(tmp_path, capsys):
-    # the counts suite enumerates no orbit, so a small --cap cannot stop it
+    # the counts suite enumerates no orbit, and verify takes no --cap, so no
+    # cap can stop it on M24
     path = tmp_path / "m24.json"
     code, out = run(capsys, "verify", "catalog:M24", "counts", "--samples", "20",
-                    "--seed", "3", "--cap", "3000", "--json", str(path))
+                    "--seed", "3", "--json", str(path))
     assert code == 0
     assert "FAIL" not in out
     suites = json.loads(path.read_text())["suites"]
@@ -212,7 +213,7 @@ def test_mindeg_cap_exit(capsys):
     ("trace", "catalog:M11", "double", "--cap", "-3"),
     ("trace", "catalog:M11", "quadruple", "--cap", "0"),
     ("mindeg", "catalog:S5", "--method", "exhaustive", "--cap", "-1"),
-    ("info", "catalog:S5", "--cap", "0"),
+    ("mindeg", "catalog:S5", "--cap", "0"),
 ])
 def test_cap_below_one_is_a_usage_error(capsys, argv):
     code, out = run(capsys, *argv)
@@ -223,17 +224,51 @@ def test_cap_below_one_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("verify", "catalog:S6", "all", "--samples", "10", "--jobs", "0"),
     ("verify", "catalog:M11", "laws", "--jobs", "-3"),
-    ("trace", "catalog:M11", "double", "--jobs", "0"),
-    ("info", "catalog:S5", "--jobs", "-1"),
 ])
 def test_jobs_below_one_is_a_usage_error(capsys, argv):
-    # --jobs has no effect, but it is still an input: below 1 it exits 2,
-    # as --samples and --cap do
+    # verify --jobs has no effect, but it is still an input: below 1 it
+    # exits 2, as --samples and --cap do
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert "argument --jobs: must be at least 1" in err
+
+
+# the options each command takes, --help aside: --json and the ones its
+# handler reads
+OPTIONS = {
+    "info": {"--json"},
+    "verify": {"--json", "--samples", "--seed", "--jobs"},
+    "trace": {"--json", "--seed", "--cap"},
+    "mindeg": {"--json", "--method", "--cap"},
+    "table": {"--json"},
+}
+POSITIONALS = {"info": ("catalog:S5",), "verify": ("catalog:S5", "laws"),
+               "trace": ("catalog:M11", "double"), "mindeg": ("catalog:S5",), "table": ()}
+
+
+def _subparsers():
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    taken = {name: {flag for action in sub._actions for flag in action.option_strings}
+             - {"-h", "--help"} for name, sub in _subparsers().items()}
+    assert taken == OPTIONS
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in OPTIONS
+    for option in ("--samples", "--seed", "--jobs", "--cap") if option not in OPTIONS[command]])
+def test_each_command_rejects_options_it_does_not_read(capsys, command, option):
+    # a valid value, so that the option itself is what argparse rejects
+    code = main([command, *POSITIONALS[command], option, "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {option} 1" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,9 +381,7 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
 def test_trace_choices_match_the_trace_builders():
     # the parser lists the trace names itself so that building it imports
     # no verify; this keeps the list equal to the builders verify offers
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    theorem = next(action for action in subparsers.choices["trace"]._actions
+    theorem = next(action for action in _subparsers()["trace"]._actions
                    if action.dest == "theorem")
     assert tuple(theorem.choices) == tuple(sorted(TRACES))
 

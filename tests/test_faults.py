@@ -251,7 +251,9 @@ def test_counts_suite_raises_on_a_faulty_membership_sift(monkeypatch, capsys, na
 # a transporter that misses its target, or finds none, where t-transitivity
 # guarantees one: the jordan trace must raise rather than report a
 # degenerate construction (M11 and PSL2_13 stop at the shifted-image exit
-# before they ask for v)
+# before they ask for v); the triple and quadruple traces carry u back along
+# a transporter of one pair to another, which double transitivity
+# guarantees, and must raise where it finds none
 TRANSPORTER_FAULTS = {
     "cancellation hypotheses failed": lambda transporter: lambda self, src, dst: (
         transporter(self, src, dst) * transporter(self, (dst[0],), (dst[-1],))),
@@ -259,14 +261,18 @@ TRANSPORTER_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("message", TRANSPORTER_FAULTS)
-@pytest.mark.parametrize("name", ["M12", "M24", "PGL2_13"])
-def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, capsys, message, name):
+@pytest.mark.parametrize("name, message, theorem", [
+    pytest.param(name, message, "jordan", id=f"{name}-{message}")
+    for name in ("M12", "M24", "PGL2_13") for message in TRANSPORTER_FAULTS] + [
+    pytest.param(name, "no element maps", theorem, id=f"{name}-no element maps-{theorem}")
+    for name in ("M12", "M24") for theorem in ("triple", "quadruple")])
+def test_jordan_trace_raises_on_a_faulty_transporter(monkeypatch, capsys, name, message,
+                                                     theorem):
     monkeypatch.setattr(PermutationGroup, "transporter",
                         TRANSPORTER_FAULTS[message](PermutationGroup.transporter))
     with pytest.raises(RuntimeError, match=message):
-        verify.jordan_bound_trace(catalog.parse_group_name(name), rng=random.Random(1))
-    _assert_fault(capsys, ["trace", f"catalog:{name}", "jordan", "--seed", "1"], message)
+        verify.TRACES[theorem](catalog.parse_group_name(name), rng=random.Random(1))
+    _assert_fault(capsys, ["trace", f"catalog:{name}", theorem, "--seed", "1"], message)
 
 
 # a minimal degree one above the true m, with the same witness: every
@@ -304,6 +310,21 @@ def test_table_raises_on_a_wrong_minimal_degree(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match=message):
         verify.mathieu_bound_table()
     _assert_fault(capsys, ["table"], message)
+
+
+# a builtin whose computed order or transitivity degree misses its pin: the
+# group is rebuilt, not read from the catalog's cache, and its validation is
+# a fault of the computation, not an input error, so the CLI exits 4
+@pytest.mark.parametrize("pins, message", [
+    (catalog.MATHIEU_ORDER, "^M11: computed order 7920, expected 7921$"),
+    (catalog.MATHIEU_TRANSITIVITY, "^M11: computed transitivity degree 4, expected 5$"),
+], ids=["order", "transitivity"])
+def test_catalog_raises_on_a_missed_pin(monkeypatch, capsys, pins, message):
+    monkeypatch.setitem(pins, 11, pins[11] + 1)
+    monkeypatch.setattr(catalog, "_cache", {})
+    with pytest.raises(RuntimeError, match=message):
+        catalog.parse_group_name("M11")
+    _assert_fault(capsys, ["info", "catalog:M11"], message)
 
 
 # an alternating-group probe that misses A_n in S7 and A7: their witnesses
